@@ -7,7 +7,7 @@
 //!
 //! Exit codes: 0 clean, 1 findings survived, 2 usage/IO error. With
 //! `--baseline`, only deny findings *new* relative to the given
-//! `ANALYZE.json` (v1 or v2) fail the run. Set `HYDE_TRACE=<path>` to
+//! `ANALYZE.json` (hyde-sa-v2) fail the run. Set `HYDE_TRACE=<path>` to
 //! write Chrome-trace/flamegraph artifacts via hyde-obs.
 
 use std::path::PathBuf;
@@ -71,7 +71,7 @@ fn parse_args() -> Result<Opts, SaError> {
                      --root DIR          workspace root to analyze (default: .)\n\
                      --json PATH         also write the report as hyde-sa-v2 JSON\n\
                      --baseline PATH     diff mode: fail only on deny findings not in\n\
-                     \u{20}                    the given ANALYZE.json (v1 or v2 accepted)\n\
+                     \u{20}                    the given hyde-sa-v2 ANALYZE.json\n\
                      --list-passes       print the registered passes and exit\n\
                      --update-ratchets   regenerate crates/analyze/ratchets/ and exit");
                 std::process::exit(0);

@@ -42,7 +42,6 @@ pub const SPANS: &[(&str, &str)] = &[
     ("lint.circuit", "verify"),
     ("bench.circuit", "bench"),
     ("bench.chaos_circuit", "bench"),
-    ("obs.serve.request", "obs"),
     ("serve.request", "serve"),
     ("serve.job", "serve"),
     ("sa.lex", "analyze"),
@@ -90,7 +89,6 @@ pub const COUNTERS: &[&str] = &[
     "hyde.npn.canonize_us",
     "sched.steal.blocks",
     "sched.steal.steals",
-    "obs.serve.requests",
     "serve.requests",
     "serve.submitted",
     "serve.completed",
@@ -119,7 +117,6 @@ pub const COUNTERS: &[&str] = &[
 /// appear somewhere in its crate.
 pub const HISTOGRAMS: &[(&str, &str)] = &[
     ("bench.circuit_wall_us", "bench"),
-    ("obs.serve.request_us", "obs"),
     ("serve.request_us", "serve"),
     ("serve.job_wall_us", "serve"),
     ("serve.queue_wait_us", "serve"),

@@ -14,7 +14,6 @@
 //! |------|-------|-----------|
 //! | determinism | SA001, SA002 | no order-sensitive `HashMap`/`HashSet` iteration, no wall-clock/thread/env reads in result-affecting crates |
 //! | panic-surface | SA003 | per-file ratcheted panic surface across the whole workspace |
-//! | budget-propagation | SA004 | shim — superseded by SA010's interprocedural budget flow |
 //! | obs-coverage | SA005, SA006 | span/counter literals match the documented taxonomy |
 //! | diag-registry | SA007 | `HY`/`SA` codes declared once, documented, and exercised |
 //! | feature-hygiene | SA008 | `obs-rt`/`strict-checks` forwarding chains stay correct |

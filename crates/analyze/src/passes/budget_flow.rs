@@ -1,5 +1,4 @@
-//! SA010 — interprocedural budget flow: the call-graph successor of
-//! SA004's textual heuristic.
+//! SA010 — interprocedural budget flow.
 //!
 //! Entry points are production fns whose *signature* mentions `Budget`:
 //! they accepted admission control and everything beneath them is
@@ -12,7 +11,7 @@
 //! budget fans out into calls the budget cannot stop. Findings print
 //! the call path from the entry point down to the offending fn.
 
-use crate::passes::budget::{constructs_bounded_work, has_budget_evidence};
+use crate::lexer::{Tok, TokKind};
 use crate::registry::{Cx, Emitter, Pass};
 use crate::source::FileKind;
 use crate::{config, resolve::FnNode, workspace::Workspace};
@@ -27,8 +26,42 @@ fn budgeted_lib(ws: &Workspace, node: &FnNode) -> bool {
         && !node.in_test
 }
 
+/// True when the token window contains a BDD-constructing or
+/// SAT-invoking call.
+fn constructs_bounded_work(toks: &[Tok]) -> bool {
+    for (i, t) in toks.iter().enumerate() {
+        // `.ite(` / `.and(` / ... method calls.
+        if t.is_punct('.') {
+            if let Some(m) = toks.get(i + 1).filter(|m| m.kind == TokKind::Ident) {
+                if toks.get(i + 2).is_some_and(|p| p.is_punct('('))
+                    && (config::BDD_CONSTRUCTORS.contains(&m.text.as_str()) || m.text == "solve")
+                {
+                    return true;
+                }
+            }
+        }
+        // `Bdd::new(` / `Bdd::with_capacity(`.
+        if t.is_ident("Bdd")
+            && toks.get(i + 1).is_some_and(|a| a.is_punct(':'))
+            && toks.get(i + 2).is_some_and(|b| b.is_punct(':'))
+            && toks
+                .get(i + 3)
+                .is_some_and(|m| m.is_ident("new") || m.is_ident("with_capacity"))
+        {
+            return true;
+        }
+    }
+    false
+}
+
+/// True when the signature-plus-body window shows budget evidence.
+fn has_budget_evidence(toks: &[Tok]) -> bool {
+    toks.iter()
+        .any(|t| t.kind == TokKind::Ident && config::BUDGET_EVIDENCE.contains(&t.text.as_str()))
+}
+
 /// The fn's signature-plus-body token window.
-fn fn_window<'a>(ws: &'a Workspace, node: &FnNode) -> &'a [crate::lexer::Tok] {
+fn fn_window<'a>(ws: &'a Workspace, node: &FnNode) -> &'a [Tok] {
     let toks = ws.files[node.file].toks();
     let end = node.body.as_ref().map_or(node.sig.1, |b| b.span.1);
     toks.get(node.sig.0..=end).unwrap_or_default()

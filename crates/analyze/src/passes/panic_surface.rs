@@ -1,5 +1,4 @@
-//! SA003 — panic surface: the whole-workspace generalization of the
-//! old `cargo xtask unwrap-gate`.
+//! SA003 — panic surface, ratcheted per file across the workspace.
 //!
 //! Counts `.unwrap()` / `.expect(` / `.unwrap_unchecked(` calls,
 //! `panic!` / `unreachable!` / `todo!` / `unimplemented!` invocations

@@ -1,8 +1,9 @@
 //! Findings, per-pass summaries and the `ANALYZE.json` emitter.
 
-/// JSON schema tag written into `ANALYZE.json`. v2 adds per-finding
-/// `severity` and call-path arrays; v1 reports are still accepted as
-/// `--baseline` input (see [`crate::baseline`]).
+use hyde_obs::json::escape;
+
+/// JSON schema tag written into `ANALYZE.json`, and the only schema
+/// accepted as `--baseline` input (see [`crate::baseline`]).
 pub const SCHEMA: &str = "hyde-sa-v2";
 
 /// How a surviving finding affects the exit status.
@@ -129,7 +130,7 @@ impl Report {
     pub fn to_json(&self) -> String {
         let mut s = String::new();
         s.push_str("{\n");
-        s.push_str(&format!("  \"schema\": {},\n", json_str(SCHEMA)));
+        s.push_str(&format!("  \"schema\": \"{SCHEMA}\",\n"));
         s.push_str(&format!("  \"files_scanned\": {},\n", self.files_scanned));
         s.push_str(&format!("  \"allowed\": {},\n", self.allowed()));
         s.push_str("  \"passes\": [\n");
@@ -137,10 +138,11 @@ impl Report {
             .passes
             .iter()
             .map(|p| {
-                let codes: Vec<String> = p.codes.iter().map(|c| json_str(c)).collect();
+                let codes: Vec<String> =
+                    p.codes.iter().map(|c| format!("\"{}\"", escape(c))).collect();
                 format!(
-                    "    {{\"pass\": {}, \"codes\": [{}], \"findings\": {}, \"warnings\": {}, \"allowed\": {}}}",
-                    json_str(p.pass),
+                    "    {{\"pass\": \"{}\", \"codes\": [{}], \"findings\": {}, \"warnings\": {}, \"allowed\": {}}}",
+                    escape(p.pass),
                     codes.join(", "),
                     p.findings,
                     p.warnings,
@@ -155,15 +157,16 @@ impl Report {
             .findings
             .iter()
             .map(|f| {
-                let path: Vec<String> = f.path.iter().map(|h| json_str(h)).collect();
+                let path: Vec<String> =
+                    f.path.iter().map(|h| format!("\"{}\"", escape(h))).collect();
                 format!(
-                    "    {{\"code\": {}, \"pass\": {}, \"severity\": {}, \"file\": {}, \"line\": {}, \"message\": {}, \"path\": [{}]}}",
-                    json_str(f.code),
-                    json_str(f.pass),
-                    json_str(f.severity.tag()),
-                    json_str(&f.file),
+                    "    {{\"code\": \"{}\", \"pass\": \"{}\", \"severity\": \"{}\", \"file\": \"{}\", \"line\": {}, \"message\": \"{}\", \"path\": [{}]}}",
+                    escape(f.code),
+                    escape(f.pass),
+                    escape(f.severity.tag()),
+                    escape(&f.file),
                     f.line,
-                    json_str(&f.message),
+                    escape(&f.message),
                     path.join(", ")
                 )
             })
@@ -174,7 +177,7 @@ impl Report {
         let notes: Vec<String> = self
             .notes
             .iter()
-            .map(|n| format!("    {}", json_str(n)))
+            .map(|n| format!("    \"{}\"", escape(n)))
             .collect();
         s.push_str(&notes.join(",\n"));
         s.push_str("\n  ]\n}\n");
@@ -182,31 +185,12 @@ impl Report {
     }
 }
 
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn json_escapes_and_schema() {
+    fn to_json_escapes_and_tags_schema() {
         let mut r = Report {
             files_scanned: 2,
             ..Report::default()

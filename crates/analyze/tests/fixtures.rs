@@ -165,17 +165,6 @@ fn sa003_missing_and_stale_ratchet_entries_are_findings() {
     );
 }
 
-#[test]
-fn sa004_shim_is_silent() {
-    // SA004 is superseded by SA010; what used to fire stays quiet.
-    let ws = Workspace::from_sources(&[(
-        "crates/core/src/x.rs",
-        "pub fn boom(bdd: &mut Bdd, a: Ref, b: Ref, c: Ref) -> Ref { bdd.ite(a, b, c) }\n",
-    )]);
-    let r = run_pass(Box::new(passes::budget::BudgetPass), &ws);
-    assert!(r.clean(), "{:?}", r.findings);
-}
-
 /// An empty (header-only) SA009 ratchet file.
 const SA009_EMPTY: (&str, &str) = (
     "crates/analyze/ratchets/SA009-panic-reach.txt",
@@ -513,11 +502,11 @@ const DIAG_DECL: &str = "pub enum Code { NetworkCycle }\n\
 const DIAG_TEST: &str = "#[test]\n\
     fn exercises_codes() {\n\
         assert_eq!(Code::NetworkCycle.as_str(), \"HY001\");\n\
-        let _all_sa = \"SA001 SA002 SA003 SA004 SA005 SA006 SA007 SA008 \
+        let _all_sa = \"SA001 SA002 SA003 SA005 SA006 SA007 SA008 \
     SA009 SA010 SA011 SA012 SA013\";\n\
     }\n";
 const DESIGN_OK: &str = "HY001 network cycle.\n\
-    SA001 SA002 SA003 SA004 SA005 SA006 SA007 SA008 SA009 SA010 SA011 \
+    SA001 SA002 SA003 SA005 SA006 SA007 SA008 SA009 SA010 SA011 \
     SA012 SA013 analyzer codes.\n";
 
 #[test]
@@ -527,7 +516,7 @@ fn sa007_flags_undocumented_and_untested_codes() {
         ("crates/logic/tests/diag.rs", DIAG_TEST),
         (
             "DESIGN.md",
-            "SA001 SA002 SA003 SA004 SA005 SA006 SA007 SA008 SA009 SA010 \
+            "SA001 SA002 SA003 SA005 SA006 SA007 SA008 SA009 SA010 \
              SA011 SA012 SA013\n",
         ),
     ]);
@@ -572,7 +561,7 @@ fn sa007_flags_stale_doc_rows_and_duplicate_literals() {
         (
             "DESIGN.md",
             "HY001 and the long-gone HY999.\n\
-             SA001 SA002 SA003 SA004 SA005 SA006 SA007 SA008 SA009 SA010 \
+             SA001 SA002 SA003 SA005 SA006 SA007 SA008 SA009 SA010 \
              SA011 SA012 SA013\n",
         ),
     ]);

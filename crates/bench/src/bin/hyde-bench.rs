@@ -53,9 +53,6 @@ Options:
   --trace <FILE>     collect spans: embed the obs breakdown in the JSON and
                      write a Chrome trace to FILE plus a .folded flamegraph
                      next to it (HYDE_TRACE=<FILE> is equivalent)
-  --serve-metrics <ADDR>  serve a Prometheus scrape endpoint (GET /metrics)
-                     and a /healthz snapshot on ADDR (e.g. 127.0.0.1:9184)
-                     for the duration of the run; implies span collection
   --stdout           print the JSON to stdout instead of writing a file
   -h, --help         this message";
 
@@ -72,7 +69,6 @@ struct Options {
     chaos: Option<u64>,
     budget: Budget,
     trace: Option<String>,
-    serve_metrics: Option<String>,
     stdout: bool,
 }
 
@@ -87,7 +83,6 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
         chaos: None,
         budget: Budget::unlimited(),
         trace: None,
-        serve_metrics: None,
         stdout: false,
     };
     fn num<T: std::str::FromStr>(
@@ -145,10 +140,6 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
             }
             "--trace" => {
                 opts.trace = Some(it.next().ok_or("--trace needs a file")?.clone());
-            }
-            "--serve-metrics" => {
-                opts.serve_metrics =
-                    Some(it.next().ok_or("--serve-metrics needs an address")?.clone());
             }
             "--stdout" => opts.stdout = true,
             other => return Err(format!("unknown option '{other}' (try --help)")),
@@ -318,26 +309,7 @@ fn main() -> ExitCode {
     if let Some(seed) = opts.chaos {
         return run_chaos_mode(&opts, &selected, seed);
     }
-    // Bind the scrape endpoint before the run so Prometheus (or curl)
-    // can watch the suite live; it keeps serving the retained data until
-    // the process exits.
-    let metrics_server = match &opts.serve_metrics {
-        Some(addr) => match hyde_obs::serve::MetricsServer::bind(addr.as_str()) {
-            Ok(server) => {
-                eprintln!(
-                    "hyde-bench: serving /metrics and /healthz on http://{}",
-                    server.local_addr()
-                );
-                Some(server)
-            }
-            Err(e) => {
-                eprintln!("error: cannot bind metrics endpoint '{addr}': {e}");
-                return ExitCode::from(2);
-            }
-        },
-        None => None,
-    };
-    let observed = trace_path.is_some() || metrics_server.is_some();
+    let observed = trace_path.is_some();
     eprintln!(
         "hyde-bench: {} circuit(s), k={}, run '{}'{}",
         selected.len(),

@@ -2,8 +2,9 @@
 //! (`cargo xtask perf-diff`) and the append-only benchmark trajectory
 //! (`BENCH_TRAJECTORY.jsonl`, written by `cargo xtask bench --record`).
 //!
-//! [`diff`] accepts any pair of `BENCH_*.json` documents (schema v1/v2/
-//! v3) or Chrome `TRACE_*.json` exports and compares them on two axes:
+//! [`diff`] accepts any pair of `BENCH_*.json` documents
+//! (`hyde-bench-v3`) or Chrome `TRACE_*.json` exports and compares them
+//! on two axes:
 //!
 //! * **per-circuit wall clock** — the gating axis. A circuit regresses
 //!   when `new > old * MAX_RATIO + SLACK_MS`, the same threshold the

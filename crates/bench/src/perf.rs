@@ -15,21 +15,15 @@ use hyde_core::CoreError;
 use hyde_guard::RetryPolicy;
 use hyde_map::flow::FlowKind;
 use hyde_map::session::{BudgetSpec, Job, JobErrorKind, Session};
+use hyde_obs::json::escape;
 use std::fmt::Write as _;
 use std::time::Instant;
 
-/// Schema tag written into every benchmark JSON. v3 added percentile
-/// fields (`p50_us`/`p95_us`/`p99_us`) and the `"hists"` families inside
-/// the `"obs"` section — additive keys, so v2 readers still parse it.
+/// Schema tag written into every benchmark JSON, and the only tag
+/// [`validate_json`] accepts. v3 added percentile fields
+/// (`p50_us`/`p95_us`/`p99_us`) and the `"hists"` families inside the
+/// `"obs"` section — additive keys, so v2 readers still parse it.
 pub const SCHEMA: &str = "hyde-bench-v3";
-
-/// v2 schema tag (added the optional `"obs"` section), still accepted on
-/// *read* (`--baseline` files and perf-diff inputs).
-pub const SCHEMA_V2: &str = "hyde-bench-v2";
-
-/// v1 schema tag, still accepted on *read* (`--baseline` files and
-/// the PR 3 `BENCH_hot_path.json` artifact predate the obs section).
-pub const SCHEMA_V1: &str = "hyde-bench-v1";
 
 /// Per-circuit measurement.
 #[derive(Debug, Clone)]
@@ -379,13 +373,8 @@ pub fn totals_wall_ms(json: &str) -> Option<f64> {
 /// carry the current schema tag, a circuits array with at least one entry,
 /// and a parsable `totals.wall_ms`.
 pub fn validate_json(json: &str) -> Result<(), String> {
-    if !json.contains(&format!("\"schema\": \"{SCHEMA}\""))
-        && !json.contains(&format!("\"schema\": \"{SCHEMA_V2}\""))
-        && !json.contains(&format!("\"schema\": \"{SCHEMA_V1}\""))
-    {
-        return Err(format!(
-            "missing schema tag {SCHEMA} (or {SCHEMA_V2}/{SCHEMA_V1})"
-        ));
+    if !json.contains(&format!("\"schema\": \"{SCHEMA}\"")) {
+        return Err(format!("missing schema tag {SCHEMA}"));
     }
     if !json.contains("\"circuits\": [") {
         return Err("missing circuits array".into());
@@ -509,36 +498,18 @@ pub fn run_chaos(
     }
 }
 
-fn json_escape(s: &str) -> String {
-    let mut o = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => o.push_str("\\\""),
-            '\\' => o.push_str("\\\\"),
-            '\n' => o.push_str("\\n"),
-            '\t' => o.push_str("\\t"),
-            '\r' => o.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(o, "\\u{:04x}", c as u32);
-            }
-            c => o.push(c),
-        }
-    }
-    o
-}
-
 /// Serializes a chaos drill to `CHAOS_<name>.json` (schema
 /// [`CHAOS_SCHEMA`]).
 pub fn chaos_to_json(run: &ChaosRun) -> String {
     let mut s = String::new();
     s.push_str("{\n");
     let _ = writeln!(s, "  \"schema\": \"{CHAOS_SCHEMA}\",");
-    let _ = writeln!(s, "  \"name\": \"{}\",", json_escape(&run.name));
+    let _ = writeln!(s, "  \"name\": \"{}\",", escape(&run.name));
     let _ = writeln!(s, "  \"seed\": {},", run.seed);
     let _ = writeln!(s, "  \"k\": {},", run.k);
     s.push_str("  \"circuits\": [\n");
     for (i, c) in run.samples.iter().enumerate() {
-        let _ = write!(s, "    {{\"name\": \"{}\", ", json_escape(&c.name));
+        let _ = write!(s, "    {{\"name\": \"{}\", ", escape(&c.name));
         match &c.status {
             ChaosStatus::Ok { luts } => {
                 let _ = write!(s, "\"status\": \"ok\", \"luts\": {luts}");
@@ -547,14 +518,14 @@ pub fn chaos_to_json(run: &ChaosRun) -> String {
                 let _ = write!(
                     s,
                     "\"status\": \"failed\", \"error\": \"{}\"",
-                    json_escape(error)
+                    escape(error)
                 );
             }
             ChaosStatus::Panicked { message } => {
                 let _ = write!(
                     s,
                     "\"status\": \"panicked\", \"error\": \"{}\"",
-                    json_escape(message)
+                    escape(message)
                 );
             }
         }
@@ -565,7 +536,7 @@ pub fn chaos_to_json(run: &ChaosRun) -> String {
                 "{}{{\"stage\": \"{}\", \"from\": \"{}\", \"to\": \"{}\", \
                  \"resource\": \"{}\", \"injected\": {}}}",
                 if j > 0 { ", " } else { "" },
-                json_escape(&e.stage),
+                escape(&e.stage),
                 e.from,
                 e.to,
                 e.resource,
@@ -701,9 +672,11 @@ mod tests {
     }
 
     #[test]
-    fn validate_accepts_v1_baselines() {
-        let v1 = to_json(&sample_run(), None).replace(SCHEMA, SCHEMA_V1);
-        assert!(validate_json(&v1).is_ok());
+    fn validate_rejects_older_schemas() {
+        let json = to_json(&sample_run(), None);
+        for old in ["hyde-bench-v1", "hyde-bench-v2"] {
+            assert!(validate_json(&json.replace(SCHEMA, old)).is_err(), "{old}");
+        }
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //! the telemetry PR): the v3 obs section adds percentile and histogram
 //! keys *additively*, so a reader written against v2 — one that only
 //! knows `name`/`count`/`total_us`/`self_us` and `name`/`count`/`sum` —
-//! must read a v3 document unchanged, and the schema validator must keep
-//! accepting all three tags.
+//! must read a v3 document unchanged. The schema validator accepts only
+//! the v3 tag.
 
 use hyde_bench::perf::{run_bench_observed, to_json, validate_json, SCHEMA};
 use hyde_obs::json::{self, Json};
@@ -91,7 +91,7 @@ fn v3_obs_section_round_trips_through_a_v2_reader() {
 }
 
 #[test]
-fn validator_accepts_all_schema_generations() {
+fn validator_accepts_only_the_current_schema() {
     let stub = |tag: &str| {
         format!(
             "{{\"schema\": \"{tag}\", \"name\": \"t\", \"k\": 5, \"threads\": 1, \
@@ -100,8 +100,8 @@ fn validator_accepts_all_schema_generations() {
              \"totals\": {{\"wall_ms\": 1.0, \"luts\": 6, \"bdd_nodes\": 10}}}}"
         )
     };
-    for tag in ["hyde-bench-v1", "hyde-bench-v2", "hyde-bench-v3"] {
-        validate_json(&stub(tag)).unwrap_or_else(|e| panic!("{tag} rejected: {e}"));
+    validate_json(&stub(SCHEMA)).unwrap_or_else(|e| panic!("{SCHEMA} rejected: {e}"));
+    for tag in ["hyde-bench-v1", "hyde-bench-v2", "hyde-bench-v99"] {
+        assert!(validate_json(&stub(tag)).is_err(), "{tag} accepted");
     }
-    assert!(validate_json(&stub("hyde-bench-v99")).is_err());
 }

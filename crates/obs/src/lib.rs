@@ -27,9 +27,8 @@
 //!   the `hyde_core::parallel` fan-outs are visible;
 //! * [`folded_stacks`] — collapsed-stack text consumable by flamegraph
 //!   tooling (`flamegraph.pl`, inferno, speedscope);
-//! * [`prom`]/[`serve`] — Prometheus text-format exposition of all
-//!   counters and histograms over a `std::net::TcpListener` scrape
-//!   endpoint (`hyde-bench --serve-metrics`).
+//! * [`prom`] — Prometheus text-format exposition of all counters and
+//!   histograms, served on `GET /metrics` by the `hyde-serve` daemon.
 //!
 //! Span names are `&'static str` in a `area.verb` style; the canonical
 //! taxonomy is documented in DESIGN.md ("Observability"). Worker threads
@@ -50,7 +49,6 @@ pub mod histogram;
 pub mod json;
 pub mod prom;
 pub mod report;
-pub mod serve;
 
 pub use histogram::Histogram;
 pub use report::{CounterStat, HistStat, ObsReport, PhaseStat};

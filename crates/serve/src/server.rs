@@ -1,10 +1,10 @@
 //! TCP front end: newline-delimited JSON on the same port as a
 //! minimal HTTP subset for `GET /metrics` and `GET /healthz`.
 //!
-//! The skeleton follows `hyde_obs::serve::MetricsServer` — `std::net`
-//! only, 2 s socket timeouts, bounded heads, stop-flag plus self-poke
-//! shutdown — extended with one thread per connection so a slow poller
-//! cannot wedge submissions.
+//! This is the workspace's only TCP/HTTP skeleton: `std::net` only, 2 s
+//! socket timeouts, bounded heads, stop-flag plus self-poke shutdown,
+//! and one thread per connection so a slow poller cannot wedge
+//! submissions.
 
 use crate::protocol::{self, ProtoError, Request, MAX_LINE_BYTES};
 use crate::service::{JobState, MapService, SubmitError};

@@ -244,8 +244,9 @@ fn parser_never_panics_on_corpus_mutations() {
     }
 }
 
-/// HTTP endpoints share the port: `/metrics` renders Prometheus text,
-/// `/healthz` reports worker and queue gauges.
+/// HTTP endpoints share the port: `/metrics` renders Prometheus text
+/// whose counter samples match the flushed `ObsReport` exactly,
+/// `/healthz` reports worker and queue gauges, anything else is a 404.
 #[test]
 fn http_metrics_and_healthz_share_the_port() {
     let (service, server) = start_server(quiet_cfg(1));
@@ -258,17 +259,83 @@ fn http_metrics_and_healthz_share_the_port() {
         stream
             .write_all(format!("GET {path} HTTP/1.1\r\nHost: x\r\n\r\n").as_bytes())
             .unwrap();
-        let mut body = String::new();
-        stream.read_to_string(&mut body).unwrap();
-        body
+        let mut response = String::new();
+        stream.read_to_string(&mut response).unwrap();
+        response
     };
+
+    hyde_obs::reset();
+    hyde_obs::enable();
+    {
+        let _span = hyde_obs::span!("map.outputs");
+        hyde_obs::counter("bdd.nodes", 123);
+        hyde_obs::counter("bdd.nodes", 77);
+        hyde_obs::counter("sat.conflicts", 9);
+        hyde_obs::observe("bench.circuit_wall_us", 4200);
+    }
     let health = get("/healthz");
     assert!(health.contains("200 OK"), "healthz: {health}");
     assert!(health.contains("\"workers\": 1"), "healthz: {health}");
-    let metrics = get("/metrics");
-    assert!(metrics.contains("200 OK"), "metrics: {metrics}");
     let missing = get("/nope");
     assert!(missing.contains("404"), "404: {missing}");
+
+    // Other tests in this binary record while tracing is on, so bracket
+    // each scrape with two reports and keep the first window in which
+    // the only change is the scrape's own `serve.requests` increment.
+    // Counters only grow, so the second report is then exactly what the
+    // scrape rendered.
+    let totals = |r: &hyde_obs::ObsReport| -> Vec<(String, u64, u64)> {
+        r.counters
+            .iter()
+            .map(|c| (c.name.clone(), c.count, c.sum))
+            .collect()
+    };
+    let (metrics, report) = (0..50)
+        .find_map(|_| {
+            let mut expected = totals(&hyde_obs::report());
+            let own = expected
+                .iter_mut()
+                .find(|c| c.0 == "serve.requests")
+                .expect("earlier requests were counted");
+            own.1 += 1;
+            own.2 += 1;
+            let metrics = get("/metrics");
+            let report = hyde_obs::report();
+            (totals(&report) == expected).then_some((metrics, report))
+        })
+        .expect("no quiet scrape window in 50 tries");
+    hyde_obs::disable();
+
+    let (head, body) = metrics.split_once("\r\n\r\n").expect("head/body split");
+    assert!(head.contains("200 OK"), "metrics: {head}");
+    assert!(report.counter("bdd.nodes").is_some_and(|c| c.sum >= 200));
+    let samples = hyde_obs::prom::parse(body).expect("scrape parses");
+    let sample = |metric: &str, name: &str| {
+        samples
+            .iter()
+            .find(|s| s.metric == metric && s.label("counter") == Some(name))
+            .unwrap_or_else(|| panic!("scrape is missing {metric} for `{name}`"))
+            .value
+    };
+    for c in &report.counters {
+        assert_eq!(
+            sample("hyde_counter_total", &c.name),
+            c.sum as f64,
+            "sum of `{}`",
+            c.name
+        );
+        assert_eq!(
+            sample("hyde_counter_calls_total", &c.name),
+            c.count as f64,
+            "calls of `{}`",
+            c.name
+        );
+    }
+    assert!(
+        samples.iter().any(|s| s.metric == "hyde_observed_bucket"
+            && s.label("family") == Some("bench.circuit_wall_us")),
+        "scrape is missing the observed-value histogram"
+    );
     server.shutdown();
     service.shutdown(Duration::from_secs(5));
 }

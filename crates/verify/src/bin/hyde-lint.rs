@@ -13,6 +13,7 @@ use hyde_logic::diag::{Code, Diagnostic, Location, Severity};
 use hyde_logic::{blif, pla::Pla, Network, NodeRole, TruthTable};
 use hyde_map::flow::FlowKind;
 use hyde_map::session::{Job, JobErrorKind, Session};
+use hyde_obs::json::escape;
 use hyde_verify::deep::{register_deep, DeepConfig, ProofLog, ProofRecord};
 use hyde_verify::{Artifact, Registry};
 use std::collections::HashSet;
@@ -358,36 +359,19 @@ fn lint_suite_circuit(
     diags
 }
 
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-fn json_escape(s: &str) -> String {
-    let mut o = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => o.push_str("\\\""),
-            '\\' => o.push_str("\\\\"),
-            '\n' => o.push_str("\\n"),
-            '\t' => o.push_str("\\t"),
-            '\r' => o.push_str("\\r"),
-            c if (c as u32) < 0x20 => o.push_str(&format!("\\u{:04x}", c as u32)),
-            c => o.push(c),
-        }
-    }
-    o
-}
-
 fn json_line(artifact: &str, d: &Diagnostic) -> String {
     let location = if d.location == Location::None {
         "null".to_owned()
     } else {
-        format!("\"{}\"", json_escape(&d.location.to_string()))
+        format!("\"{}\"", escape(&d.location.to_string()))
     };
     format!(
         "{{\"artifact\":\"{}\",\"code\":\"{}\",\"severity\":\"{}\",\"location\":{},\"message\":\"{}\"}}",
-        json_escape(artifact),
+        escape(artifact),
         d.code,
         d.severity,
         location,
-        json_escape(&d.message),
+        escape(&d.message),
     )
 }
 
@@ -415,9 +399,9 @@ fn proof_json_line(artifact: &str, r: &ProofRecord) -> String {
         "{{\"artifact\":\"{}\",\"proof\":\"{}\",\"subject\":\"{}\",\"verdict\":\"{}\",\
          \"engine\":\"{}\",\"vars\":{},\"clauses\":{},\"conflicts\":{},\"time_ms\":{},\
          \"bdd_cache_hit_rate\":{},\"bdd_unique_probes\":{}}}",
-        json_escape(artifact),
+        escape(artifact),
         r.pass,
-        json_escape(&r.subject),
+        escape(&r.subject),
         r.verdict,
         r.engine,
         r.vars,

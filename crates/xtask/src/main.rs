@@ -44,9 +44,6 @@
 //!   write `ANALYZE.json`; `analyze --diff` reads the committed
 //!   `ANALYZE.json` as a baseline first and fails only on *new*
 //!   findings (the pull-request gate)
-//! * `unwrap-gate` — deprecated alias for `analyze` (the old
-//!   `crates/core`-only unwrap ratchet is now analyzer pass SA003,
-//!   workspace-wide)
 //! * `all` — everything above (with `--deep` and the smoke-circuit
 //!   trace), in that order
 
@@ -484,16 +481,6 @@ fn analyze(root: &Path, diff: bool) -> Result<(), String> {
     }
 }
 
-/// Deprecated alias: the `crates/core`-only unwrap ratchet grew into the
-/// workspace-wide panic-surface pass (SA003) of `cargo xtask analyze`.
-fn unwrap_gate(root: &Path) -> Result<(), String> {
-    println!(
-        "xtask: unwrap-gate is deprecated; running `cargo xtask analyze` (the panic-surface \
-         ratchet is now analyzer pass SA003, over the whole workspace)"
-    );
-    analyze(root, false)
-}
-
 fn main() -> ExitCode {
     let root = workspace_root();
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -523,7 +510,6 @@ fn main() -> ExitCode {
         "chaos" => chaos(&root),
         "serve-drill" => serve_drill(&root),
         "analyze" => analyze(&root, args.iter().any(|a| a == "--diff")),
-        "unwrap-gate" => unwrap_gate(&root),
         "all" => fmt(&root)
             .and_then(|()| clippy(&root))
             .and_then(|()| analyze(&root, false))
