@@ -354,9 +354,10 @@ impl VariablePartitioner {
     ///
     /// A first parallel pass computes each candidate's cheap class-count
     /// floor ([`class_floor_with`]); candidates are then counted exactly
-    /// in ascending-floor order so the running best drops fast, and any
-    /// candidate whose floor strictly exceeds the best seen so far is
-    /// skipped (score `usize::MAX`). The skip test is conservative at any
+    /// in lexicographic order, so consecutive ones share sorted prefixes
+    /// that the per-worker [`PrefixScorer`](crate::chart::PrefixScorer)
+    /// reuses, and any candidate whose floor strictly exceeds the best
+    /// seen so far is skipped (score `usize::MAX`). The skip test is conservative at any
     /// thread interleaving — the shared best only decreases, so a skipped
     /// candidate's exact count strictly exceeds the final best and cannot
     /// win the argmin or tie with it — which keeps the selection

@@ -10,7 +10,10 @@
 //!
 //! * two-watched-literal unit propagation,
 //! * first-UIP conflict analysis with clause learning,
-//! * VSIDS-style variable activities (bump + exponential decay),
+//! * VSIDS branching (bump + exponential decay) from a binary max-heap of
+//!   variables ordered by activity, the lowest index winning ties,
+//! * one flat literal arena for all clauses (a start and length per
+//!   clause index) and per-literal truth values,
 //! * Luby-sequence restarts,
 //! * assumption-based incremental solving with failed-assumption
 //!   (UNSAT core) extraction,

@@ -1,11 +1,19 @@
 //! Conflict-driven clause-learning SAT solver.
 //!
 //! A compact MiniSat-style core: two-watched-literal propagation,
-//! first-UIP learning, VSIDS-lite activities, Luby restarts, and
+//! first-UIP learning, heap-ordered VSIDS branching (highest activity
+//! first, the lowest variable index winning ties), Luby restarts, and
 //! assumption-based solving with failed-assumption extraction. There is
 //! no clause deletion — the proofs HYDE runs are small enough that the
 //! learned database stays modest, and keeping every learned clause makes
 //! incremental re-solving under different assumptions cheaper.
+//!
+//! Data layout: all clause literals live back to back in one flat arena,
+//! located by a `(start, len)` span per clause index; watch lists hold
+//! clause indices; truth values are kept per literal, so reading one is a
+//! single load. The layout is tuned for speed only — the search (every
+//! decision, propagation, conflict, learned clause and restart) is what
+//! `tests/search_identity.rs` pins.
 
 use crate::cnf::Lit;
 use std::time::{Duration, Instant};
@@ -105,9 +113,136 @@ const VAR_DECAY: f64 = 0.95;
 const RESCALE_LIMIT: f64 = 1e100;
 const RESTART_BASE: u64 = 256;
 
-#[derive(Debug)]
-struct Clause {
-    lits: Vec<Lit>,
+/// Where one clause lives in the arena: `arena[start..start + len]`.
+#[derive(Debug, Clone, Copy)]
+struct Span {
+    start: u32,
+    len: u32,
+}
+
+/// The truth value of `l` in a literal-indexed value array.
+#[inline]
+fn lit_value(vals: &[i8], l: Lit) -> i8 {
+    vals[l.index()]
+}
+
+/// Sets `l` to `truth` and `!l` to its negation (`0` unassigns both).
+#[inline]
+fn set_value(vals: &mut [i8], l: Lit, truth: i8) {
+    let base = l.index() & !1;
+    vals[base..base + 2].copy_from_slice(&if l.is_neg() {
+        [-truth, truth]
+    } else {
+        [truth, -truth]
+    });
+}
+
+/// Decision order: a binary max-heap of variables keyed on activity,
+/// the lower index winning ties. That is a strict total order, so the
+/// top is exactly the variable a linear scan for the first highest
+/// activity would pick, whatever the heap's internal layout.
+///
+/// The heap holds every unassigned variable and possibly some assigned
+/// ones, which [`Solver::pick_branch_var`] drops lazily from the top.
+#[derive(Debug, Default)]
+struct VarOrder {
+    heap: Vec<u32>,
+    /// `pos[v]` is `v`'s slot in `heap`, or [`VarOrder::ABSENT`].
+    pos: Vec<u32>,
+}
+
+impl VarOrder {
+    const ABSENT: u32 = u32::MAX;
+
+    /// Whether `a` must be decided before `b`.
+    #[inline]
+    fn before(act: &[f64], a: u32, b: u32) -> bool {
+        let (x, y) = (act[a as usize], act[b as usize]);
+        x > y || (x == y && a < b)
+    }
+
+    #[inline]
+    fn place(&mut self, slot: usize, v: u32) {
+        self.heap[slot] = v;
+        self.pos[v as usize] = slot as u32;
+    }
+
+    fn top(&self) -> Option<usize> {
+        self.heap.first().map(|&v| v as usize)
+    }
+
+    /// Registers a new variable `v == pos.len()` and queues it.
+    fn add_var(&mut self, v: usize, act: &[f64]) {
+        self.pos.push(Self::ABSENT);
+        self.insert(v, act);
+    }
+
+    fn insert(&mut self, v: usize, act: &[f64]) {
+        if self.pos[v] == Self::ABSENT {
+            self.heap.push(v as u32);
+            self.sift_up(self.heap.len() - 1, act);
+        }
+    }
+
+    /// Restores the heap after `v`'s activity grew.
+    fn raised(&mut self, v: usize, act: &[f64]) {
+        let slot = self.pos[v];
+        if slot != Self::ABSENT {
+            self.sift_up(slot as usize, act);
+        }
+    }
+
+    /// Removes the top variable.
+    fn pop(&mut self, act: &[f64]) {
+        if let Some(last) = self.heap.pop() {
+            if let Some(&top) = self.heap.first() {
+                self.pos[top as usize] = Self::ABSENT;
+                self.place(0, last);
+                self.sift_down(0, act);
+            } else {
+                self.pos[last as usize] = Self::ABSENT;
+            }
+        }
+    }
+
+    /// Re-heapifies in place, for when many keys changed at once.
+    fn rebuild(&mut self, act: &[f64]) {
+        for slot in (0..self.heap.len() / 2).rev() {
+            self.sift_down(slot, act);
+        }
+    }
+
+    fn sift_up(&mut self, mut slot: usize, act: &[f64]) {
+        let v = self.heap[slot];
+        while slot > 0 {
+            let parent = (slot - 1) / 2;
+            let p = self.heap[parent];
+            if !Self::before(act, v, p) {
+                break;
+            }
+            self.place(slot, p);
+            slot = parent;
+        }
+        self.place(slot, v);
+    }
+
+    fn sift_down(&mut self, mut slot: usize, act: &[f64]) {
+        let v = self.heap[slot];
+        loop {
+            let left = 2 * slot + 1;
+            let Some(&l) = self.heap.get(left) else { break };
+            let child = match self.heap.get(left + 1) {
+                Some(&r) if Self::before(act, r, l) => (left + 1, r),
+                _ => (left, l),
+            };
+            if !Self::before(act, child.1, v) {
+                break;
+            }
+            self.place(slot, child.1);
+            slot = child.0;
+        }
+        self.place(slot, v);
+    }
 }
 
 /// The CDCL solver.
@@ -129,12 +264,16 @@ struct Clause {
 /// ```
 #[derive(Debug)]
 pub struct Solver {
-    clauses: Vec<Clause>,
+    /// Every clause's literals back to back; `spans[ci]` locates clause
+    /// `ci`. Watched literals sit at offsets 0 and 1.
+    arena: Vec<Lit>,
+    spans: Vec<Span>,
     /// `watches[lit.index()]` lists clauses to inspect when `lit`
     /// becomes true (they watch `!lit`).
     watches: Vec<Vec<u32>>,
-    /// Per-variable truth value: `1` true, `-1` false, `0` unassigned.
-    assign: Vec<i8>,
+    /// Per-literal truth value, `vals[lit.index()]`: `1` true, `-1`
+    /// false, `0` unassigned.
+    vals: Vec<i8>,
     level: Vec<u32>,
     reason: Vec<i32>,
     trail: Vec<Lit>,
@@ -142,10 +281,11 @@ pub struct Solver {
     qhead: usize,
     activity: Vec<f64>,
     var_inc: f64,
+    order: VarOrder,
     polarity: Vec<bool>,
     seen: Vec<bool>,
     core: Vec<Lit>,
-    /// Snapshot of `assign` at the last [`Outcome::Sat`] answer; the
+    /// Snapshot of `vals` at the last [`Outcome::Sat`] answer; the
     /// search itself backtracks to the root so the solver stays
     /// incremental (more clauses/solves may follow).
     model: Vec<i8>,
@@ -163,9 +303,10 @@ impl Solver {
     /// Creates an empty solver.
     pub fn new() -> Self {
         Solver {
-            clauses: Vec::new(),
+            arena: Vec::new(),
+            spans: Vec::new(),
             watches: Vec::new(),
-            assign: Vec::new(),
+            vals: Vec::new(),
             level: Vec::new(),
             reason: Vec::new(),
             trail: Vec::new(),
@@ -173,6 +314,7 @@ impl Solver {
             qhead: 0,
             activity: Vec::new(),
             var_inc: 1.0,
+            order: VarOrder::default(),
             polarity: Vec::new(),
             seen: Vec::new(),
             core: Vec::new(),
@@ -184,8 +326,8 @@ impl Solver {
 
     /// Allocates a fresh variable and returns its index.
     pub fn new_var(&mut self) -> usize {
-        let v = self.assign.len();
-        self.assign.push(UNASSIGNED);
+        let v = self.level.len();
+        self.vals.extend([UNASSIGNED; 2]);
         self.level.push(0);
         self.reason.push(NO_REASON);
         self.activity.push(0.0);
@@ -193,13 +335,14 @@ impl Solver {
         self.seen.push(false);
         self.watches.push(Vec::new());
         self.watches.push(Vec::new());
-        self.stats.vars = self.assign.len();
+        self.order.add_var(v, &self.activity);
+        self.stats.vars = self.level.len();
         v
     }
 
     /// Number of variables allocated so far.
     pub fn num_vars(&self) -> usize {
-        self.assign.len()
+        self.level.len()
     }
 
     /// Cumulative search statistics.
@@ -214,16 +357,17 @@ impl Solver {
     }
 
     fn value(&self, l: Lit) -> i8 {
-        let a = self.assign[l.var()];
-        if l.is_neg() {
-            -a
-        } else {
-            a
-        }
+        lit_value(&self.vals, l)
     }
 
     fn decision_level(&self) -> usize {
         self.trail_lim.len()
+    }
+
+    /// The arena range of clause `ci`.
+    fn range(&self, ci: usize) -> std::ops::Range<usize> {
+        let Span { start, len } = self.spans[ci];
+        start as usize..(start + len) as usize
     }
 
     /// Adds a clause. Must be called at decision level 0 (i.e. outside
@@ -240,7 +384,7 @@ impl Solver {
         }
         let mut c: Vec<Lit> = lits.to_vec();
         for l in &c {
-            assert!(l.var() < self.assign.len(), "literal {l} out of range");
+            assert!(l.var() < self.num_vars(), "literal {l} out of range");
         }
         c.sort_unstable();
         c.dedup();
@@ -254,30 +398,37 @@ impl Solver {
             return true;
         }
         c.retain(|&l| self.value(l) != -1);
-        match c.len() {
-            0 => {
+        match c.as_slice() {
+            [] => {
                 self.ok = false;
                 false
             }
-            1 => {
-                self.enqueue(c[0], NO_REASON);
+            &[unit] => {
+                self.enqueue(unit, NO_REASON);
                 if self.propagate().is_some() {
                     self.ok = false;
                 }
                 self.ok
             }
             _ => {
-                self.attach(c, false);
+                self.attach(&c, false);
                 true
             }
         }
     }
 
-    fn attach(&mut self, lits: Vec<Lit>, learned: bool) -> usize {
-        let ci = self.clauses.len();
-        self.watches[(!lits[0]).index()].push(ci as u32);
-        self.watches[(!lits[1]).index()].push(ci as u32);
-        self.clauses.push(Clause { lits });
+    /// Appends a clause of two or more literals to the arena and watches
+    /// its first two.
+    fn attach(&mut self, lits: &[Lit], learned: bool) -> usize {
+        let ci = self.spans.len();
+        for &w in &lits[..2] {
+            self.watches[(!w).index()].push(ci as u32);
+        }
+        self.spans.push(Span {
+            start: self.arena.len() as u32,
+            len: lits.len() as u32,
+        });
+        self.arena.extend_from_slice(lits);
         if learned {
             self.stats.learned += 1;
         } else {
@@ -288,7 +439,7 @@ impl Solver {
 
     fn enqueue(&mut self, l: Lit, reason: i32) {
         debug_assert_eq!(self.value(l), UNASSIGNED);
-        self.assign[l.var()] = if l.is_neg() { -1 } else { 1 };
+        set_value(&mut self.vals, l, 1);
         self.level[l.var()] = self.decision_level() as u32;
         self.reason[l.var()] = reason;
         self.trail.push(l);
@@ -297,46 +448,46 @@ impl Solver {
     /// Runs unit propagation to fixpoint; returns a conflicting clause
     /// index if one is found.
     fn propagate(&mut self) -> Option<usize> {
-        while self.qhead < self.trail.len() {
-            let p = self.trail[self.qhead];
+        while let Some(&p) = self.trail.get(self.qhead) {
             self.qhead += 1;
             self.stats.propagations += 1;
             let false_lit = !p;
-            let widx = p.index();
+            // Scan `p`'s list detached: a watch never moves onto the
+            // false literal, so nothing is pushed back onto it meanwhile.
+            let mut ws = std::mem::take(&mut self.watches[p.index()]);
+            let mut conflict = None;
             let mut i = 0;
-            while i < self.watches[widx].len() {
-                let ci = self.watches[widx][i] as usize;
+            while let Some(&ci) = ws.get(i) {
+                let range = self.range(ci as usize);
+                let c = &mut self.arena[range];
                 // Normalize so the falsified watched literal sits at 1.
-                if self.clauses[ci].lits[0] == false_lit {
-                    self.clauses[ci].lits.swap(0, 1);
+                if c[0] == false_lit {
+                    c.swap(0, 1);
                 }
-                let first = self.clauses[ci].lits[0];
-                if self.value(first) == 1 {
+                let first = c[0];
+                let first_value = lit_value(&self.vals, first);
+                if first_value == 1 {
                     i += 1;
                     continue;
                 }
-                let mut moved = false;
-                for k in 2..self.clauses[ci].lits.len() {
-                    if self.value(self.clauses[ci].lits[k]) != -1 {
-                        self.clauses[ci].lits.swap(1, k);
-                        let new_watch = (!self.clauses[ci].lits[1]).index();
-                        self.watches[widx].swap_remove(i);
-                        self.watches[new_watch].push(ci as u32);
-                        moved = true;
-                        break;
-                    }
-                }
-                if moved {
-                    continue;
-                }
-                if self.value(first) == -1 {
+                if let Some(k) = (2..c.len()).find(|&k| lit_value(&self.vals, c[k]) != -1) {
+                    c.swap(1, k);
+                    self.watches[(!c[1]).index()].push(ci);
+                    ws.swap_remove(i);
+                } else if first_value == -1 {
                     // Conflict: flush the queue so the caller restarts
                     // propagation cleanly after backtracking.
                     self.qhead = self.trail.len();
-                    return Some(ci);
+                    conflict = Some(ci as usize);
+                    break;
+                } else {
+                    self.enqueue(first, ci as i32);
+                    i += 1;
                 }
-                self.enqueue(first, ci as i32);
-                i += 1;
+            }
+            self.watches[p.index()] = ws;
+            if conflict.is_some() {
+                return conflict;
             }
         }
         None
@@ -349,6 +500,12 @@ impl Solver {
                 *a /= RESCALE_LIMIT;
             }
             self.var_inc /= RESCALE_LIMIT;
+            // Dividing keeps the order but can round distinct activities
+            // into ties, which the index tie-break may now order the
+            // other way round.
+            self.order.rebuild(&self.activity);
+        } else {
+            self.order.raised(var, &self.activity);
         }
     }
 
@@ -367,9 +524,9 @@ impl Solver {
         let mut ci = conflict;
         let mut skip_head = false;
         loop {
-            let start = usize::from(skip_head);
-            for k in start..self.clauses[ci].lits.len() {
-                let q = self.clauses[ci].lits[k];
+            let range = self.range(ci);
+            for k in range.start + usize::from(skip_head)..range.end {
+                let q = self.arena[k];
                 let v = q.var();
                 if !self.seen[v] && self.level[v] > 0 {
                     self.seen[v] = true;
@@ -435,9 +592,11 @@ impl Solver {
                 // Decisions below the first conflict are assumptions.
                 core.push(l);
             } else {
-                for &q in &self.clauses[r as usize].lits[1..] {
-                    if self.level[q.var()] > 0 {
-                        self.seen[q.var()] = true;
+                let range = self.range(r as usize);
+                for k in range.start + 1..range.end {
+                    let q = self.arena[k].var();
+                    if self.level[q] > 0 {
+                        self.seen[q] = true;
                     }
                 }
             }
@@ -451,28 +610,27 @@ impl Solver {
             return;
         }
         let bound = self.trail_lim[to_level];
-        while self.trail.len() > bound {
-            let l = self.trail.pop().expect("trail bounded below by lim");
-            self.polarity[l.var()] = !l.is_neg();
-            self.assign[l.var()] = UNASSIGNED;
-            self.reason[l.var()] = NO_REASON;
+        for l in self.trail.drain(bound..).rev() {
+            let v = l.var();
+            self.polarity[v] = !l.is_neg();
+            set_value(&mut self.vals, l, UNASSIGNED);
+            self.reason[v] = NO_REASON;
+            self.order.insert(v, &self.activity);
         }
         self.trail_lim.truncate(to_level);
         self.qhead = self.qhead.min(self.trail.len());
     }
 
-    fn pick_branch_var(&self) -> Option<usize> {
-        let mut best: Option<usize> = None;
-        for (v, &a) in self.assign.iter().enumerate() {
-            if a != UNASSIGNED {
-                continue;
+    /// The unassigned variable with the highest activity, lowest index
+    /// first among equals. It stays queued until it is found assigned.
+    fn pick_branch_var(&mut self) -> Option<usize> {
+        while let Some(v) = self.order.top() {
+            if self.value(Lit::pos(v)) == UNASSIGNED {
+                return Some(v);
             }
-            match best {
-                Some(b) if self.activity[b] >= self.activity[v] => {}
-                _ => best = Some(v),
-            }
+            self.order.pop(&self.activity);
         }
-        best
+        None
     }
 
     /// Solves under the given assumptions with an unlimited budget.
@@ -549,7 +707,7 @@ impl Solver {
                     self.enqueue(learnt[0], NO_REASON);
                 } else {
                     let asserting = learnt[0];
-                    let ci = self.attach(learnt, true);
+                    let ci = self.attach(&learnt, true);
                     self.enqueue(asserting, ci as i32);
                 }
                 self.decay();
@@ -567,7 +725,7 @@ impl Solver {
                 }
             } else if self.decision_level() < assumptions.len() {
                 let a = assumptions[self.decision_level()];
-                assert!(a.var() < self.assign.len(), "assumption {a} out of range");
+                assert!(a.var() < self.num_vars(), "assumption {a} out of range");
                 match self.value(a) {
                     1 => self.trail_lim.push(self.trail.len()),
                     -1 => {
@@ -589,7 +747,7 @@ impl Solver {
                 self.trail_lim.push(self.trail.len());
                 self.enqueue(Lit::new(v, !self.polarity[v]), NO_REASON);
             } else {
-                self.model.clone_from(&self.assign);
+                self.model.clone_from(&self.vals);
                 self.backtrack(0);
                 return Outcome::Sat;
             }
@@ -604,7 +762,7 @@ impl Solver {
     /// Panics if `var` is out of range; the value is only meaningful
     /// directly after a `Sat` outcome (before further clauses/solves).
     pub fn model_value(&self, var: usize) -> bool {
-        self.model[var] == 1
+        self.model[Lit::pos(var).index()] == 1
     }
 
     /// After an [`Outcome::Unsat`] answer under assumptions: the subset
@@ -811,5 +969,79 @@ mod tests {
             }
             let _ = &v;
         }
+    }
+
+    #[test]
+    fn incremental_solving_agrees_with_brute_force() {
+        // One solver per round across many solves: clauses arrive in
+        // batches between calls and every call runs under fresh random
+        // assumptions, so value resets, decision-heap re-insertion and
+        // learned clauses all carry from one call into the next.
+        let mut state = 0x0ddc_0ffe_e15e_a5e5u64;
+        let mut next = move |n: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % n as u64) as usize
+        };
+        let holds = |m: usize, l: &Lit| (m >> l.var() & 1 == 1) != l.is_neg();
+        let (mut sat, mut unsat, mut unknown) = (0, 0, 0);
+        for round in 0..24 {
+            let nvars = 6 + round % 5;
+            let mut s = Solver::new();
+            fresh(&mut s, nvars);
+            let mut cls: Vec<Vec<Lit>> = Vec::new();
+            for _batch in 0..8 {
+                for _ in 0..nvars / 2 {
+                    let len = if next(32) == 0 { 1 } else { 3 + next(2) };
+                    let c: Vec<Lit> = (0..len).map(|_| lit(next(nvars), next(2) == 1)).collect();
+                    s.add_clause(&c);
+                    cls.push(c);
+                }
+                // Minterms satisfying the clause set so far.
+                let models: Vec<usize> = (0..1 << nvars)
+                    .filter(|&m| cls.iter().all(|c| c.iter().any(|l| holds(m, l))))
+                    .collect();
+                let sat_under =
+                    |assumed: &[Lit]| models.iter().any(|&m| assumed.iter().all(|l| holds(m, l)));
+                for call in 0..4 {
+                    let assumed: Vec<Lit> = (0..next(5))
+                        .map(|_| lit(next(nvars), next(2) == 1))
+                        .collect();
+                    let budget = if call == 3 {
+                        Budget::conflicts(1)
+                    } else {
+                        Budget::unlimited()
+                    };
+                    let got = s.solve_budgeted(&assumed, &budget);
+                    let want = sat_under(&assumed);
+                    match got {
+                        Outcome::Unknown => {
+                            unknown += 1;
+                            continue;
+                        }
+                        Outcome::Sat => sat += 1,
+                        Outcome::Unsat => unsat += 1,
+                    }
+                    assert_eq!(got == Outcome::Sat, want, "round {round}: verdict");
+                    if got == Outcome::Sat {
+                        let model_lit = |l: &Lit| s.model_value(l.var()) != l.is_neg();
+                        assert!(cls.iter().all(|c| c.iter().any(model_lit)));
+                        assert!(assumed.iter().all(model_lit));
+                    } else {
+                        let core = s.unsat_core();
+                        assert!(
+                            core.iter().all(|l| assumed.contains(l)),
+                            "core ⊄ assumptions"
+                        );
+                        assert!(!sat_under(core), "round {round}: core is satisfiable");
+                    }
+                }
+            }
+        }
+        assert!(
+            sat > 100 && unsat > 100 && unknown > 0,
+            "{sat}/{unsat}/{unknown}"
+        );
     }
 }
