@@ -8,8 +8,10 @@
 //!
 //! The solver is deliberately classic and compact:
 //!
-//! * two-watched-literal unit propagation,
-//! * first-UIP conflict analysis with clause learning,
+//! * two-watched-literal unit propagation with blocker literals,
+//! * first-UIP conflict analysis with recursively minimized learned
+//!   clauses,
+//! * LBD-ranked deletion of learned clauses at restarts,
 //! * VSIDS branching (bump + exponential decay) from a binary max-heap of
 //!   variables ordered by activity, the lowest index winning ties,
 //! * one flat literal arena for all clauses (a start and length per

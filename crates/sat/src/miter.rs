@@ -3,14 +3,17 @@
 //! A miter asserts `a XOR b` and asks the solver for a model: UNSAT
 //! proves `a == b` everywhere, a model is a concrete input minterm where
 //! the two sides disagree. All outputs of one network share a single
-//! incremental solver — the network is encoded once and each output is
-//! proved under an assumption, so learned clauses carry over.
+//! incremental solver: each output's fan-in cone is encoded right before
+//! its proof (nodes shared with earlier cones keep their literals) and
+//! proved under an assumption, so learned clauses carry over while no
+//! proof propagates through logic that only later outputs need.
 
 use crate::cnf::Lit;
 use crate::solver::{Budget, Outcome, Solver, Stats};
 use crate::tseitin::Encoder;
 use hyde_bdd::Bdd;
-use hyde_logic::{Network, TruthTable};
+use hyde_logic::{Network, NodeId, TruthTable};
+use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
 /// Verdict of one equivalence proof.
@@ -33,7 +36,8 @@ pub struct CecProof {
     pub outcome: CecOutcome,
     /// Solver variables live when the proof finished.
     pub vars: usize,
-    /// Problem plus learned clauses when the proof finished.
+    /// Problem clauses plus kept learned clauses when the proof finished
+    /// (deleted learned clauses are not counted).
     pub clauses: usize,
     /// Conflicts spent on this proof alone.
     pub conflicts: u64,
@@ -94,19 +98,49 @@ fn prove(
     }
 }
 
+/// Encodes the transitive fan-in cone of `root` and returns its literal.
+/// Nodes already in `node_lits` (the primary inputs, and nodes of cones
+/// encoded before) are reused; each newly encoded node is added. The
+/// network must be acyclic, or the walk never ends.
+fn encode_cone(
+    enc: &mut Encoder,
+    net: &Network,
+    root: NodeId,
+    node_lits: &mut HashMap<NodeId, Lit>,
+) -> Lit {
+    // Depth-first, post-order: a node is encoded on its second visit,
+    // after all of its fanins.
+    let mut stack = vec![(root, false)];
+    while let Some((id, fanins_done)) = stack.pop() {
+        if node_lits.contains_key(&id) {
+            continue;
+        }
+        if fanins_done {
+            let fanin_lits: Vec<Lit> = net.fanins(id).iter().map(|f| node_lits[f]).collect();
+            let y = enc.encode_table(net.function(id), &fanin_lits);
+            node_lits.insert(id, y);
+        } else {
+            stack.push((id, true));
+            stack.extend(net.fanins(id).iter().map(|&f| (f, false)));
+        }
+    }
+    node_lits[&root]
+}
+
 /// Proves each network output equivalent to its specification table.
 ///
-/// The network is Tseitin-encoded once; each spec table is turned into a
-/// BDD (shared manager, so common subfunctions merge) and encoded over
-/// the same input literals; each output then gets one budgeted miter
-/// proof. Spec variable `i` must correspond to primary input `i` in
-/// `net.inputs()` order.
+/// Each output gets one budgeted miter proof. Right before it, the
+/// output's transitive fan-in cone is Tseitin-encoded, reusing the
+/// literals of nodes earlier cones already encoded, and its spec table
+/// is turned into a BDD (shared manager, so common subfunctions merge)
+/// and encoded over the same input literals. Spec variable `i` must
+/// correspond to primary input `i` in `net.inputs()` order.
 ///
 /// # Panics
 ///
 /// Panics if the network is cyclic, if `specs.len()` differs from the
-/// output count, if the input count differs from the spec arity, or if
-/// the spec arity exceeds 28 (BDD construction guard).
+/// output count, if any spec's arity differs from the input count, or
+/// if the input count exceeds 28 (BDD construction guard).
 pub fn cec_network_vs_tables(
     net: &Network,
     specs: &[TruthTable],
@@ -117,17 +151,25 @@ pub fn cec_network_vs_tables(
         specs.len(),
         "output/spec count mismatch"
     );
-    let n = specs.first().map_or(0, TruthTable::vars);
-    assert_eq!(net.inputs().len(), n, "input/spec arity mismatch");
+    let n = net.inputs().len();
+    for (o, spec) in specs.iter().enumerate() {
+        assert_eq!(spec.vars(), n, "output {o}: input/spec arity mismatch");
+    }
+    assert!(net.topo_order().is_ok(), "cyclic network cannot be encoded");
     let mut enc = Encoder::new();
     let pi = enc.fresh_inputs(n);
-    let node_lits = enc.encode_network(net, &pi);
+    let mut node_lits: HashMap<NodeId, Lit> = net
+        .inputs()
+        .iter()
+        .copied()
+        .zip(pi.iter().copied())
+        .collect();
     let mut bdd = Bdd::new(n);
     let mut proofs = Vec::with_capacity(specs.len());
-    for (o, spec) in specs.iter().enumerate() {
+    for (o, (spec, (_, root))) in specs.iter().zip(net.outputs()).enumerate() {
+        let out_lit = encode_cone(&mut enc, net, *root, &mut node_lits);
         let spec_ref = bdd.from_fn(|m| spec.eval(m));
         let spec_lit = enc.encode_bdd(&bdd, spec_ref, &pi);
-        let out_lit = node_lits[&net.outputs()[o].1];
         let m = enc.xor(out_lit, spec_lit);
         proofs.push(prove(&mut enc, m, &pi, o, budget));
     }
@@ -201,6 +243,85 @@ mod tests {
         let proofs = cec_network_vs_tables(&net, &specs, &Budget::default());
         assert_eq!(proofs[0].outcome, CecOutcome::Equivalent);
         assert_eq!(proofs[1].outcome, CecOutcome::Differ(5));
+    }
+
+    #[test]
+    #[should_panic(expected = "input/spec arity mismatch")]
+    fn wider_later_spec_is_rejected() {
+        // The second spec has a third variable the network lacks; it
+        // differs from the AND whenever x2 = 1.
+        let mut net = Network::new("and");
+        let a = net.add_input("x0");
+        let b = net.add_input("x1");
+        let and = net
+            .add_node("and", vec![a, b], TruthTable::from_fn(2, |m| m == 3))
+            .unwrap();
+        net.mark_output("y0", and);
+        net.mark_output("y1", and);
+        let specs = vec![
+            TruthTable::from_fn(2, |m| m == 3),
+            TruthTable::from_fn(3, |m| m == 3 || m >= 4),
+        ];
+        cec_network_vs_tables(&net, &specs, &Budget::default());
+    }
+
+    #[test]
+    fn output_cones_agree_with_simulation() {
+        // `shared` feeds both outputs; `dangling` feeds neither, so no
+        // output cone reaches it.
+        let mut net = Network::new("cones");
+        let x: Vec<NodeId> = (0..4).map(|i| net.add_input(&format!("x{i}"))).collect();
+        let and2 = TruthTable::from_fn(2, |m| m == 3);
+        let or2 = TruthTable::from_fn(2, |m| m != 0);
+        let xor2 = TruthTable::from_fn(2, |m| m == 1 || m == 2);
+        let shared = net.add_node("shared", vec![x[0], x[1]], and2).unwrap();
+        net.add_node("dangling", vec![x[2], x[3]], or2.clone())
+            .unwrap();
+        let y0 = net.add_node("y0", vec![shared, x[2]], xor2).unwrap();
+        let y1 = net.add_node("y1", vec![x[3], shared], or2).unwrap();
+        net.mark_output("y0", y0);
+        net.mark_output("y1", y1);
+        let sim: Vec<TruthTable> = (0..2)
+            .map(|o| {
+                TruthTable::from_fn(4, |m| {
+                    let bits: Vec<bool> = (0..4).map(|i| m >> i & 1 == 1).collect();
+                    net.eval(&bits)[o]
+                })
+            })
+            .collect();
+        // The simulated tables, then each with one minterm flipped.
+        let flips = (0..2).flat_map(|o| (0..16).map(move |m| Some((o, m))));
+        for flip in std::iter::once(None).chain(flips) {
+            let mut specs = sim.clone();
+            if let Some((o, m)) = flip {
+                let bit = specs[o].eval(m);
+                specs[o].set(m, !bit);
+            }
+            let proofs = cec_network_vs_tables(&net, &specs, &Budget::default());
+            for (p, (got, spec)) in proofs.iter().zip(sim.iter().zip(&specs)) {
+                match p.outcome {
+                    CecOutcome::Equivalent => assert_eq!(got, spec, "{flip:?}"),
+                    CecOutcome::Differ(m) => {
+                        assert_ne!(got.eval(m), spec.eval(m), "{flip:?}: bad counterexample")
+                    }
+                    CecOutcome::Unknown => panic!("{flip:?}: undecided"),
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "cyclic network")]
+    fn cyclic_network_panics() {
+        let mut net = Network::new("loop");
+        let a = net.add_input("x0");
+        let b = net.add_input("x1");
+        let and2 = TruthTable::from_fn(2, |m| m == 3);
+        let n1 = net.add_node("n1", vec![a, b], and2.clone()).unwrap();
+        let n2 = net.add_node("n2", vec![n1, b], and2.clone()).unwrap();
+        net.replace_node_unchecked(n1, vec![a, n2], and2.clone());
+        net.mark_output("y", n2);
+        cec_network_vs_tables(&net, &[and2], &Budget::default());
     }
 
     #[test]

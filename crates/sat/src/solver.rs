@@ -1,21 +1,30 @@
 //! Conflict-driven clause-learning SAT solver.
 //!
-//! A compact MiniSat-style core: two-watched-literal propagation,
-//! first-UIP learning, heap-ordered VSIDS branching (highest activity
-//! first, the lowest variable index winning ties), Luby restarts, and
-//! assumption-based solving with failed-assumption extraction. There is
-//! no clause deletion — the proofs HYDE runs are small enough that the
-//! learned database stays modest, and keeping every learned clause makes
-//! incremental re-solving under different assumptions cheaper.
+//! A compact MiniSat-style core: two-watched-literal propagation with
+//! blocker literals, first-UIP learning with recursive clause
+//! minimization, heap-ordered VSIDS branching (highest activity first,
+//! the lowest variable index winning ties), Luby restarts, LBD-ranked
+//! learned-clause deletion, and assumption-based solving with
+//! failed-assumption extraction.
+//!
+//! Learned clauses are deleted at restarts: once the kept ones reach
+//! `2000 + 300 * reductions`, the worse half by literal block distance
+//! (LBD, the number of decision levels a clause spans when learned) goes,
+//! except glue clauses (LBD ≤ 2), binary clauses and the reasons of
+//! assigned variables. The ranking breaks ties by clause index, so the
+//! search is deterministic. The arena is compacted right away, so the
+//! space of deleted clauses is reclaimed.
 //!
 //! Data layout: all clause literals live back to back in one flat arena,
-//! located by a `(start, len)` span per clause index; watch lists hold
-//! clause indices; truth values are kept per literal, so reading one is a
-//! single load. The layout is tuned for speed only — the search (every
-//! decision, propagation, conflict, learned clause and restart) is what
-//! `tests/search_identity.rs` pins.
+//! located by a `(start, len)` span per clause index; a watch pairs a
+//! clause index with a blocker literal from the same clause, so a watch
+//! whose blocker is true is skipped without reading the clause; truth
+//! values are kept per literal, so reading one is a single load.
+//! `tests/search_identity.rs` pins the search (every decision,
+//! propagation, conflict and restart) on fixed instances.
 
 use crate::cnf::Lit;
+use std::cmp::Reverse;
 use std::time::{Duration, Instant};
 
 /// Result of a (budgeted) solve call.
@@ -40,6 +49,8 @@ pub struct Stats {
     pub clauses: usize,
     /// Number of learned clauses currently kept.
     pub learned: usize,
+    /// Learned clauses deleted so far.
+    pub deleted: u64,
     /// Conflicts encountered.
     pub conflicts: u64,
     /// Decisions taken.
@@ -112,12 +123,35 @@ const NO_REASON: i32 = -1;
 const VAR_DECAY: f64 = 0.95;
 const RESCALE_LIMIT: f64 = 1e100;
 const RESTART_BASE: u64 = 256;
+/// A restart reduces the learned clauses once the kept ones reach
+/// `REDUCE_BASE + REDUCE_STEP * (reductions so far)`.
+const REDUCE_BASE: usize = 2000;
+const REDUCE_STEP: usize = 300;
 
 /// Where one clause lives in the arena: `arena[start..start + len]`.
 #[derive(Debug, Clone, Copy)]
 struct Span {
     start: u32,
     len: u32,
+    /// LBD of a learned clause when it was learned; `0` for a problem
+    /// clause, which is never deleted.
+    lbd: u32,
+}
+
+/// One entry of a watch list: clause `ci` watches the list's literal,
+/// and `blocker` is another literal of the clause. A true blocker
+/// satisfies the clause, so propagation skips it unread.
+#[derive(Debug, Clone, Copy)]
+struct Watch {
+    ci: u32,
+    blocker: Lit,
+}
+
+/// The bit standing for decision level `level` in a 32-bit summary of a
+/// set of levels (MiniSat's abstract level).
+#[inline]
+fn abstract_level(level: u32) -> u32 {
+    1 << (level & 31)
 }
 
 /// The truth value of `l` in a literal-indexed value array.
@@ -270,7 +304,7 @@ pub struct Solver {
     spans: Vec<Span>,
     /// `watches[lit.index()]` lists clauses to inspect when `lit`
     /// becomes true (they watch `!lit`).
-    watches: Vec<Vec<u32>>,
+    watches: Vec<Vec<Watch>>,
     /// Per-literal truth value, `vals[lit.index()]`: `1` true, `-1`
     /// false, `0` unassigned.
     vals: Vec<i8>,
@@ -284,12 +318,17 @@ pub struct Solver {
     order: VarOrder,
     polarity: Vec<bool>,
     seen: Vec<bool>,
+    /// Scratch for clause minimization: literals marked `seen` that must
+    /// be unmarked afterwards, and the depth-first walk's stack.
+    to_clear: Vec<Lit>,
+    stack: Vec<Lit>,
     core: Vec<Lit>,
     /// Snapshot of `vals` at the last [`Outcome::Sat`] answer; the
     /// search itself backtracks to the root so the solver stays
     /// incremental (more clauses/solves may follow).
     model: Vec<i8>,
     ok: bool,
+    reductions: usize,
     stats: Stats,
 }
 
@@ -317,9 +356,12 @@ impl Solver {
             order: VarOrder::default(),
             polarity: Vec::new(),
             seen: Vec::new(),
+            to_clear: Vec::new(),
+            stack: Vec::new(),
             core: Vec::new(),
             model: Vec::new(),
             ok: true,
+            reductions: 0,
             stats: Stats::default(),
         }
     }
@@ -366,7 +408,7 @@ impl Solver {
 
     /// The arena range of clause `ci`.
     fn range(&self, ci: usize) -> std::ops::Range<usize> {
-        let Span { start, len } = self.spans[ci];
+        let Span { start, len, .. } = self.spans[ci];
         start as usize..(start + len) as usize
     }
 
@@ -389,10 +431,10 @@ impl Solver {
         c.sort_unstable();
         c.dedup();
         // Tautology or already-satisfied at root level.
-        for w in c.windows(2) {
-            if w[0].var() == w[1].var() {
-                return true;
-            }
+        if c.windows(2)
+            .any(|w| matches!(*w, [a, b] if a.var() == b.var()))
+        {
+            return true;
         }
         if c.iter().any(|&l| self.value(l) == 1) {
             return true;
@@ -411,25 +453,32 @@ impl Solver {
                 self.ok
             }
             _ => {
-                self.attach(&c, false);
+                self.attach(&c, 0);
                 true
             }
         }
     }
 
     /// Appends a clause of two or more literals to the arena and watches
-    /// its first two.
-    fn attach(&mut self, lits: &[Lit], learned: bool) -> usize {
+    /// its first two, each with the other as blocker. `lbd` is `0` for a
+    /// problem clause.
+    fn attach(&mut self, lits: &[Lit], lbd: u32) -> usize {
         let ci = self.spans.len();
-        for &w in &lits[..2] {
-            self.watches[(!w).index()].push(ci as u32);
+        if let [a, b, ..] = *lits {
+            for (watched, blocker) in [(a, b), (b, a)] {
+                self.watches[(!watched).index()].push(Watch {
+                    ci: ci as u32,
+                    blocker,
+                });
+            }
         }
         self.spans.push(Span {
             start: self.arena.len() as u32,
             len: lits.len() as u32,
+            lbd,
         });
         self.arena.extend_from_slice(lits);
-        if learned {
+        if lbd > 0 {
             self.stats.learned += 1;
         } else {
             self.stats.clauses += 1;
@@ -454,37 +503,55 @@ impl Solver {
             let false_lit = !p;
             // Scan `p`'s list detached: a watch never moves onto the
             // false literal, so nothing is pushed back onto it meanwhile.
+            // Kept watches are compacted to the front, `ws[..kept]`.
             let mut ws = std::mem::take(&mut self.watches[p.index()]);
             let mut conflict = None;
+            let mut kept = 0;
             let mut i = 0;
-            while let Some(&ci) = ws.get(i) {
-                let range = self.range(ci as usize);
-                let c = &mut self.arena[range];
-                // Normalize so the falsified watched literal sits at 1.
-                if c[0] == false_lit {
-                    c.swap(0, 1);
-                }
-                let first = c[0];
-                let first_value = lit_value(&self.vals, first);
-                if first_value == 1 {
-                    i += 1;
-                    continue;
-                }
-                if let Some(k) = (2..c.len()).find(|&k| lit_value(&self.vals, c[k]) != -1) {
-                    c.swap(1, k);
-                    self.watches[(!c[1]).index()].push(ci);
-                    ws.swap_remove(i);
-                } else if first_value == -1 {
-                    // Conflict: flush the queue so the caller restarts
-                    // propagation cleanly after backtracking.
-                    self.qhead = self.trail.len();
-                    conflict = Some(ci as usize);
-                    break;
+            while let Some(&w) = ws.get(i) {
+                i += 1;
+                let w = if lit_value(&self.vals, w.blocker) == 1 {
+                    w
                 } else {
-                    self.enqueue(first, ci as i32);
-                    i += 1;
+                    let range = self.range(w.ci as usize);
+                    let c = &mut self.arena[range];
+                    // Normalize so the falsified watched literal sits at 1.
+                    if c[0] == false_lit {
+                        c.swap(0, 1);
+                    }
+                    let first = c[0];
+                    let first_value = lit_value(&self.vals, first);
+                    let w = Watch {
+                        ci: w.ci,
+                        blocker: first,
+                    };
+                    if first_value != 1 {
+                        if let Some(k) = (2..c.len()).find(|&k| lit_value(&self.vals, c[k]) != -1) {
+                            c.swap(1, k);
+                            self.watches[(!c[1]).index()].push(w);
+                            continue;
+                        }
+                        if first_value == -1 {
+                            conflict = Some(w.ci as usize);
+                        } else {
+                            self.enqueue(first, w.ci as i32);
+                        }
+                    }
+                    w
+                };
+                ws[kept] = w;
+                kept += 1;
+                if conflict.is_some() {
+                    // Keep the unvisited watches and flush the queue so the
+                    // caller restarts propagation cleanly after
+                    // backtracking.
+                    ws.copy_within(i.., kept);
+                    kept += ws.len() - i;
+                    self.qhead = self.trail.len();
+                    break;
                 }
             }
+            ws.truncate(kept);
             self.watches[p.index()] = ws;
             if conflict.is_some() {
                 return conflict;
@@ -494,8 +561,9 @@ impl Solver {
     }
 
     fn bump(&mut self, var: usize) {
-        self.activity[var] += self.var_inc;
-        if self.activity[var] > RESCALE_LIMIT {
+        let a = &mut self.activity[var];
+        *a += self.var_inc;
+        if *a > RESCALE_LIMIT {
             for a in &mut self.activity {
                 *a /= RESCALE_LIMIT;
             }
@@ -513,80 +581,196 @@ impl Solver {
         self.var_inc /= VAR_DECAY;
     }
 
-    /// First-UIP conflict analysis. Returns the learned clause (with the
-    /// asserting literal at index 0 and a highest-level literal at index
-    /// 1) and the backjump level.
+    /// First-UIP conflict analysis. Returns the minimized learned clause
+    /// (with the asserting literal at index 0 and a highest-level literal
+    /// at index 1) and the backjump level.
     fn analyze(&mut self, conflict: usize) -> (Vec<Lit>, usize) {
         let current = self.decision_level();
-        let mut learnt: Vec<Lit> = vec![Lit::pos(0)]; // placeholder for UIP
+        // The learned clause's literals below the current level.
+        let mut tail: Vec<Lit> = Vec::new();
         let mut counter = 0usize;
         let mut idx = self.trail.len();
         let mut ci = conflict;
         let mut skip_head = false;
-        loop {
+        let uip = loop {
             let range = self.range(ci);
             for k in range.start + usize::from(skip_head)..range.end {
                 let q = self.arena[k];
                 let v = q.var();
-                if !self.seen[v] && self.level[v] > 0 {
+                let level = self.level[v] as usize;
+                if !self.seen[v] && level > 0 {
                     self.seen[v] = true;
                     self.bump(v);
-                    if self.level[v] as usize == current {
+                    if level == current {
                         counter += 1;
                     } else {
-                        learnt.push(q);
+                        tail.push(q);
                     }
                 }
             }
             // Walk back to the next marked literal on the trail.
-            loop {
+            let p = loop {
                 idx -= 1;
-                if self.seen[self.trail[idx].var()] {
-                    break;
+                let p = self.trail[idx];
+                if self.seen[p.var()] {
+                    break p;
                 }
-            }
-            let p = self.trail[idx];
+            };
             self.seen[p.var()] = false;
             counter -= 1;
             if counter == 0 {
-                learnt[0] = !p;
-                break;
+                break !p;
             }
             ci = self.reason[p.var()] as usize;
             skip_head = true; // reason clause holds p at index 0
+        };
+        self.minimize(&mut tail);
+        // The first literal of the highest level goes first in the tail.
+        let highest = tail
+            .iter()
+            .map(|l| self.level[l.var()])
+            .enumerate()
+            .max_by_key(|&(k, level)| (level, Reverse(k)));
+        let mut back = 0;
+        if let Some((k, level)) = highest {
+            tail.swap(0, k);
+            back = level as usize;
         }
-        for l in &learnt[1..] {
+        tail.insert(0, uip);
+        (tail, back)
+    }
+
+    /// Recursive learned-clause minimization (MiniSat's `litRedundant`):
+    /// drops every literal of `tail` (the learned clause minus its
+    /// asserting literal) that the others imply through reason clauses.
+    /// Expects the variables of `tail` marked `seen`, and leaves every
+    /// mark cleared.
+    fn minimize(&mut self, tail: &mut Vec<Lit>) {
+        let levels = tail
+            .iter()
+            .fold(0, |acc, l| acc | abstract_level(self.level[l.var()]));
+        self.to_clear.clear();
+        self.to_clear.extend_from_slice(tail);
+        tail.retain(|&l| self.reason[l.var()] == NO_REASON || !self.redundant(l, levels));
+        for l in self.to_clear.drain(..) {
             self.seen[l.var()] = false;
         }
-        let mut back = 0usize;
-        if learnt.len() > 1 {
-            let mut max_at = 1;
-            for k in 2..learnt.len() {
-                if self.level[learnt[k].var()] > self.level[learnt[max_at].var()] {
-                    max_at = k;
+    }
+
+    /// Whether literal `p` of a learned clause, false by propagation, is
+    /// implied by the clause's other literals: every path back through
+    /// reason clauses ends in a marked (`seen`) or root-level literal. `levels`
+    /// is the abstract level of the clause; a literal whose level is not
+    /// in it cannot be implied by the clause and fails fast. Literals
+    /// proved implied stay marked, recorded in `to_clear`.
+    fn redundant(&mut self, p: Lit, levels: u32) -> bool {
+        let top = self.to_clear.len();
+        self.stack.clear();
+        self.stack.push(p);
+        while let Some(q) = self.stack.pop() {
+            // The reason clause holds `!q`, the literal it implied, at
+            // index 0.
+            let range = self.range(self.reason[q.var()] as usize);
+            for k in range.start + 1..range.end {
+                let r = self.arena[k];
+                let v = r.var();
+                let level = self.level[v];
+                if self.seen[v] || level == 0 {
+                    continue;
+                }
+                if self.reason[v] != NO_REASON && abstract_level(level) & levels != 0 {
+                    self.seen[v] = true;
+                    self.stack.push(r);
+                    self.to_clear.push(r);
+                } else {
+                    for l in self.to_clear.drain(top..) {
+                        self.seen[l.var()] = false;
+                    }
+                    return false;
                 }
             }
-            learnt.swap(1, max_at);
-            back = self.level[learnt[1].var()] as usize;
         }
-        (learnt, back)
+        true
+    }
+
+    /// The number of distinct decision levels among `lits`.
+    fn lbd(&self, lits: &[Lit]) -> u32 {
+        let mut levels: Vec<u32> = lits.iter().map(|l| self.level[l.var()]).collect();
+        levels.sort_unstable();
+        levels.dedup();
+        levels.len() as u32
+    }
+
+    /// Deletes the worse half of the learned clauses, ranked by LBD
+    /// (highest first) and then by clause index, sparing glue (LBD ≤ 2),
+    /// binary and locked clauses, then compacts the arena and re-indexes
+    /// spans, watches and reasons. Runs at decision level 0.
+    fn reduce_learned(&mut self) {
+        const DELETED: u32 = u32::MAX;
+        debug_assert_eq!(self.decision_level(), 0);
+        self.reductions += 1;
+        let mut locked = vec![false; self.spans.len()];
+        for &r in self.reason.iter().filter(|&&r| r != NO_REASON) {
+            locked[r as usize] = true;
+        }
+        // Learned clauses, worst first, each with whether it may go.
+        let mut ranked: Vec<(Reverse<u32>, usize, bool)> = self
+            .spans
+            .iter()
+            .enumerate()
+            .filter(|(_, s)| s.lbd > 0)
+            .map(|(ci, s)| (Reverse(s.lbd), ci, s.lbd > 2 && s.len > 2 && !locked[ci]))
+            .collect();
+        ranked.sort_unstable();
+        // `remap[ci]` becomes the clause's new index, `DELETED` if it goes.
+        let mut remap = vec![0; self.spans.len()];
+        for &(_, ci, deletable) in ranked.iter().take(ranked.len() / 2) {
+            if deletable {
+                remap[ci] = DELETED;
+            }
+        }
+        let old = std::mem::replace(&mut self.spans, Vec::with_capacity(remap.len()));
+        let mut end = 0;
+        for (span, to) in old.into_iter().zip(&mut remap) {
+            if *to == DELETED {
+                continue;
+            }
+            *to = self.spans.len() as u32;
+            let start = span.start as usize;
+            self.arena
+                .copy_within(start..start + span.len as usize, end as usize);
+            self.spans.push(Span { start: end, ..span });
+            end += span.len;
+        }
+        self.arena.truncate(end as usize);
+        for ws in &mut self.watches {
+            ws.retain_mut(|w| {
+                w.ci = remap[w.ci as usize];
+                w.ci != DELETED
+            });
+        }
+        for r in self.reason.iter_mut().filter(|r| **r != NO_REASON) {
+            *r = remap[*r as usize] as i32;
+        }
+        let deleted = remap.iter().filter(|&&to| to == DELETED).count();
+        self.stats.learned -= deleted;
+        self.stats.deleted += deleted as u64;
     }
 
     /// Computes the subset of assumptions responsible for forcing
     /// `failed` false (the failed-assumption / UNSAT-core set).
     fn analyze_final(&mut self, failed: Lit) -> Vec<Lit> {
         let mut core = vec![failed];
-        if self.decision_level() == 0 {
+        let Some(&start) = self.trail_lim.first() else {
             return core;
-        }
+        };
         self.seen[failed.var()] = true;
-        for i in (self.trail_lim[0]..self.trail.len()).rev() {
+        for i in (start..self.trail.len()).rev() {
             let l = self.trail[i];
             let v = l.var();
-            if !self.seen[v] {
+            if !std::mem::take(&mut self.seen[v]) {
                 continue;
             }
-            self.seen[v] = false;
             let r = self.reason[v];
             if r == NO_REASON {
                 // Decisions below the first conflict are assumptions.
@@ -702,13 +886,13 @@ impl Solver {
                     return Outcome::Unsat;
                 }
                 let (learnt, back) = self.analyze(ci);
+                let lbd = self.lbd(&learnt);
                 self.backtrack(back);
-                if learnt.len() == 1 {
-                    self.enqueue(learnt[0], NO_REASON);
+                if let [unit] = *learnt.as_slice() {
+                    self.enqueue(unit, NO_REASON);
                 } else {
-                    let asserting = learnt[0];
-                    let ci = self.attach(&learnt, true);
-                    self.enqueue(asserting, ci as i32);
+                    let ci = self.attach(&learnt, lbd);
+                    self.enqueue(learnt[0], ci as i32);
                 }
                 self.decay();
                 if self.stats.conflicts - start_conflicts >= budget.max_conflicts
@@ -722,9 +906,11 @@ impl Solver {
                     conflicts_since_restart = 0;
                     self.stats.restarts += 1;
                     self.backtrack(0);
+                    if self.stats.learned >= REDUCE_BASE + REDUCE_STEP * self.reductions {
+                        self.reduce_learned();
+                    }
                 }
-            } else if self.decision_level() < assumptions.len() {
-                let a = assumptions[self.decision_level()];
+            } else if let Some(&a) = assumptions.get(self.decision_level()) {
                 assert!(a.var() < self.num_vars(), "assumption {a} out of range");
                 match self.value(a) {
                     1 => self.trail_lim.push(self.trail.len()),

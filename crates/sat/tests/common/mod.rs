@@ -1,4 +1,6 @@
 //! Instance generators shared by the solver's integration tests.
+// Each test binary uses a different subset of the generators.
+#![allow(dead_code)]
 
 use hyde_sat::{Lit, Solver};
 
