@@ -116,7 +116,6 @@ pub const COUNTERS: &[&str] = &[
 /// literal in non-test code must be listed here, and each entry must
 /// appear somewhere in its crate.
 pub const HISTOGRAMS: &[(&str, &str)] = &[
-    ("bench.circuit_wall_us", "bench"),
     ("serve.request_us", "serve"),
     ("serve.job_wall_us", "serve"),
     ("serve.queue_wait_us", "serve"),

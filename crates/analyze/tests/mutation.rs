@@ -332,16 +332,16 @@ fn sa005_fires_on_renamed_span() {
 #[test]
 fn sa005_fires_on_renamed_histogram_family() {
     let mut ws = workspace();
-    let file = "crates/bench/src/perf.rs";
+    let file = "crates/serve/src/service.rs";
     mutate_file(&mut ws, file, |t| {
         assert!(
-            t.contains("bench.circuit_wall_us"),
-            "expected perf.rs to record bench.circuit_wall_us"
+            t.contains("serve.job_wall_us"),
+            "expected service.rs to record serve.job_wall_us"
         );
-        t.replace("bench.circuit_wall_us", "bench.mutated_wall_us")
+        t.replace("serve.job_wall_us", "serve.mutated_wall_us")
     });
     // Both directions: the renamed literal is undocumented, and the
-    // documented `bench.circuit_wall_us` family is no longer recorded
+    // documented `serve.job_wall_us` family is no longer recorded
     // anywhere in its owning crate.
     assert!(fires(&ws, Box::new(passes::obs::ObsPass), "SA005", file));
     assert!(fires(

@@ -3,13 +3,13 @@
 //! The binaries (`table1`, `table2`, `figures`, `ablation`) print the same
 //! rows the paper reports; this library holds the flow runners, the
 //! embedded paper numbers for side-by-side comparison, and the table
-//! formatting.
+//! formatting. [`chaos`] holds the fault-injection drill behind
+//! `hyde-bench --chaos`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod diff;
-pub mod perf;
+pub mod chaos;
 
 use hyde_circuits::Circuit;
 use hyde_core::CoreError;

@@ -1,9 +1,9 @@
-//! Micro-benchmarks for the algorithmic kernels (experiment P1).
-//!
-//! Criterion is unavailable in the offline build environment, so this is a
-//! plain `harness = false` timing loop: each kernel runs a warm-up pass and
-//! then a fixed iteration count, reporting mean wall-clock time per
-//! iteration.
+//! Manual timing of the algorithmic kernels (experiment P1): BDD build
+//! and cut-class counting, blossom and b-matching, clique partition, the
+//! encoding steps of Example 3.2, class counting, the λ-search and ISOP.
+//! Each kernel runs once to warm up, then a fixed number of iterations,
+//! and the median iteration time is printed. Run with:
+//! `cargo test --release -p hyde-bench --test kernels -- --ignored --nocapture`
 
 use hyde_core::chart::class_count;
 use hyde_core::encoding::{combine_column_sets, combine_row_sets};
@@ -12,16 +12,20 @@ use hyde_core::varpart::VariablePartitioner;
 use hyde_logic::{SopCover, TruthTable};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 fn bench<F: FnMut() -> R, R>(name: &str, iters: u32, mut f: F) {
     std::hint::black_box(f());
-    let start = Instant::now();
-    for _ in 0..iters {
-        std::hint::black_box(f());
-    }
-    let per = start.elapsed() / iters;
-    println!("{name:<36} {per:>12.2?}/iter  ({iters} iters)");
+    let mut times: Vec<Duration> = (0..iters)
+        .map(|_| {
+            let start = Instant::now();
+            std::hint::black_box(f());
+            start.elapsed()
+        })
+        .collect();
+    times.sort();
+    let median = times[times.len() / 2];
+    println!("{name:<36} {median:>12.2?}/iter median  ({iters} iters)");
 }
 
 fn bench_bdd_ops() {
@@ -109,8 +113,9 @@ fn bench_chart_and_varpart() {
     bench("decomp/isop_8v", 50, || SopCover::isop(&f8).cube_count());
 }
 
-fn main() {
-    println!("kernel micro-benchmarks (manual harness)");
+#[test]
+#[ignore]
+fn kernels() {
     bench_bdd_ops();
     bench_matching();
     bench_clique_partition();

@@ -1,26 +1,44 @@
 //! End-to-end checks on the hyde-obs trace artifacts.
 //!
-//! Traces a small circuit through the real mapping flow and holds the
-//! exported Chrome trace to the acceptance bar: parseable JSON, balanced
-//! begin/end per track, canonical phase names, and a *logical* span
-//! structure that does not depend on `HYDE_THREADS` (chunk spans carry
-//! the thread-dependent fan-out and are excluded from the signature).
+//! Traces a small circuit through the batch `Session` the way
+//! `hyde-bench --trace` does (one `bench.circuit` span per circuit,
+//! collection on around the run) and holds the exported Chrome trace to
+//! the acceptance bar: parseable JSON, balanced begin/end per track,
+//! canonical phase names, and a *logical* span structure that does not
+//! depend on `HYDE_THREADS` (chunk spans carry the thread-dependent
+//! fan-out and are excluded from the signature).
 //!
 //! The tests share the global collector and the `HYDE_THREADS` variable,
 //! so they serialize on [`ENV_LOCK`].
 
-use hyde_bench::perf::run_bench_observed;
+use hyde_bench::chaos::batch_session;
+use hyde_map::session::Job;
 use std::sync::Mutex;
 
 static ENV_LOCK: Mutex<()> = Mutex::new(());
+
+/// Maps rd73 with collection on, as `hyde-bench --trace` does, and
+/// returns the aggregated report; the raw events stay in the collector.
+fn observed_rd73() -> hyde_obs::ObsReport {
+    let c = hyde_circuits::rd73();
+    hyde_obs::reset();
+    hyde_obs::enable();
+    {
+        let _obs = hyde_obs::span!("bench.circuit");
+        batch_session(5)
+            .run(&Job::new(&c.name, c.outputs.clone()))
+            .expect("flow maps rd73");
+    }
+    hyde_obs::disable();
+    hyde_obs::report()
+}
 
 /// Runs the traced flow on rd73 with the given worker count and returns
 /// (chrome trace JSON, folded stacks, logical span signature).
 fn traced_run(threads: usize) -> (String, String, Vec<(String, u64)>) {
     std::env::set_var("HYDE_THREADS", threads.to_string());
-    let circuits = vec![hyde_circuits::rd73()];
-    let run = run_bench_observed("trace_test", &circuits, 5).expect("flow maps rd73");
-    assert_eq!(run.samples.len(), 1);
+    let obs = observed_rd73();
+    assert_eq!(obs.phase("bench.circuit").map(|p| p.count), Some(1));
     let chrome = hyde_obs::chrome_trace();
     let folded = hyde_obs::folded_stacks();
     let signature = hyde_obs::span_signature();
@@ -110,17 +128,14 @@ fn obs_report_embeds_phase_breakdown() {
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner);
     std::env::set_var("HYDE_THREADS", "1");
-    let circuits = vec![hyde_circuits::rd73()];
-    let run = run_bench_observed("trace_test", &circuits, 5).expect("flow maps rd73");
+    let obs = observed_rd73();
     std::env::remove_var("HYDE_THREADS");
-    let obs = run.obs.as_ref().expect("observed run carries a report");
     assert!(obs.wall_us > 0);
     assert_eq!(obs.unclosed_spans, 0);
     assert!(obs.phase("map.outputs").is_some());
     assert!(obs.counter("varpart.candidates").is_some());
-    // The serialized form must survive the crate's own JSON parser and
-    // appear under "obs" in the bench document.
-    let json = hyde_bench::perf::to_json(&run, None);
-    hyde_obs::json::parse(&json).expect("bench JSON with obs section parses");
-    assert!(json.contains("\"obs\": {"));
+    // The serialized form must survive the crate's own JSON parser.
+    let json = obs.to_json("");
+    let doc = hyde_obs::json::parse(&json).expect("obs report JSON parses");
+    assert!(doc.get("phases").is_some(), "{json}");
 }

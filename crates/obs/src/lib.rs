@@ -20,8 +20,8 @@
 //! Collected data feeds four consumers:
 //!
 //! * [`report`] — an aggregated [`ObsReport`] (per-phase invocation
-//!   counts, total/self time, p50/p95/p99 latency, counter sums)
-//!   embedded in `BENCH_<name>.json` by `hyde-bench`;
+//!   counts, total/self time, p50/p95/p99 latency, counter sums), from
+//!   which `hyde-benchmark` reads its per-layer metrics;
 //! * [`chrome_trace`] — Chrome trace-event JSON loadable in
 //!   `chrome://tracing` / Perfetto, with one track per worker thread so
 //!   the `hyde_core::parallel` fan-outs are visible;

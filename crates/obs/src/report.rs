@@ -2,7 +2,7 @@
 //!
 //! Where the Chrome/folded exporters preserve the full event timeline,
 //! the report collapses it into stable per-phase aggregates suitable for
-//! embedding in `BENCH_<name>.json`: invocation count, total (inclusive)
+//! embedding in a JSON report: invocation count, total (inclusive)
 //! and self (exclusive) time per span name, p50/p95/p99 latency from the
 //! sharded histograms, plus every named counter and explicit histogram
 //! family. Phases sort by total time descending so the JSON reads as a
@@ -55,7 +55,7 @@ pub struct CounterStat {
 /// Aggregate of one explicit [`crate::observe`] histogram family.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HistStat {
-    /// Family name; unit by naming convention (e.g. `bench.circuit_wall_us`).
+    /// Family name; unit by naming convention (e.g. `serve.job_wall_us`).
     pub name: String,
     /// Number of recorded values.
     pub count: u64,

@@ -217,8 +217,8 @@ fn run_drill(seed: u64, opts: &Options) -> Result<(), String> {
     let recovered = kill_restart_scenario(seed, &circuits, &journal, opts.workers)?;
     eprintln!("serve-drill s{seed}: kill/restart recovered {recovered} job(s) from the journal");
 
-    let json = hyde_bench::perf::chaos_to_json(&summary.run);
-    hyde_bench::perf::validate_chaos_json(&json)?;
+    let json = hyde_bench::chaos::chaos_to_json(&summary.run);
+    hyde_bench::chaos::validate_chaos_json(&json)?;
     let out = opts
         .drill_out
         .clone()

@@ -15,7 +15,7 @@
 
 use crate::protocol::{JobKind, JobSpec};
 use crate::service::{JobState, MapService, ServeConfig};
-use hyde_bench::perf::{ChaosRun, ChaosSample, ChaosStatus};
+use hyde_bench::chaos::{ChaosRun, ChaosSample, ChaosStatus};
 use hyde_circuits::Circuit;
 use hyde_guard::RetryPolicy;
 use hyde_map::session::BudgetSpec;
