@@ -22,7 +22,6 @@ pub const BUDGETED: &[&str] = &["core", "map"];
 pub const SPANS: &[(&str, &str)] = &[
     ("varpart.select_best", "core"),
     ("varpart.score", "core"),
-    ("varpart.floor", "core"),
     ("decompose.step", "core"),
     ("decompose.bdd", "core"),
     ("chart.build", "core"),

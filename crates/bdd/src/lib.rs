@@ -8,14 +8,15 @@
 //!
 //! * [`Bdd`] — a manager with a unique table, an operation cache, the usual
 //!   boolean connectives, `ite`, cofactors, composition and quantification;
-//! * [`Bdd::permute`] and [`reorder::sift`] / [`reorder::window_search`] —
-//!   variable renaming and order optimization;
 //! * [`Bdd::cut_subfunctions`] — the cut enumeration that counts compatible
-//!   classes without materializing decomposition charts.
+//!   classes without materializing decomposition charts;
+//! * [`Bdd::miter`] / [`Bdd::equiv_counterexample`] — BDD-based
+//!   combinational equivalence checking for small-support functions.
 //!
-//! Node references ([`Ref`]) are plain indices into the manager; the
-//! manager is not garbage collected (decomposition workloads are
-//! short-lived, callers drop the whole manager).
+//! Node references ([`Ref`]) are plain indices into the manager. Garbage
+//! collection runs only at explicit safe points ([`Bdd::gc`],
+//! [`Bdd::maybe_gc`]) and never moves a live node, so refs held across a
+//! collection stay valid as long as they are passed as roots.
 //!
 //! # Example
 //!
@@ -36,7 +37,6 @@
 
 mod cec;
 mod manager;
-pub mod reorder;
 
 pub use manager::{global_managers_dropped, global_stats, Bdd, BddStats, Ref};
 

@@ -267,9 +267,6 @@ pub struct Bdd {
     /// inside node management (drained via [`Bdd::guarded`]).
     gc_chaos: Option<(hyde_guard::Chaos, String)>,
     stats: StatCells,
-    /// Scratch memo reused by [`Bdd::permute`] (cleared per call, never
-    /// reallocated).
-    permute_memo: HashMap<Ref, Ref>,
     /// Scratch memo reused by [`Bdd::sat_count`] (interior mutability:
     /// counting takes `&self`).
     sat_memo: RefCell<HashMap<Ref, u128>>,
@@ -342,7 +339,6 @@ impl Bdd {
             gc_threshold: None,
             gc_chaos: None,
             stats: StatCells::default(),
-            permute_memo: HashMap::new(),
             sat_memo: RefCell::new(HashMap::new()),
         }
     }
@@ -530,7 +526,7 @@ impl Bdd {
     /// Collects every node unreachable from `roots` (and the terminals):
     /// dead slots go on the free list for reuse by `mk`, the unique table
     /// is rebuilt from the survivors, and the operation cache plus the
-    /// permute/sat-count memos are invalidated (their entries may
+    /// sat-count memo are invalidated (their entries may
     /// reference swept nodes). Returns the number of nodes reclaimed.
     ///
     /// Live refs keep their indices — collections never move nodes — so
@@ -593,13 +589,12 @@ impl Bdd {
             self.unique[idx] = i as u32;
             self.unique_len += 1;
         }
-        // The op cache and memos may hold swept refs as keys or results:
+        // The op cache and the memo may hold swept refs as keys or results:
         // invalidate them wholesale.
         for slot in &mut self.cache {
             *slot = EMPTY_SLOT;
         }
         self.cache_pressure = 0;
-        self.permute_memo.clear();
         self.sat_memo.borrow_mut().clear();
         self.stats.gc_runs.set(self.stats.gc_runs.get() + 1);
         self.stats
@@ -1077,44 +1072,6 @@ impl Bdd {
         let lo = self.build_rec(var + 1, prefix, f);
         let hi = self.build_rec(var + 1, prefix | (1 << var), f);
         self.mk(var as u32, lo, hi)
-    }
-
-    /// Renames variables: variable `i` of `f` becomes `map[i]`.
-    ///
-    /// The map must be injective on the support of `f`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `map.len() != num_vars` or a target is out of range.
-    pub fn permute(&mut self, f: Ref, map: &[usize]) -> Ref {
-        assert_eq!(map.len(), self.num_vars, "map must cover every variable");
-        for &t in map {
-            assert!(t < self.num_vars, "map target out of range");
-        }
-        // Rebuild bottom-up through fresh literals. The memo is manager
-        // owned scratch: taken out for the recursion (borrow discipline),
-        // cleared rather than reallocated, and put back afterwards.
-        let mut memo = std::mem::take(&mut self.permute_memo);
-        memo.clear();
-        let r = self.permute_rec(f, map, &mut memo);
-        self.permute_memo = memo;
-        r
-    }
-
-    fn permute_rec(&mut self, f: Ref, map: &[usize], memo: &mut HashMap<Ref, Ref>) -> Ref {
-        if f == Ref::TRUE || f == Ref::FALSE {
-            return f;
-        }
-        if let Some(&r) = memo.get(&f) {
-            return r;
-        }
-        let n = self.node(f);
-        let lo = self.permute_rec(n.lo, map, memo);
-        let hi = self.permute_rec(n.hi, map, memo);
-        let v = self.var(map[n.var as usize]);
-        let r = self.ite(v, hi, lo);
-        memo.insert(f, r);
-        r
     }
 
     /// Enumerates the distinct subfunctions (compatible class
@@ -1615,19 +1572,6 @@ mod tests {
     }
 
     #[test]
-    fn permute_renames_variables() {
-        let mut bdd = Bdd::new(3);
-        let a = bdd.var(0);
-        let b = bdd.var(1);
-        let f = bdd.and(a, b);
-        let g = bdd.permute(f, &[2, 1, 0]);
-        let b2 = bdd.var(1);
-        let c = bdd.var(2);
-        let expect = bdd.and(c, b2);
-        assert_eq!(g, expect);
-    }
-
-    #[test]
     fn cut_subfunctions_counts_classes() {
         let mut bdd = Bdd::new(4);
         // f = (x0 & x1) | (x2 & x3): bound {0,1} gives 2 classes
@@ -1857,15 +1801,9 @@ mod tests {
     }
 
     #[test]
-    fn scratch_memos_are_reused() {
+    fn sat_count_memo_is_reused() {
         let mut bdd = Bdd::new(6);
         let f = bdd.from_fn(|m| m.count_ones() % 2 == 1);
-        let map: Vec<usize> = (0..6).rev().collect();
-        let p1 = bdd.permute(f, &map);
-        let p2 = bdd.permute(f, &map);
-        assert_eq!(p1, p2);
-        // Parity is symmetric: a permutation is the same function.
-        assert_eq!(p1, f);
         let c1 = bdd.sat_count(f);
         let c2 = bdd.sat_count(f);
         assert_eq!(c1, c2);

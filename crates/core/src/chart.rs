@@ -292,68 +292,6 @@ pub fn class_count_with(
     }
 }
 
-/// Cheap lower bound on [`class_count`]: the number of distinct column
-/// *prefixes*, each column restricted to the rows where every free
-/// variable at position `>= 6` is zero (at most one word-segment per
-/// column, extracted in place — no column materialization).
-///
-/// Distinct prefixes imply distinct columns, so the bound never exceeds
-/// the exact count, and for functions whose free variables all live in
-/// the word (`<= 6` of them, none at position `>= 6` bound-free) the
-/// prefix *is* the whole column and the bound is exact. Candidate-
-/// ranking loops use it to skip exact counting for bound sets provably
-/// worse than a running best: the floor costs one strided word read per
-/// high-bound assignment instead of a full table permutation.
-///
-/// # Errors
-///
-/// Same conditions as [`DecompositionChart::new`].
-pub fn class_floor_with(
-    f: &TruthTable,
-    bound: &[usize],
-    scratch: &mut ClassCountScratch,
-) -> Result<usize, CoreError> {
-    let (bound, _free) = split_bound_free(f.vars(), bound)?;
-    let n = f.vars();
-    if n <= 6 {
-        return Ok(class_count_small(f, &bound));
-    }
-    let words = f.as_words();
-    // Split the bound set at the word boundary: in-word variables
-    // (`< 6`) are brought to the top of their word with delta-swaps so a
-    // column's prefix becomes one contiguous segment; word-index
-    // variables (`>= 6`) select strided words, enumerated with the
-    // carry-propagation submask walk (no per-bit scatter).
-    let mut bl: Vec<usize> = bound.iter().copied().filter(|&v| v < 6).collect();
-    bl.sort_unstable_by(|x, y| y.cmp(x));
-    let kl = bl.len();
-    let kh = bound.len() - kl;
-    let mut high_mask = 0usize;
-    for &v in &bound {
-        if v >= 6 {
-            high_mask |= 1 << (v - 6);
-        }
-    }
-    let sw = 64usize >> kl;
-    let seg_mask = if kl == 0 { u64::MAX } else { (1u64 << sw) - 1 };
-    scratch.keys.clear();
-    let mut ch_bits = 0usize;
-    for _ in 0..1usize << kh {
-        let mut w = words[ch_bits];
-        for &p in &bl {
-            let (lo, hi) = unshuffle64(w, p);
-            w = lo | (hi << 32);
-        }
-        for cl in 0..1usize << kl {
-            scratch.keys.push((w >> (cl * sw)) & seg_mask);
-        }
-        ch_bits = ch_bits.wrapping_sub(high_mask) & high_mask;
-    }
-    scratch.keys.sort_unstable();
-    scratch.keys.dedup();
-    Ok(scratch.keys.len())
-}
-
 /// Exact candidate scorer that amortizes table permutations across a
 /// lexicographically ordered candidate stream.
 ///
@@ -759,46 +697,6 @@ mod tests {
                 }
                 assert_eq!((lo, hi), (rlo, rhi), "pos {pos} word {w:#x}");
             }
-        }
-    }
-
-    #[test]
-    fn floor_never_exceeds_exact_count() {
-        use rand::seq::SliceRandom;
-        use rand::SeedableRng;
-        let mut rng = rand::rngs::StdRng::seed_from_u64(0xC0DE);
-        let mut scratch = ClassCountScratch::new();
-        let mut exact_scratch = ClassCountScratch::new();
-        for n in [4usize, 7, 8, 9, 10] {
-            for _ in 0..8 {
-                let f = TruthTable::random(n, &mut rng);
-                for k in [2usize, 3, 5] {
-                    if k >= n {
-                        continue;
-                    }
-                    // Random bound set mixing in-word (<6) and word-index
-                    // (>=6) variables — both gather paths of the floor.
-                    let mut vars: Vec<usize> = (0..n).collect();
-                    vars.shuffle(&mut rng);
-                    let bound: Vec<usize> = vars[..k].to_vec();
-                    let floor = class_floor_with(&f, &bound, &mut scratch).unwrap();
-                    let exact = class_count_with(&f, &bound, &mut exact_scratch).unwrap();
-                    assert!(floor <= exact, "n {n} bound {bound:?}: {floor} > {exact}");
-                    // Every word-index variable bound => single-word
-                    // columns => the prefix is the whole column.
-                    let kh = bound.iter().filter(|&&v| v >= 6).count();
-                    if n > 6 && kh == n - 6 {
-                        assert_eq!(floor, exact, "n {n} bound {bound:?}");
-                    }
-                }
-            }
-        }
-        // Structured functions exercise heavy column duplication.
-        let g = (TruthTable::var(9, 0) & TruthTable::var(9, 7)) ^ TruthTable::var(9, 3);
-        for bound in [vec![0, 7], vec![1, 2, 4], vec![0, 3, 7, 8], vec![5, 6]] {
-            let floor = class_floor_with(&g, &bound, &mut scratch).unwrap();
-            let exact = class_count_with(&g, &bound, &mut exact_scratch).unwrap();
-            assert!(floor <= exact, "structured bound {bound:?}");
         }
     }
 

@@ -952,8 +952,8 @@ mod tests {
         assert!(ca.is_rigid());
         let pliable = CodeAssignment::new(vec![0, 1, 2], 3).unwrap();
         assert!(!pliable.is_rigid());
-        let nonstrict = CodeAssignment::new(vec![0, 0], 1).unwrap();
-        assert!(!nonstrict.is_strict());
+        let collided = CodeAssignment::new(vec![0, 0], 1).unwrap();
+        assert!(!collided.is_strict());
         assert!(CodeAssignment::new(vec![0, 1, 4], 2).is_err());
         assert!(CodeAssignment::new(vec![0, 1, 2, 3, 0], 2).is_err());
     }

@@ -52,11 +52,9 @@ pub mod decompose;
 pub mod encoding;
 pub mod hyper;
 pub mod multichart;
-pub mod nonstrict;
 pub mod npn;
 pub mod parallel;
 pub mod partition;
-pub mod symmetry;
 pub mod varpart;
 
 pub use chart::DecompositionChart;

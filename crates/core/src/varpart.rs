@@ -7,7 +7,7 @@
 //! switch to BDD cut counting and, beyond a candidate budget, seeded
 //! sampling.
 
-use crate::chart::{class_count, class_floor_with, ClassCountScratch};
+use crate::chart::{class_count, PrefixScorer};
 use crate::dcache::{CacheKey, DecompCache};
 use crate::parallel;
 use crate::CoreError;
@@ -183,50 +183,6 @@ impl VariablePartitioner {
         Ok((canon.transform.bound_to_original(&canon_bound), classes))
     }
 
-    /// Like [`Self::best_bound_set`], but prunes candidates through the
-    /// symmetry classes of `f` first: bound sets that are permutations of
-    /// each other within a symmetry class give identical class counts, so
-    /// only one canonical representative is evaluated. On symmetric
-    /// functions (parity, counters, `9sym`) this collapses the search
-    /// dramatically.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Self::best_bound_set`].
-    pub fn best_bound_set_pruned(
-        &self,
-        f: &TruthTable,
-        k: usize,
-    ) -> Result<(Vec<usize>, usize), CoreError> {
-        let support = f.support();
-        if k == 0 || k >= support.len() {
-            return Err(CoreError::InvalidBoundSet(format!(
-                "bound size {k} invalid for support of {} variables",
-                support.len()
-            )));
-        }
-        let mut seen = std::collections::HashSet::new();
-        let mut pruned = Vec::new();
-        for cand in self.candidates(&support, k) {
-            let canon = crate::symmetry::canonical_bound_set(f, &cand);
-            if seen.insert(canon.clone()) {
-                pruned.push(canon);
-            }
-        }
-        let mut best: Option<(Vec<usize>, usize)> = None;
-        for cand in pruned {
-            let count = class_count(f, &cand)?;
-            let better = match &best {
-                None => true,
-                Some((bb, bc)) => count < *bc || (count == *bc && cand < *bb),
-            };
-            if better {
-                best = Some((cand, count));
-            }
-        }
-        best.ok_or_else(|| CoreError::InvalidBoundSet("no candidate bound sets".into()))
-    }
-
     /// Like [`Self::best_bound_set`], but candidates are drawn only from
     /// `allowed` (intersected with the support). Used by hyper-function
     /// decomposition to keep pseudo primary inputs in the μ set
@@ -274,14 +230,18 @@ impl VariablePartitioner {
     /// Counts compatible classes for every candidate (in parallel when
     /// worker threads are available) and reduces to the best bound set.
     ///
-    /// The candidate fan-out is embarrassingly parallel: counts are pure
-    /// per-candidate integers, workers on the BDD path each build a
-    /// private manager, and the reduction walks the counts at their input
-    /// indices — so the result is identical for any `HYDE_THREADS`.
+    /// Candidates are sorted lexicographically once, before the fan-out:
+    /// on the chart path consecutive candidates then share long sorted
+    /// prefixes, which is what lets the per-worker [`PrefixScorer`] reuse
+    /// its promotion stack. The fan-out is embarrassingly parallel —
+    /// counts are pure per-candidate integers, workers on the BDD path
+    /// each build a private manager — and the argmin breaks ties on the
+    /// candidate itself, so the result is identical for any
+    /// `HYDE_THREADS` and any candidate order.
     fn select_best(
         &self,
         f: &TruthTable,
-        candidates: Vec<Vec<usize>>,
+        mut candidates: Vec<Vec<usize>>,
     ) -> Result<(Vec<usize>, usize), CoreError> {
         let _obs = hyde_obs::span!("varpart.select_best");
         hyde_obs::counter("varpart.candidates", candidates.len() as u64);
@@ -293,6 +253,7 @@ impl VariablePartitioner {
                 )));
             }
         }
+        candidates.sort_unstable();
         let threads = parallel::thread_count();
         let counts: Vec<Result<usize, CoreError>> = if f.vars() > self.bdd_threshold {
             parallel::map_chunked_init(
@@ -322,15 +283,19 @@ impl VariablePartitioner {
                 },
             )
         } else {
-            self.chart_scores(f, &candidates, threads)?
+            parallel::map_chunked_init(
+                "varpart.score",
+                &candidates,
+                threads,
+                || PrefixScorer::new(f),
+                |scorer, cand| scorer.score(cand),
+            )
         };
         let mut best: Option<(Vec<usize>, usize)> = None;
         for (cand, count) in candidates.into_iter().zip(counts) {
             let count = count?;
-            // Pruned candidates carry `usize::MAX`: provably worse than
-            // the winner, so they can never take the argmin or a tie.
             let better = match &best {
-                None => count != usize::MAX,
+                None => true,
                 Some((bb, bc)) => count < *bc || (count == *bc && cand < *bb),
             };
             if better {
@@ -347,75 +312,6 @@ impl VariablePartitioner {
             best.1 = class_count(f, &best.0)?;
         }
         Ok(best)
-    }
-
-    /// Chart-path candidate scoring: exact packed class counts behind a
-    /// branch-and-bound prune.
-    ///
-    /// A first parallel pass computes each candidate's cheap class-count
-    /// floor ([`class_floor_with`]); candidates are then counted exactly
-    /// in lexicographic order, so consecutive ones share sorted prefixes
-    /// that the per-worker [`PrefixScorer`](crate::chart::PrefixScorer)
-    /// reuses, and any candidate whose floor strictly exceeds the best
-    /// seen so far is skipped (score `usize::MAX`). The skip test is conservative at any
-    /// thread interleaving — the shared best only decreases, so a skipped
-    /// candidate's exact count strictly exceeds the final best and cannot
-    /// win the argmin or tie with it — which keeps the selection
-    /// byte-identical at every `HYDE_THREADS`.
-    fn chart_scores(
-        &self,
-        f: &TruthTable,
-        candidates: &[Vec<usize>],
-        threads: usize,
-    ) -> Result<Vec<Result<usize, CoreError>>, CoreError> {
-        let floors: Vec<usize> = parallel::map_chunked_init(
-            "varpart.floor",
-            candidates,
-            threads,
-            ClassCountScratch::new,
-            |scratch, cand| class_floor_with(f, cand, scratch),
-        )
-        .into_iter()
-        .collect::<Result<_, _>>()?;
-        // Score in lexicographic candidate order: consecutive candidates
-        // then share long sorted prefixes, which is what lets the
-        // per-worker [`PrefixScorer`] reuse its promotion stack.
-        let mut items: Vec<usize> = (0..candidates.len()).collect();
-        items.sort_unstable_by(|&x, &y| candidates[x].cmp(&candidates[y]));
-        let best = std::sync::atomic::AtomicUsize::new(usize::MAX);
-        let scored: Vec<Result<usize, CoreError>> = parallel::map_chunked_init(
-            "varpart.score",
-            &items,
-            threads,
-            || crate::chart::PrefixScorer::new(f),
-            |scorer, &i| {
-                if floors[i] > best.load(std::sync::atomic::Ordering::Relaxed) {
-                    return Ok(usize::MAX);
-                }
-                let count = scorer.score(&candidates[i])?;
-                // sa:allow(SA011): the bound only ever decreases and is
-                // used for a strict-inequality skip, so any interleaving
-                // yields the same argmin (see the doc comment above).
-                best.fetch_min(count, std::sync::atomic::Ordering::Relaxed);
-                Ok(count)
-            },
-        );
-        let mut counts: Vec<Result<usize, CoreError>> =
-            (0..candidates.len()).map(|_| Ok(usize::MAX)).collect();
-        for (&i, res) in items.iter().zip(scored) {
-            counts[i] = res;
-        }
-        Ok(counts)
-    }
-
-    /// Like [`Self::best_bound_set`] but only counts classes for one given
-    /// bound set (convenience for evaluation loops).
-    ///
-    /// # Errors
-    ///
-    /// Propagates chart construction errors.
-    pub fn count_classes(&self, f: &TruthTable, bound: &[usize]) -> Result<usize, CoreError> {
-        class_count(f, bound)
     }
 
     fn candidates(&self, support: &[usize], k: usize) -> Vec<Vec<usize>> {
@@ -579,23 +475,63 @@ mod tests {
     }
 
     #[test]
-    fn pruned_search_agrees_with_plain_search() {
-        use rand::SeedableRng;
-        let mut rng = StdRng::seed_from_u64(2024);
-        let vp = VariablePartitioner::new(SearchStrategy::Exhaustive);
-        for _ in 0..5 {
-            let f = TruthTable::random(7, &mut rng);
-            let plain = vp.best_bound_set(&f, 3).unwrap();
-            let pruned = vp.best_bound_set_pruned(&f, 3).unwrap();
-            assert_eq!(plain.1, pruned.1, "class counts must agree");
+    fn best_bound_set_is_the_lexicographic_argmin_of_class_count() {
+        use rand::seq::SliceRandom;
+        use rand::{Rng, SeedableRng};
+        // Reference: exact chart count of every k-subset of the support,
+        // ties broken toward the lexicographically smallest bound set.
+        fn naive(f: &TruthTable, k: usize) -> (Vec<usize>, usize) {
+            let mut best: Option<(Vec<usize>, usize)> = None;
+            for cand in combinations(&f.support(), k) {
+                let count = class_count(f, &cand).unwrap();
+                let better = match &best {
+                    None => true,
+                    Some((bb, bc)) => count < *bc || (count == *bc && cand < *bb),
+                };
+                if better {
+                    best = Some((cand, count));
+                }
+            }
+            best.unwrap()
         }
-        // Totally symmetric function: pruning is massive but the count is
-        // identical.
+        let vp = VariablePartitioner::default();
+        let mut rng = StdRng::seed_from_u64(2024);
+        for n in 7usize..=10 {
+            for k in [3usize, 4] {
+                // A plain random function (every candidate ties at 2^k
+                // classes) and one with a planted bound set whose columns
+                // take only three distinct patterns.
+                let random = TruthTable::random(n, &mut rng);
+                let mut vars: Vec<usize> = (0..n).collect();
+                vars.shuffle(&mut rng);
+                let planted_bound = vars[..k].to_vec();
+                let class_of: Vec<usize> = (0..1 << k).map(|_| rng.gen_range(0..3)).collect();
+                let patterns: Vec<TruthTable> =
+                    (0..3).map(|_| TruthTable::random(n, &mut rng)).collect();
+                let bound_mask: u32 = planted_bound.iter().map(|&v| 1 << v).sum();
+                let planted = TruthTable::from_fn(n, |m| {
+                    let col = planted_bound
+                        .iter()
+                        .enumerate()
+                        .fold(0, |c, (i, &v)| c | ((m >> v) as usize & 1) << i);
+                    patterns[class_of[col]].eval(m & !bound_mask)
+                });
+                assert!(naive(&planted, k).1 <= 3, "n {n} k {k}: planted bound lost");
+                for f in [random, planted] {
+                    assert_eq!(
+                        vp.best_bound_set(&f, k).unwrap(),
+                        naive(&f, k),
+                        "n {n} k {k}"
+                    );
+                }
+            }
+        }
+        // Totally symmetric function: every candidate ties, so the
+        // lexicographically first bound set wins.
         let sym = TruthTable::from_fn(9, |m| (3..=6).contains(&m.count_ones()));
-        let plain = vp.best_bound_set(&sym, 4).unwrap();
-        let pruned = vp.best_bound_set_pruned(&sym, 4).unwrap();
-        assert_eq!(plain.1, pruned.1);
-        assert_eq!(pruned.0, vec![0, 1, 2, 3]);
+        let found = vp.best_bound_set(&sym, 4).unwrap();
+        assert_eq!(found, naive(&sym, 4));
+        assert_eq!(found.0, vec![0, 1, 2, 3]);
     }
 
     #[test]

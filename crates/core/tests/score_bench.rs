@@ -1,9 +1,8 @@
-//! Manual micro-benchmark comparing the exact class counter, the
-//! class-count floor used for branch-and-bound pruning, and the
+//! Manual micro-benchmark comparing the exact class counter and the
 //! prefix-reuse scorer on a lexicographic candidate stream. Run with:
 //! `cargo test --release -p hyde-core --test score_bench -- --ignored --nocapture`
 
-use hyde_core::chart::{class_count_with, class_floor_with, ClassCountScratch, PrefixScorer};
+use hyde_core::chart::{class_count_with, ClassCountScratch, PrefixScorer};
 use hyde_logic::TruthTable;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -30,26 +29,18 @@ fn score_bench() {
             acc += class_count_with(&f, c, &mut scratch).unwrap();
         }
         let exact_us = t0.elapsed().as_micros();
+        let mut scorer = PrefixScorer::new(&f);
         let t1 = std::time::Instant::now();
         let mut acc2 = 0usize;
         for c in &cands {
-            acc2 += class_floor_with(&f, c, &mut scratch).unwrap();
+            acc2 += scorer.score(c).unwrap();
         }
-        let floor_us = t1.elapsed().as_micros();
-        let mut scorer = PrefixScorer::new(&f);
-        let t2 = std::time::Instant::now();
-        let mut acc3 = 0usize;
-        for c in &cands {
-            acc3 += scorer.score(c).unwrap();
-        }
-        let prefix_us = t2.elapsed().as_micros();
+        let prefix_us = t1.elapsed().as_micros();
         println!(
-            "n={n}: exact {:.2}us  floor {:.2}us  prefix {:.2}us  (sums {acc}/{acc2}/{acc3})",
+            "n={n}: exact {:.2}us  prefix {:.2}us  (sums {acc}/{acc2})",
             exact_us as f64 / 500.0,
-            floor_us as f64 / 500.0,
             prefix_us as f64 / 500.0
         );
-        assert_eq!(acc, acc3);
-        assert!(acc2 <= acc);
+        assert_eq!(acc, acc2);
     }
 }

@@ -15,9 +15,8 @@
 //!   paper via Gajski et al., *High-Level Synthesis*). Used for the
 //!   don't-care assignment of Section 3.1.
 //!
-//! Supporting kernels: [`mcmf::MinCostFlow`] (successive shortest augmenting
-//! paths), [`hopcroft_karp::max_bipartite_matching`], and
-//! [`weighted::greedy_weighted_matching`].
+//! Supporting kernel: [`mcmf::MinCostFlow`] (successive shortest augmenting
+//! paths), the flow solver behind the b-matching.
 //!
 //! # Example
 //!
@@ -35,15 +34,9 @@
 pub mod blossom;
 pub mod bmatching;
 pub mod clique;
-pub mod exact;
-pub mod hopcroft_karp;
 pub mod mcmf;
-pub mod weighted;
 
 pub use blossom::maximum_matching;
 pub use bmatching::{max_weight_b_matching, BMatchingProblem};
 pub use clique::{partition_into_cliques, CliquePartition};
-pub use exact::max_weight_matching_exact;
-pub use hopcroft_karp::max_bipartite_matching;
 pub use mcmf::MinCostFlow;
-pub use weighted::greedy_weighted_matching;

@@ -52,7 +52,6 @@ impl Literal {
 /// let c: Cube = "1-0".parse().unwrap();
 /// assert!(c.contains(0b001));
 /// assert!(!c.contains(0b101));
-/// assert_eq!(c.literal_count(), 2);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Cube {
@@ -95,14 +94,6 @@ impl Cube {
         let mut c = self.clone();
         c.lits[var] = lit;
         c
-    }
-
-    /// Number of non-don't-care literals.
-    pub fn literal_count(&self) -> usize {
-        self.lits
-            .iter()
-            .filter(|l| !matches!(l, Literal::DontCare))
-            .count()
     }
 
     /// Whether the minterm lies inside the cube.
@@ -172,11 +163,6 @@ impl SopCover {
         SopCover { cubes: Vec::new() }
     }
 
-    /// Builds a cover from cubes.
-    pub fn from_cubes(cubes: Vec<Cube>) -> Self {
-        SopCover { cubes }
-    }
-
     /// The cubes.
     pub fn cubes(&self) -> &[Cube] {
         &self.cubes
@@ -195,11 +181,6 @@ impl SopCover {
     /// Number of cubes — the Murgai-style encoding cost.
     pub fn cube_count(&self) -> usize {
         self.cubes.len()
-    }
-
-    /// Total literal count — the alternative encoding cost of `[3]`.
-    pub fn literal_count(&self) -> usize {
-        self.cubes.iter().map(Cube::literal_count).sum()
     }
 
     /// Evaluates the cover as a truth table over `vars` variables.
@@ -351,7 +332,6 @@ mod tests {
         let c: Cube = "1-0-".parse().unwrap();
         assert_eq!(c.to_string(), "1-0-");
         assert_eq!(c.vars(), 4);
-        assert_eq!(c.literal_count(), 2);
     }
 
     #[test]
@@ -381,7 +361,7 @@ mod tests {
     #[test]
     fn full_cube_is_tautology() {
         assert!(Cube::full(3).to_truth_table().is_one());
-        assert_eq!(Cube::full(3).literal_count(), 0);
+        assert_eq!(Cube::full(3).to_string(), "---");
     }
 
     #[test]
@@ -402,8 +382,7 @@ mod tests {
         assert_eq!(SopCover::isop(&zero).cube_count(), 0);
         let one = TruthTable::one(4);
         let sop = SopCover::isop(&one);
-        assert_eq!(sop.cube_count(), 1);
-        assert_eq!(sop.literal_count(), 0);
+        assert_eq!(sop.cubes(), [Cube::full(4)]);
     }
 
     #[test]
@@ -411,7 +390,7 @@ mod tests {
         let xor = TruthTable::var(2, 0) ^ TruthTable::var(2, 1);
         let sop = SopCover::isop(&xor);
         assert_eq!(sop.cube_count(), 2);
-        assert_eq!(sop.literal_count(), 4);
+        assert!(sop.iter().all(|c| !c.to_string().contains('-')));
     }
 
     #[test]
@@ -470,7 +449,7 @@ mod tests {
 
     #[test]
     fn cover_display() {
-        let sop = SopCover::from_cubes(vec!["1-".parse().unwrap(), "01".parse().unwrap()]);
+        let sop: SopCover = ["1-", "01"].iter().map(|c| c.parse().unwrap()).collect();
         assert_eq!(sop.to_string(), "1- + 01");
         assert_eq!(SopCover::new().to_string(), "0");
     }

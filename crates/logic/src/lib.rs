@@ -36,8 +36,6 @@
 pub mod blif;
 pub mod cube;
 pub mod diag;
-pub mod espresso;
-pub mod factor;
 pub mod network;
 pub mod pla;
 pub mod sim;

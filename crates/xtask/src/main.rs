@@ -41,7 +41,11 @@
 //!   `ANALYZE.json` as a baseline first and fails only on *new*
 //!   findings (the pull-request gate)
 //! * `all` — everything above (with `--deep` and the smoke-circuit
-//!   trace), in that order
+//!   trace), in that order, with `cargo test --offline --manifest-path
+//!   hyde-benchmark/Cargo.toml` right after `test`: the benchmark package
+//!   is a workspace of its own that compiles against the public surface
+//!   of the layer crates, so `test` alone cannot catch a change that
+//!   breaks it
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -104,6 +108,18 @@ fn test(root: &Path) -> Result<(), String> {
     // Tier-1 first (root package only), then the full workspace.
     run(root, &["test", "-q"])?;
     run(root, &["test", "-q", "--workspace"])
+}
+
+fn benchmark_test(root: &Path) -> Result<(), String> {
+    run(
+        root,
+        &[
+            "test",
+            "--offline",
+            "--manifest-path",
+            "hyde-benchmark/Cargo.toml",
+        ],
+    )
 }
 
 fn lint_suite(root: &Path, deep: bool) -> Result<(), String> {
@@ -794,6 +810,7 @@ fn main() -> ExitCode {
             .and_then(|()| clippy(&root))
             .and_then(|()| analyze(&root, false))
             .and_then(|()| test(&root))
+            .and_then(|()| benchmark_test(&root))
             .and_then(|()| lint_suite(&root, true))
             .and_then(|()| ab(&root, "HEAD~1"))
             .and_then(|()| trace(&root, "rd73"))

@@ -1,9 +1,9 @@
 //! Decompose a 20-input function symbolically — wider than truth tables
-//! comfortably go — using the OBDD-native path, with order optimization.
+//! comfortably go — using the OBDD-native path.
 //!
 //! Run with `cargo run --release --example wide_function`.
 
-use hyde::bdd::{reorder, Bdd};
+use hyde::bdd::Bdd;
 use hyde::core::decompose::decompose_bdd_to_network;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -32,10 +32,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         bdd.xor(gt, par)
     };
     println!("f over 20 inputs: {} BDD nodes", bdd.node_count(f));
-
-    // Variable-order optimization (one sifting pass).
-    let sifted = reorder::sift(&mut bdd, f);
-    println!("after sifting: {} nodes", sifted.size);
 
     // Symbolic decomposition to 5-LUTs — no 2^20-bit truth table involved.
     let net = decompose_bdd_to_network(&mut bdd, f, 5, "wide", 48)?;

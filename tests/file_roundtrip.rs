@@ -40,25 +40,3 @@ fn blif_written_networks_stay_k_feasible() {
     assert!(reparsed.is_k_feasible(4));
     assert_eq!(reparsed.outputs().len(), circuit.output_count());
 }
-
-#[test]
-fn espresso_preminimization_preserves_mapping_correctness() {
-    // Minimize each output's cover first (as SIS would), rebuild the
-    // tables from the minimized PLA, and map: results must stay correct.
-    use hyde::logic::espresso::minimize;
-    use hyde::logic::Isf;
-    let circuit = hyde::circuits::x5p1();
-    let minimized: Vec<_> = circuit
-        .outputs
-        .iter()
-        .map(|f| {
-            let r = minimize(&Isf::completely_specified(f.clone()), 4);
-            let t = r.cover.to_truth_table(circuit.inputs);
-            assert_eq!(&t, f, "minimization must be exact without dc");
-            t
-        })
-        .collect();
-    let flow = MappingFlow::new(5, FlowKind::imodec_like());
-    let report = flow.map_outputs("5xp1-min", &minimized).unwrap();
-    assert!(report.network.is_k_feasible(5));
-}

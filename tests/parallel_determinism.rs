@@ -10,9 +10,9 @@ use hyde_map::flow::{FlowKind, MappingFlow};
 #[test]
 fn networks_are_byte_identical_across_thread_counts() {
     // z4ml/misex1 exercise the small-chart path; b9 (16 inputs) runs the
-    // wide-chart scorer (floor pass + branch-and-bound prune + prefix
-    // reuse) through the work-stealing scheduler, where block claim
-    // order varies with the thread count and must not show through.
+    // wide-chart prefix-reuse scorer through the work-stealing
+    // scheduler, where block claim order varies with the thread count
+    // and must not show through.
     let picked = ["z4ml", "misex1", "b9"];
     let circuits: Vec<_> = hyde_circuits::suite()
         .into_iter()
