@@ -40,7 +40,6 @@ pub const SPANS: &[(&str, &str)] = &[
     ("lint.file", "verify"),
     ("lint.circuit", "verify"),
     ("bench.circuit", "bench"),
-    ("bench.chaos_circuit", "bench"),
     ("serve.request", "serve"),
     ("serve.job", "serve"),
     ("sa.lex", "analyze"),

@@ -492,7 +492,7 @@ impl Bdd {
     /// manager, simulating an allocation failure inside node management.
     /// The poison surfaces as a typed [`hyde_guard::OutOfBudget`] at the
     /// enclosing [`Bdd::guarded`] boundary, so degradation ladders (and
-    /// the `hyde-bench --chaos` drills) exercise the GC path too.
+    /// the `hyde-bench chaos` drills) exercise the GC path too.
     pub fn set_gc_chaos(&mut self, chaos: hyde_guard::Chaos, ctx: &str) {
         self.gc_chaos = Some((chaos, ctx.to_string()));
     }

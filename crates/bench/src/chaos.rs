@@ -1,4 +1,4 @@
-//! The chaos drill (`hyde-bench --chaos`) and its `CHAOS_<name>.json`
+//! The chaos drill (`hyde-bench chaos`) and its `CHAOS_<name>.json`
 //! report, which `hyde-serve --drill` writes in the same schema.
 //!
 //! Both drivers run every circuit as a single-attempt [`Session`] job,
@@ -11,34 +11,10 @@
 
 use hyde_circuits::Circuit;
 use hyde_core::CoreError;
-use hyde_guard::RetryPolicy;
 use hyde_map::flow::FlowKind;
-use hyde_map::session::{BudgetSpec, Job, JobErrorKind, Session};
+use hyde_map::session::{BudgetSpec, JobErrorKind, Session};
 use hyde_obs::json::escape;
 use std::fmt::Write as _;
-use std::time::Instant;
-
-/// Describes a [`hyde_guard::Budget`] as a serializable
-/// [`BudgetSpec`]: an absolute deadline becomes the milliseconds still
-/// remaining, restarted at each attempt.
-pub fn budget_spec(budget: &hyde_guard::Budget) -> BudgetSpec {
-    BudgetSpec {
-        deadline_ms: budget
-            .deadline
-            .map(|d| d.saturating_duration_since(Instant::now()).as_millis() as u64),
-        bdd_nodes: budget.bdd_nodes,
-        sat_conflicts: budget.sat_conflicts,
-        candidates: budget.candidates,
-    }
-}
-
-/// The single-attempt batch [`Session`] the bench drivers run on — the
-/// same supervised path `hyde-serve` uses, minus retries, so a
-/// panicking circuit (a bug, or a chaos-injected fault) becomes a typed
-/// error instead of aborting the whole batch.
-pub fn batch_session(k: usize) -> Session {
-    Session::new(k, FlowKind::hyde(0xDA98)).with_retry(RetryPolicy::single_attempt())
-}
 
 /// Schema tag of chaos-drill reports (`CHAOS_<name>.json`).
 pub const CHAOS_SCHEMA: &str = "hyde-chaos-v1";
@@ -98,8 +74,8 @@ impl ChaosRun {
 /// Runs the HYDE flow over `circuits` with the chaos layer armed on
 /// `seed`: budget exhaustions, simulated BDD allocation failures and (when
 /// `HYDE_CHAOS_PANIC=1`) injected panics, every circuit isolated so the
-/// drill always completes. `budget` adds *real* resource caps on top of
-/// the injected ones (pass [`hyde_guard::Budget::unlimited`] for
+/// drill always completes. `budget` adds *real* per-circuit resource caps
+/// on top of the injected ones (pass [`BudgetSpec::unlimited`] for
 /// injection-only drills). Each circuit runs as a single-attempt
 /// [`Session`] job, so panic isolation and degradation capture are the
 /// same supervised path `hyde-serve` uses; every `Ok` sample's network
@@ -109,38 +85,36 @@ pub fn run_chaos(
     circuits: &[Circuit],
     k: usize,
     seed: u64,
-    budget: hyde_guard::Budget,
+    budget: BudgetSpec,
 ) -> ChaosRun {
-    let session = batch_session(k).with_chaos(seed);
-    let spec = budget_spec(&budget);
-    let mut samples = Vec::with_capacity(circuits.len());
-    for c in circuits {
-        let _obs = hyde_obs::span!("bench.chaos_circuit");
-        let job = Job::new(&c.name, c.outputs.clone()).with_budget(spec);
-        let (status, degradations) = match session.run(&job) {
-            Ok(result) => (
-                ChaosStatus::Ok {
-                    luts: result.report.luts,
-                },
-                result.degradations,
-            ),
-            Err(e) => {
-                let status = match e.kind {
-                    JobErrorKind::Panicked(message) => ChaosStatus::Panicked { message },
-                    JobErrorKind::Mapping(error) => ChaosStatus::Failed { error },
-                    JobErrorKind::OutOfBudget(ob) => ChaosStatus::Failed {
-                        error: CoreError::OutOfBudget(ob).to_string(),
+    let session = Session::new(k, FlowKind::hyde(0xDA98)).with_chaos(seed);
+    let samples = crate::map_each(&session, circuits, budget)
+        .map(|(c, result)| {
+            let (status, degradations) = match result {
+                Ok(result) => (
+                    ChaosStatus::Ok {
+                        luts: result.report.luts,
                     },
-                };
-                (status, e.degradations)
+                    result.degradations,
+                ),
+                Err(e) => {
+                    let status = match e.kind {
+                        JobErrorKind::Panicked(message) => ChaosStatus::Panicked { message },
+                        JobErrorKind::Mapping(error) => ChaosStatus::Failed { error },
+                        JobErrorKind::OutOfBudget(ob) => ChaosStatus::Failed {
+                            error: CoreError::OutOfBudget(ob).to_string(),
+                        },
+                    };
+                    (status, e.degradations)
+                }
+            };
+            ChaosSample {
+                name: c.name.clone(),
+                status,
+                degradations,
             }
-        };
-        samples.push(ChaosSample {
-            name: c.name.clone(),
-            status,
-            degradations,
-        });
-    }
+        })
+        .collect();
     ChaosRun {
         name: name.to_owned(),
         seed,
@@ -159,27 +133,31 @@ pub fn chaos_to_json(run: &ChaosRun) -> String {
     let _ = writeln!(s, "  \"seed\": {},", run.seed);
     let _ = writeln!(s, "  \"k\": {},", run.k);
     s.push_str("  \"circuits\": [\n");
+    let (mut ok, mut failed, mut panicked) = (0, 0, 0);
     for (i, c) in run.samples.iter().enumerate() {
         let _ = write!(s, "    {{\"name\": \"{}\", ", escape(&c.name));
-        match &c.status {
+        let _ = match &c.status {
             ChaosStatus::Ok { luts } => {
-                let _ = write!(s, "\"status\": \"ok\", \"luts\": {luts}");
+                ok += 1;
+                write!(s, "\"status\": \"ok\", \"luts\": {luts}")
             }
             ChaosStatus::Failed { error } => {
-                let _ = write!(
+                failed += 1;
+                write!(
                     s,
                     "\"status\": \"failed\", \"error\": \"{}\"",
                     escape(error)
-                );
+                )
             }
             ChaosStatus::Panicked { message } => {
-                let _ = write!(
+                panicked += 1;
+                write!(
                     s,
                     "\"status\": \"panicked\", \"error\": \"{}\"",
                     escape(message)
-                );
+                )
             }
-        }
+        };
         s.push_str(", \"degradations\": [");
         for (j, e) in c.degradations.iter().enumerate() {
             let _ = write!(
@@ -201,21 +179,6 @@ pub fn chaos_to_json(run: &ChaosRun) -> String {
         s.push('\n');
     }
     s.push_str("  ],\n");
-    let ok = run
-        .samples
-        .iter()
-        .filter(|s| matches!(s.status, ChaosStatus::Ok { .. }))
-        .count();
-    let failed = run
-        .samples
-        .iter()
-        .filter(|s| matches!(s.status, ChaosStatus::Failed { .. }))
-        .count();
-    let panicked = run
-        .samples
-        .iter()
-        .filter(|s| matches!(s.status, ChaosStatus::Panicked { .. }))
-        .count();
     let _ = write!(
         s,
         "  \"totals\": {{\"ok\": {ok}, \"failed\": {failed}, \"panicked\": {panicked}, \

@@ -1,7 +1,7 @@
 //! End-to-end checks on the hyde-obs trace artifacts.
 //!
-//! Traces a small circuit through the batch `Session` the way
-//! `hyde-bench --trace` does (one `bench.circuit` span per circuit,
+//! Traces a small circuit through the suite loop the way
+//! `hyde-bench run --trace` does (one `bench.circuit` span per circuit,
 //! collection on around the run) and holds the exported Chrome trace to
 //! the acceptance bar: parseable JSON, balanced begin/end per track,
 //! canonical phase names, and a *logical* span structure that does not
@@ -11,23 +11,21 @@
 //! The tests share the global collector and the `HYDE_THREADS` variable,
 //! so they serialize on [`ENV_LOCK`].
 
-use hyde_bench::chaos::batch_session;
-use hyde_map::session::Job;
+use hyde_map::flow::FlowKind;
+use hyde_map::session::{BudgetSpec, Session};
 use std::sync::Mutex;
 
 static ENV_LOCK: Mutex<()> = Mutex::new(());
 
-/// Maps rd73 with collection on, as `hyde-bench --trace` does, and
+/// Maps rd73 with collection on, as `hyde-bench run --trace` does, and
 /// returns the aggregated report; the raw events stay in the collector.
 fn observed_rd73() -> hyde_obs::ObsReport {
-    let c = hyde_circuits::rd73();
+    let session = Session::new(5, FlowKind::hyde(0xDA98));
+    let circuits = [hyde_circuits::rd73()];
     hyde_obs::reset();
     hyde_obs::enable();
-    {
-        let _obs = hyde_obs::span!("bench.circuit");
-        batch_session(5)
-            .run(&Job::new(&c.name, c.outputs.clone()))
-            .expect("flow maps rd73");
+    for (_, result) in hyde_bench::map_each(&session, &circuits, BudgetSpec::unlimited()) {
+        result.expect("flow maps rd73");
     }
     hyde_obs::disable();
     hyde_obs::report()

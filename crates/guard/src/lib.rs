@@ -384,7 +384,7 @@ pub fn degradation_log_text() -> String {
 /// injection is reproducible across runs, platforms, and thread counts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Chaos {
-    /// The chaos seed (from `HYDE_CHAOS` or `hyde-bench --chaos`).
+    /// The chaos seed (from `HYDE_CHAOS` or `hyde-bench chaos`).
     pub seed: u64,
 }
 
@@ -416,7 +416,7 @@ impl Chaos {
     /// when a chaos seed is set; panics are opt-in via
     /// `HYDE_CHAOS_PANIC=1` so verification drivers (`hyde-lint`) see
     /// degradation without process-level faults, while `hyde-bench
-    /// --chaos` exercises the `catch_unwind` isolation too.
+    /// chaos` exercises the `catch_unwind` isolation too.
     pub fn panics_armed() -> bool {
         std::env::var("HYDE_CHAOS_PANIC")
             .map(|v| v == "1")

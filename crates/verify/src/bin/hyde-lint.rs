@@ -12,7 +12,7 @@ use hyde_core::hyper::HyperFunction;
 use hyde_logic::diag::{Code, Diagnostic, Location, Severity};
 use hyde_logic::{blif, pla::Pla, Network, NodeRole, TruthTable};
 use hyde_map::flow::FlowKind;
-use hyde_map::session::{Job, JobErrorKind, Session};
+use hyde_map::session::{panic_message, Job, JobErrorKind, Session};
 use hyde_obs::json::escape;
 use hyde_verify::deep::{register_deep, DeepConfig, ProofLog, ProofRecord};
 use hyde_verify::{Artifact, Registry};
@@ -229,24 +229,12 @@ fn lint_suite(opts: &Options, registry: &Registry) -> Vec<(String, Vec<Diagnosti
         let diags = outcome.unwrap_or_else(|payload| {
             vec![Diagnostic::new(
                 Code::BudgetExhausted,
-                format!(
-                    "circuit aborted by panic: {}",
-                    panic_message(payload.as_ref())
-                ),
+                format!("circuit aborted by panic: {}", panic_message(payload)),
             )]
         });
         results.push((circuit.name.clone(), diags));
     }
     results
-}
-
-/// Best-effort extraction of a panic payload's message.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
-    payload
-        .downcast_ref::<&str>()
-        .copied()
-        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
-        .unwrap_or("opaque panic payload")
 }
 
 /// The per-circuit body of [`lint_suite`].

@@ -16,13 +16,14 @@
 //!   `BENCHMARK.json` gates, and fail when the change breaks a run,
 //!   fails more operations, changes an output-quality count, or worsens
 //!   a median beyond its `BENCHMARK.json` bound
-//! * `trace <circuit>` — run the traced flow on one circuit and write
+//! * `trace <circuit>` — run `hyde-bench run --circuits <circuit>
+//!   --trace` (the traced flow on one circuit) and write
 //!   `TRACE_<circuit>.json` (Chrome trace-event JSON, load in Perfetto)
 //!   plus `TRACE_<circuit>.folded` (collapsed stacks, feed to
 //!   `flamegraph.pl`), then validate the trace: parseable JSON, balanced
 //!   begin/end per track, and spans covering most of the wall time
 //! * `chaos` — the resilience drill: for each fixed seed, run
-//!   `hyde-bench --chaos <seed>` over all 25 circuits (fault injection
+//!   `hyde-bench chaos <seed>` over all 25 circuits (fault injection
 //!   with per-circuit isolation, writing `CHAOS_chaos_s<seed>.json`) and
 //!   then `hyde-lint --suite --deep` with `HYDE_CHAOS=<seed>`, which
 //!   CEC-proves every degraded network against its specification
@@ -571,6 +572,7 @@ fn trace(root: &Path, circuit: &str) -> Result<(), String> {
             "--bin",
             "hyde-bench",
             "--",
+            "run",
             "--circuits",
             circuit,
             "--trace",
@@ -630,7 +632,7 @@ fn chaos(root: &Path) -> Result<(), String> {
                 "--bin",
                 "hyde-bench",
                 "--",
-                "--chaos",
+                "chaos",
                 &seed_str,
                 "--name",
                 &name,
