@@ -123,12 +123,7 @@ pub const HISTOGRAMS: &[(&str, &str)] = &[
 /// `(crate, file name, function, span)`.
 pub const PHASE_FNS: &[(&str, &str, &str, &str)] = &[
     ("core", "varpart.rs", "select_best", "varpart.select_best"),
-    (
-        "core",
-        "decompose.rs",
-        "decompose_step_with",
-        "decompose.step",
-    ),
+    ("core", "decompose.rs", "step", "decompose.step"),
     (
         "core",
         "decompose.rs",

@@ -222,17 +222,17 @@ fn sa011_fires_on_impure_worker_closure() {
 }
 
 #[test]
-fn sa011_fires_on_impure_stealing_worker() {
-    // The work-stealing scheduler is the primitive the chunked wrappers
-    // delegate to; direct callers get the same worker-purity checks, so
-    // the pass keeps firing even if the wrappers disappear.
+fn sa011_fires_on_impure_stateful_worker() {
+    // `map_chunked_init` is the work-stealing scheduler itself (the
+    // stateless `map_chunked` delegates to it); its worker closures get
+    // the same purity checks, with a captured lock this time.
     let mut ws = workspace();
     let file = "crates/core/src/varpart.rs";
     mutate_file(&mut ws, file, |t| {
         format!(
-            "{t}\npub fn mutated_steal(items: &[u32]) -> Vec<u32> {{\n\
+            "{t}\npub fn mutated_init(items: &[u32]) -> Vec<u32> {{\n\
              \x20   let seen = std::sync::Mutex::new(Vec::new());\n\
-             \x20   crate::parallel::map_stealing_init(\"sa.lex\", items, 2, || (), |_, x| {{\n\
+             \x20   crate::parallel::map_chunked_init(\"sa.lex\", items, 2, || (), |_, x| {{\n\
              \x20       seen.lock().unwrap().push(*x);\n\
              \x20       *x + 1\n\
              \x20   }})\n}}\n"

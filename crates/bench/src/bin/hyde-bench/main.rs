@@ -230,16 +230,12 @@ fn select(names: Option<Vec<&str>>) -> Result<Vec<Circuit>, String> {
 /// ladder broke.
 fn chaos(a: &Args) -> Result<(), String> {
     let seed = a.chaos_seed;
-    // Only this batch driver opts in to injected panics; library users
-    // and the lint suite never see process-level faults.
-    std::env::set_var("HYDE_CHAOS_PANIC", "1");
     // Injected panics are expected and recorded in the report — silence
     // the default all-caps panic banner for the duration of the drill.
     let prev_hook = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {}));
     let run = run_chaos(&a.name, &a.circuits, a.k, seed, a.budget);
     std::panic::set_hook(prev_hook);
-    std::env::remove_var("HYDE_CHAOS_PANIC");
     eprintln!(
         "hyde-bench: chaos drill over {} circuit(s), seed {seed}",
         run.samples.len()

@@ -32,8 +32,8 @@ pub enum ChaosStatus {
         /// The error text.
         error: String,
     },
-    /// The flow panicked (isolated per circuit; chaos injects these
-    /// deliberately when `HYDE_CHAOS_PANIC=1`).
+    /// The flow panicked (isolated per circuit; the drill injects these
+    /// deliberately through [`Session::with_panic_faults`]).
     Panicked {
         /// The panic message.
         message: String,
@@ -72,9 +72,9 @@ impl ChaosRun {
 }
 
 /// Runs the HYDE flow over `circuits` with the chaos layer armed on
-/// `seed`: budget exhaustions, simulated BDD allocation failures and (when
-/// `HYDE_CHAOS_PANIC=1`) injected panics, every circuit isolated so the
-/// drill always completes. `budget` adds *real* per-circuit resource caps
+/// `seed`: budget exhaustions, simulated BDD allocation failures and
+/// injected panics, every circuit isolated so the drill always
+/// completes. `budget` adds *real* per-circuit resource caps
 /// on top of the injected ones (pass [`BudgetSpec::unlimited`] for
 /// injection-only drills). Each circuit runs as a single-attempt
 /// [`Session`] job, so panic isolation and degradation capture are the
@@ -87,7 +87,9 @@ pub fn run_chaos(
     seed: u64,
     budget: BudgetSpec,
 ) -> ChaosRun {
-    let session = Session::new(k, FlowKind::hyde(0xDA98)).with_chaos(seed);
+    let session = Session::new(k, FlowKind::hyde(0xDA98))
+        .with_chaos(seed)
+        .with_panic_faults(true);
     let samples = crate::map_each(&session, circuits, budget)
         .map(|(c, result)| {
             let (status, degradations) = match result {

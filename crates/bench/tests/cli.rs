@@ -1,5 +1,6 @@
 //! End-to-end checks on the `hyde-bench` command line: the `map`
-//! subcommand on a PLA file, a `figures` run, and the usage errors.
+//! subcommand on a PLA file, a `figures` run, a `run` that must ignore
+//! `HYDE_CHAOS`, and the usage errors.
 
 use hyde_logic::{blif, pla::Pla};
 use std::path::PathBuf;
@@ -42,6 +43,29 @@ fn figures_fig10_succeeds() {
     let run = hyde_bench(&["figures", "fig10"]);
     assert!(run.status.success());
     assert!(String::from_utf8_lossy(&run.stdout).contains("Figure 10"));
+}
+
+#[test]
+fn run_ignores_hyde_chaos_in_the_environment() {
+    // Only `hyde-lint` reads HYDE_CHAOS; a seed in the environment must
+    // not inject faults into the plain suite run.
+    let luts = |chaos: Option<&str>| {
+        let mut cmd = Command::new(env!("CARGO_BIN_EXE_hyde-bench"));
+        cmd.args(["run", "--circuits", "alu4"])
+            .env_remove("HYDE_CHAOS");
+        if let Some(seed) = chaos {
+            cmd.env("HYDE_CHAOS", seed);
+        }
+        let run = cmd.output().expect("hyde-bench runs");
+        let stderr = String::from_utf8_lossy(&run.stderr);
+        assert!(run.status.success(), "{stderr}");
+        stderr
+            .split_whitespace()
+            .find(|w| w.starts_with("luts="))
+            .expect("the run reports luts=")
+            .to_owned()
+    };
+    assert_eq!(luts(None), luts(Some("1998")));
 }
 
 #[test]

@@ -13,8 +13,8 @@
 //!
 //! Cached values are **pure functions of the key**. On a miss the search
 //! runs *on the canonical table itself* (not the caller's table), so the
-//! stored `(bound, classes)` pair depends only on `(canonical table, k,
-//! strategy)` — never on which caller happened to miss first, the thread
+//! stored `(bound, classes)` pair depends only on `(canonical table, k)`
+//! — never on which caller happened to miss first, the thread
 //! count, or warm-vs-cold cache state. Callers translate the canonical
 //! bound back through the recorded [`NpnTransform`](crate::npn::NpnTransform)
 //! witness; the class count is NPN-invariant so it transfers unchanged.
@@ -34,7 +34,6 @@
 //! an LRU would make results depend on visit order pressure.
 
 use crate::npn::{self, NpnCanon};
-use crate::varpart::SearchStrategy;
 use hyde_logic::TruthTable;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -61,19 +60,17 @@ pub struct CacheKey {
     words: Box<[u64]>,
     vars: u8,
     k: u8,
-    strategy: SearchStrategy,
 }
 
 impl CacheKey {
-    /// Builds the key for searching `canonical` for a size-`k` bound set
-    /// under `strategy`. The table must already be canonical — the cache
-    /// does not re-canonize.
-    pub fn new(canonical: &TruthTable, k: usize, strategy: SearchStrategy) -> Self {
+    /// Builds the key for searching `canonical` for a size-`k` bound set.
+    /// The table must already be canonical — the cache does not
+    /// re-canonize.
+    pub fn new(canonical: &TruthTable, k: usize) -> Self {
         CacheKey {
             words: canonical.as_words().into(),
             vars: canonical.vars() as u8,
             k: k as u8,
-            strategy,
         }
     }
 
@@ -237,11 +234,7 @@ mod tests {
     use super::*;
 
     fn key_for(bits: u64, vars: usize, k: usize) -> CacheKey {
-        CacheKey::new(
-            &TruthTable::from_words(vars, vec![bits]),
-            k,
-            SearchStrategy::Exhaustive,
-        )
+        CacheKey::new(&TruthTable::from_words(vars, vec![bits]), k)
     }
 
     #[test]
@@ -256,25 +249,15 @@ mod tests {
     }
 
     #[test]
-    fn distinct_k_and_strategy_do_not_collide() {
+    fn distinct_k_do_not_collide() {
         let cache = DecompCache::new();
         let t = TruthTable::from_words(6, vec![0xDEAD_BEEF_0BAD_F00D]);
-        let k2 = CacheKey::new(&t, 2, SearchStrategy::Exhaustive);
-        let k3 = CacheKey::new(&t, 3, SearchStrategy::Exhaustive);
-        let ks = CacheKey::new(
-            &t,
-            2,
-            SearchStrategy::Sampled {
-                candidates: 8,
-                seed: 1,
-            },
-        );
+        let k2 = CacheKey::new(&t, 2);
+        let k3 = CacheKey::new(&t, 3);
         cache.insert(k2.clone(), vec![0, 1], 4);
         cache.insert(k3.clone(), vec![0, 1, 2], 7);
-        cache.insert(ks.clone(), vec![2, 3], 5);
         assert_eq!(cache.lookup(&k2).unwrap().1, 4);
         assert_eq!(cache.lookup(&k3).unwrap().1, 7);
-        assert_eq!(cache.lookup(&ks).unwrap().1, 5);
     }
 
     #[test]
@@ -298,11 +281,7 @@ mod tests {
         let cache = DecompCache::with_caps(1024, 9);
         for i in 0..4u64 {
             let t = TruthTable::from_words(8, vec![i, !i, i ^ 7, i << 3]);
-            cache.insert(
-                CacheKey::new(&t, 3, SearchStrategy::Exhaustive),
-                vec![0, 1, 2],
-                3,
-            );
+            cache.insert(CacheKey::new(&t, 3), vec![0, 1, 2], 3);
         }
         let s = cache.stats();
         assert_eq!(s.entries, 2);

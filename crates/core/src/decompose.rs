@@ -132,34 +132,14 @@ pub fn decompose_step(
     encoder: &EncoderKind,
     k: usize,
 ) -> Result<Decomposition, CoreError> {
-    decompose_step_budgeted(f, bound, encoder, k, &hyde_guard::Budget::unlimited())
+    step(f, bound, encoder, k, &hyde_guard::Budget::unlimited(), None)
 }
 
-/// Like [`decompose_step`], but the encoder's internal searches run under
-/// `budget` and fail with [`CoreError::OutOfBudget`] instead of blowing
-/// up on adversarial class structures.
-///
-/// # Errors
-///
-/// As [`decompose_step`], plus [`CoreError::OutOfBudget`].
-pub fn decompose_step_budgeted(
-    f: &TruthTable,
-    bound: &[usize],
-    encoder: &EncoderKind,
-    k: usize,
-    budget: &hyde_guard::Budget,
-) -> Result<Decomposition, CoreError> {
-    decompose_step_with(f, bound, encoder, k, budget, None)
-}
-
-/// Like [`decompose_step_budgeted`], with an optional shared NPN search
-/// memo forwarded to encoders that run internal λ-set searches (the HYDE
-/// encoder). `None` behaves exactly like [`decompose_step_budgeted`].
-///
-/// # Errors
-///
-/// As [`decompose_step_budgeted`].
-pub fn decompose_step_with(
+/// [`decompose_step`] with the encoder's internal searches run under
+/// `budget` (failing with [`CoreError::OutOfBudget`] instead of blowing up
+/// on adversarial class structures) and sharing the NPN search memo
+/// `cache` (the HYDE encoder runs λ-set searches of its own).
+fn step(
     f: &TruthTable,
     bound: &[usize],
     encoder: &EncoderKind,
@@ -245,7 +225,6 @@ pub struct DecomposeStats {
 pub struct Decomposer {
     k: usize,
     encoder: EncoderKind,
-    partitioner: VariablePartitioner,
     budget: hyde_guard::Budget,
     chaos: Option<hyde_guard::Chaos>,
     /// Chaos site context (usually the circuit name); combined with the
@@ -267,18 +246,11 @@ impl Decomposer {
         Decomposer {
             k,
             encoder,
-            partitioner: VariablePartitioner::default(),
             budget: hyde_guard::Budget::unlimited(),
             chaos: None,
             chaos_ctx: String::new(),
             cache: None,
         }
-    }
-
-    /// Overrides the λ-set selector.
-    pub fn with_partitioner(mut self, partitioner: VariablePartitioner) -> Self {
-        self.partitioner = partitioner;
-        self
     }
 
     /// Applies a resource budget: the λ-set search fails with
@@ -408,11 +380,10 @@ impl Decomposer {
         // Choose a λ set of size k (classes must fit in < k bits to make
         // progress: t + (n-k) < n). Prefer bound sets avoiding pseudo
         // signals; fall back to the unrestricted search.
-        let vp = self
-            .partitioner
-            .clone()
-            .with_budget(&self.budget)
-            .with_cache_opt(self.cache.clone());
+        let mut vp = VariablePartitioner::default().with_budget(&self.budget);
+        if let Some(cache) = &self.cache {
+            vp = vp.with_cache(cache.clone());
+        }
         let clean: Vec<usize> = (0..f.vars())
             .filter(|&v| !avoid.contains(&signals[v]))
             .collect();
@@ -482,7 +453,7 @@ impl Decomposer {
                 .map_err(CoreError::from);
         }
         stats.steps += 1;
-        let d = decompose_step_with(
+        let d = step(
             f,
             &bound,
             &self.encoder,

@@ -527,9 +527,10 @@ impl Encoder for HydeEncoder {
             // The image is κ-feasible after vacuous-variable removal.
             return Ok(lex);
         }
-        let partitioner = VariablePartitioner::default()
-            .with_budget(&self.budget)
-            .with_cache_opt(self.cache.clone());
+        let mut partitioner = VariablePartitioner::default().with_budget(&self.budget);
+        if let Some(cache) = &self.cache {
+            partitioner = partitioner.with_cache(cache.clone());
+        }
         let (lambda2, _) = partitioner.best_bound_set(&g_on, k)?;
         // Split λ' into α variables (code bits) and inner free variables.
         let a_cols: Vec<usize> = lambda2.iter().copied().filter(|&v| v < t).collect();

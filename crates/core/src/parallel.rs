@@ -72,7 +72,7 @@ where
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    map_stealing_init(label, items, threads, || (), |(), item| f(item))
+    map_chunked_init(label, items, threads, || (), |(), item| f(item))
 }
 
 /// Like [`map_chunked`], but each worker first builds private state with
@@ -82,40 +82,22 @@ where
 /// `init` runs once per worker, so it may be expensive relative to a
 /// single item; results still land at their input indices. `label` names
 /// the per-worker span as in [`map_chunked`].
-pub fn map_chunked_init<T, R, S, I, F>(
-    label: &'static str,
-    items: &[T],
-    threads: usize,
-    init: I,
-    f: F,
-) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, &T) -> R + Sync,
-{
-    map_stealing_init(label, items, threads, init, f)
-}
-
-/// The work-stealing scheduler behind [`map_chunked`] and
-/// [`map_chunked_init`].
 ///
-/// Items are pre-split into `min(threads * 8, len)` equal blocks with
-/// fixed boundaries; workers claim block indices from one shared atomic
-/// cursor and compute each claimed block into a private buffer. After the
-/// scope joins, blocks are merged back at their input positions. The
-/// schedule (who computed what) is timing-dependent, but the *result* is
-/// not: `f` is applied to the same items with the same per-item inputs
-/// whatever the claim order, and the merge is indexed by block, so the
-/// output is byte-identical at any `HYDE_THREADS` — the property checked
-/// by hyde-sa's SA011 pass on every worker closure.
+/// Scheduling: items are pre-split into `min(threads * 8, len)` equal
+/// blocks with fixed boundaries; workers claim block indices from one
+/// shared atomic cursor and compute each claimed block into a private
+/// buffer. After the scope joins, blocks are merged back at their input
+/// positions. The schedule (who computed what) is timing-dependent, but
+/// the *result* is not: `f` is applied to the same items with the same
+/// per-item inputs whatever the claim order, and the merge is indexed by
+/// block, so the output is byte-identical at any `HYDE_THREADS` — the
+/// property checked by hyde-sa's SA011 pass on every worker closure.
 ///
 /// Obs counters (recorded only while tracing is enabled):
 /// `sched.steal.blocks` (blocks scheduled) and `sched.steal.steals`
 /// (blocks claimed by a worker other than its static home worker — the
 /// amount of rebalancing the stealer performed over a static split).
-pub fn map_stealing_init<T, R, S, I, F>(
+pub fn map_chunked_init<T, R, S, I, F>(
     label: &'static str,
     items: &[T],
     threads: usize,
@@ -311,10 +293,10 @@ mod tests {
     }
 
     #[test]
-    fn stealing_entry_point_matches_wrappers() {
+    fn stateless_and_stateful_entry_points_agree() {
         let items: Vec<u64> = (0..123).collect();
         let a = map_chunked("test.eq", &items, 4, |&x| x ^ 0xFF);
-        let b = map_stealing_init("test.eq", &items, 4, || (), |(), &x| x ^ 0xFF);
+        let b = map_chunked_init("test.eq", &items, 4, || (), |(), &x| x ^ 0xFF);
         assert_eq!(a, b);
     }
 }

@@ -17,26 +17,12 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use std::sync::Arc;
 
-/// Search strategy for bound-set candidates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum SearchStrategy {
-    /// Enumerate every size-`k` subset of the support.
-    Exhaustive,
-    /// Evaluate a fixed number of random subsets (seeded).
-    Sampled {
-        /// Number of candidate subsets.
-        candidates: usize,
-        /// RNG seed.
-        seed: u64,
-    },
-    /// Enumerate exhaustively up to a candidate budget, then sample.
-    Auto {
-        /// Budget on the number of candidates before switching to sampling.
-        budget: usize,
-        /// RNG seed for the sampled fallback.
-        seed: u64,
-    },
-}
+/// Candidate budget: supports with at most this many size-`k` subsets are
+/// searched exhaustively, larger ones draw this many seeded samples.
+const CANDIDATE_BUDGET: usize = 1200;
+
+/// RNG seed of the sampled search above [`CANDIDATE_BUDGET`].
+const SAMPLE_SEED: u64 = 0x9D5E_C0DE;
 
 /// λ-set selector.
 ///
@@ -56,7 +42,6 @@ pub enum SearchStrategy {
 /// ```
 #[derive(Debug, Clone)]
 pub struct VariablePartitioner {
-    strategy: SearchStrategy,
     /// Use BDD cut counting instead of chart hashing above this support
     /// size. The chart path's prefix-sharing scorer keeps winning well
     /// past word width — the crossover sits where materializing and
@@ -77,10 +62,6 @@ pub struct VariablePartitioner {
 impl Default for VariablePartitioner {
     fn default() -> Self {
         VariablePartitioner {
-            strategy: SearchStrategy::Auto {
-                budget: 1200,
-                seed: 0x9D5E_C0DE,
-            },
             bdd_threshold: 20,
             candidate_cap: None,
             bdd_node_cap: None,
@@ -90,14 +71,6 @@ impl Default for VariablePartitioner {
 }
 
 impl VariablePartitioner {
-    /// Creates a partitioner with an explicit strategy.
-    pub fn new(strategy: SearchStrategy) -> Self {
-        VariablePartitioner {
-            strategy,
-            ..Self::default()
-        }
-    }
-
     /// Applies the candidate and BDD-node limits from a pipeline budget.
     /// Searches exceeding either limit fail with
     /// [`CoreError::OutOfBudget`] so the caller can step down the
@@ -115,13 +88,6 @@ impl VariablePartitioner {
     /// the partitioner behaves exactly as before.
     pub fn with_cache(mut self, cache: Arc<DecompCache>) -> Self {
         self.cache = Some(cache);
-        self
-    }
-
-    /// [`Self::with_cache`] with an optional handle (convenience for
-    /// callers threading a configuration through).
-    pub fn with_cache_opt(mut self, cache: Option<Arc<DecompCache>>) -> Self {
-        self.cache = cache;
         self
     }
 
@@ -152,7 +118,7 @@ impl VariablePartitioner {
                 return self.best_bound_set_cached(f, k, cache);
             }
         }
-        let candidates = self.candidates(&support, k);
+        let candidates = candidates(&support, k);
         self.select_best(f, candidates)
     }
 
@@ -170,14 +136,14 @@ impl VariablePartitioner {
         cache: &DecompCache,
     ) -> Result<(Vec<usize>, usize), CoreError> {
         let canon = cache.canonize_timed(f);
-        let key = CacheKey::new(&canon.table, k, self.strategy);
+        let key = CacheKey::new(&canon.table, k);
         if let Some((canon_bound, classes)) = cache.lookup(&key) {
             return Ok((canon.transform.bound_to_original(&canon_bound), classes));
         }
         // NPN transforms are variable bijections, so the canonical support
         // has the same size and the k-validity check above still holds.
         let canon_support = canon.table.support();
-        let candidates = self.candidates(&canon_support, k);
+        let candidates = candidates(&canon_support, k);
         let (canon_bound, classes) = self.select_best(&canon.table, candidates)?;
         cache.insert(key, canon_bound.clone(), classes);
         Ok((canon.transform.bound_to_original(&canon_bound), classes))
@@ -223,7 +189,7 @@ impl VariablePartitioner {
                 }
             }
         }
-        let candidates = self.candidates(&pool, k);
+        let candidates = candidates(&pool, k);
         self.select_best(f, candidates)
     }
 
@@ -313,22 +279,15 @@ impl VariablePartitioner {
         }
         Ok(best)
     }
+}
 
-    fn candidates(&self, support: &[usize], k: usize) -> Vec<Vec<usize>> {
-        let total = binomial(support.len(), k);
-        match self.strategy {
-            SearchStrategy::Exhaustive => combinations(support, k),
-            SearchStrategy::Sampled { candidates, seed } => {
-                sample_subsets(support, k, candidates, seed)
-            }
-            SearchStrategy::Auto { budget, seed } => {
-                if total <= budget as u128 {
-                    combinations(support, k)
-                } else {
-                    sample_subsets(support, k, budget, seed)
-                }
-            }
-        }
+/// The size-`k` bound-set candidates over `support`: every subset up to
+/// [`CANDIDATE_BUDGET`] of them, a seeded sample of that many beyond.
+fn candidates(support: &[usize], k: usize) -> Vec<Vec<usize>> {
+    if binomial(support.len(), k) <= CANDIDATE_BUDGET as u128 {
+        combinations(support, k)
+    } else {
+        sample_subsets(support, k, CANDIDATE_BUDGET, SAMPLE_SEED)
     }
 }
 
@@ -412,38 +371,21 @@ mod tests {
     fn finds_the_decomposable_bound() {
         let f = (TruthTable::var(6, 0) & TruthTable::var(6, 1) & TruthTable::var(6, 2))
             | (TruthTable::var(6, 3) & TruthTable::var(6, 4) & TruthTable::var(6, 5));
-        let vp = VariablePartitioner::new(SearchStrategy::Exhaustive);
+        let vp = VariablePartitioner::default();
         let (bound, classes) = vp.best_bound_set(&f, 3).unwrap();
         assert_eq!(classes, 2);
         assert!(bound == vec![0, 1, 2] || bound == vec![3, 4, 5]);
     }
 
     #[test]
-    fn sampled_strategy_is_deterministic() {
-        use rand::SeedableRng;
-        let mut rng = StdRng::seed_from_u64(5);
-        let f = TruthTable::random(10, &mut rng);
-        let vp = VariablePartitioner::new(SearchStrategy::Sampled {
-            candidates: 30,
-            seed: 11,
-        });
-        let a = vp.best_bound_set(&f, 4).unwrap();
-        let b = vp.best_bound_set(&f, 4).unwrap();
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn auto_matches_exhaustive_when_small() {
-        use rand::SeedableRng;
-        let mut rng = StdRng::seed_from_u64(6);
-        let f = TruthTable::random(7, &mut rng);
-        let auto = VariablePartitioner::default()
-            .best_bound_set(&f, 3)
-            .unwrap();
-        let exh = VariablePartitioner::new(SearchStrategy::Exhaustive)
-            .best_bound_set(&f, 3)
-            .unwrap();
-        assert_eq!(auto, exh);
+    fn candidates_enumerate_within_budget_and_sample_beyond() {
+        let small: Vec<usize> = (0..7).collect();
+        assert_eq!(candidates(&small, 3), combinations(&small, 3));
+        // C(16, 5) = 4368 exceeds the budget: a seeded, repeatable sample.
+        let wide: Vec<usize> = (0..16).collect();
+        let sample = candidates(&wide, 5);
+        assert_eq!(sample.len(), CANDIDATE_BUDGET);
+        assert_eq!(sample, candidates(&wide, 5));
     }
 
     #[test]
@@ -452,12 +394,10 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(77);
         let f = TruthTable::random(9, &mut rng);
         let chart_vp = VariablePartitioner {
-            strategy: SearchStrategy::Exhaustive,
             bdd_threshold: 30,
             ..VariablePartitioner::default()
         };
         let bdd_vp = VariablePartitioner {
-            strategy: SearchStrategy::Exhaustive,
             bdd_threshold: 1,
             ..VariablePartitioner::default()
         };
@@ -539,7 +479,7 @@ mod tests {
         let f = (TruthTable::var(6, 0) & TruthTable::var(6, 1) & TruthTable::var(6, 2))
             | (TruthTable::var(6, 3) & TruthTable::var(6, 4) & TruthTable::var(6, 5));
         // C(6,3) = 20 candidates; a cap of 5 must trip.
-        let vp = VariablePartitioner::new(SearchStrategy::Exhaustive)
+        let vp = VariablePartitioner::default()
             .with_budget(&hyde_guard::Budget::unlimited().with_candidates(5));
         match vp.best_bound_set(&f, 3) {
             Err(CoreError::OutOfBudget(e)) => {
@@ -549,9 +489,9 @@ mod tests {
             other => panic!("expected OutOfBudget, got {other:?}"),
         }
         // A cap above the candidate count changes nothing.
-        let roomy = VariablePartitioner::new(SearchStrategy::Exhaustive)
+        let roomy = VariablePartitioner::default()
             .with_budget(&hyde_guard::Budget::unlimited().with_candidates(50));
-        let plain = VariablePartitioner::new(SearchStrategy::Exhaustive);
+        let plain = VariablePartitioner::default();
         assert_eq!(
             roomy.best_bound_set(&f, 3).unwrap(),
             plain.best_bound_set(&f, 3).unwrap()
@@ -564,7 +504,6 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(31);
         let f = TruthTable::random(8, &mut rng);
         let vp = VariablePartitioner {
-            strategy: SearchStrategy::Exhaustive,
             bdd_threshold: 1,      // force the BDD path
             bdd_node_cap: Some(8), // a random 8-var function won't fit
             ..VariablePartitioner::default()
@@ -583,7 +522,7 @@ mod tests {
         use rand::seq::SliceRandom;
         use rand::{Rng, SeedableRng};
         let cache = Arc::new(crate::dcache::DecompCache::new());
-        let plain = VariablePartitioner::new(SearchStrategy::Exhaustive);
+        let plain = VariablePartitioner::default();
         let cached = plain.clone().with_cache(cache.clone());
         let mut rng = StdRng::seed_from_u64(99);
         for n in [5usize, 7, 9] {
@@ -627,7 +566,7 @@ mod tests {
     #[test]
     fn cached_among_delegates_only_on_full_pool() {
         let cache = Arc::new(crate::dcache::DecompCache::new());
-        let vp = VariablePartitioner::new(SearchStrategy::Exhaustive).with_cache(cache.clone());
+        let vp = VariablePartitioner::default().with_cache(cache.clone());
         let f = (TruthTable::var(6, 0) & TruthTable::var(6, 1) & TruthTable::var(6, 2))
             | (TruthTable::var(6, 3) & TruthTable::var(6, 4) & TruthTable::var(6, 5));
         // Full pool: memoized (one miss, then a hit).
@@ -651,7 +590,7 @@ mod tests {
         // f over 6 vars but depends only on 0..4.
         let f = (TruthTable::var(6, 0) & TruthTable::var(6, 1))
             | (TruthTable::var(6, 2) & TruthTable::var(6, 3));
-        let vp = VariablePartitioner::new(SearchStrategy::Exhaustive);
+        let vp = VariablePartitioner::default();
         let (bound, classes) = vp.best_bound_set(&f, 2).unwrap();
         assert!(bound.iter().all(|&v| v < 4));
         assert_eq!(classes, 2);

@@ -15,10 +15,11 @@
 //!   direct cover. Every step is recorded as a [`DegradationEvent`] and
 //!   surfaced through `hyde-obs` counters plus the HY5xx diagnostic
 //!   family in `hyde-verify`.
-//! * [`Chaos`] — deterministic, seed-driven fault injection
-//!   (`HYDE_CHAOS=<seed>`). Injection sites are keyed by *strings*
-//!   (circuit and stage names), never by invocation counters, so the
-//!   same seed trips the same sites at any `HYDE_THREADS` value.
+//! * [`Chaos`] — deterministic, seed-driven fault injection, armed by
+//!   an explicit seed (`hyde_map::Session::with_chaos`). Injection sites
+//!   are keyed by *strings* (circuit and stage names), never by
+//!   invocation counters, so the same seed trips the same sites at any
+//!   `HYDE_THREADS` value.
 //!
 //! The degradation log is a process-global, mutex-guarded list so that
 //! sequential batch drivers (bench, lint) can drain per-circuit events
@@ -384,7 +385,8 @@ pub fn degradation_log_text() -> String {
 /// injection is reproducible across runs, platforms, and thread counts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Chaos {
-    /// The chaos seed (from `HYDE_CHAOS` or `hyde-bench chaos`).
+    /// The chaos seed (`hyde-bench chaos <seed>`, `hyde-serve --chaos`,
+    /// or `HYDE_CHAOS` for `hyde-lint`).
     pub seed: u64,
 }
 
@@ -392,13 +394,6 @@ impl Chaos {
     /// A chaos injector with the given seed.
     pub fn new(seed: u64) -> Self {
         Chaos { seed }
-    }
-
-    /// Reads `HYDE_CHAOS`; `None` when unset or unparsable.
-    pub fn from_env() -> Option<Self> {
-        std::env::var("HYDE_CHAOS")
-            .ok()
-            .and_then(|v| Self::from_env_value(&v))
     }
 
     /// Parses a `HYDE_CHAOS` value (decimal or `0x`-prefixed hex).
@@ -410,17 +405,6 @@ impl Chaos {
             v.parse::<u64>().ok()?
         };
         Some(Chaos { seed })
-    }
-
-    /// Whether panic injection is armed. Budget injection is always on
-    /// when a chaos seed is set; panics are opt-in via
-    /// `HYDE_CHAOS_PANIC=1` so verification drivers (`hyde-lint`) see
-    /// degradation without process-level faults, while `hyde-bench
-    /// chaos` exercises the `catch_unwind` isolation too.
-    pub fn panics_armed() -> bool {
-        std::env::var("HYDE_CHAOS_PANIC")
-            .map(|v| v == "1")
-            .unwrap_or(false)
     }
 
     /// FNV-1a over the seed and site string.

@@ -1,8 +1,10 @@
 //! Simulation-based equivalence checking.
 //!
 //! Every mapping flow in this reproduction verifies its output; this module
-//! provides the shared machinery: exhaustive comparison for small input
-//! counts, seeded random-vector simulation above that, and a
+//! provides the shared machinery: network-vs-network comparison
+//! (exhaustive for small input counts, seeded random vectors above that),
+//! the batched network-vs-specification sampler [`check_against_tables`]
+//! that both the mapping flow and the `HY005` lint run, and a
 //! counterexample-reporting API.
 
 use crate::network::{Network, NodeId};
@@ -108,73 +110,65 @@ pub fn check_networks(
     }
 }
 
-/// Compares a network against specification truth tables. The network's
-/// inputs must be named `x<i>` where `i` is the specification variable each
-/// input represents (vacuous variables may be absent); outputs are matched
-/// by position.
+/// How many minterms [`check_against_tables`] simulates: every minterm of
+/// an input space of up to 12 variables, a strided sample beyond.
+pub const SPEC_SAMPLES: u64 = 1 << 12;
+
+/// Simulates `net` against specification tables and returns the first
+/// mismatch as `(minterm, output)`: earliest minterm first, then lowest
+/// output. Exhaustive while `2^n <= SPEC_SAMPLES`; wider input spaces
+/// simulate every `2^n / SPEC_SAMPLES`-th minterm.
+///
+/// Primary input `i` (declaration order) carries specification variable
+/// `positions[i]`; outputs are matched by position. Minterms are
+/// simulated 64 per topological pass.
 ///
 /// # Panics
 ///
-/// Panics if an input name does not parse as `x<i>` or output counts
-/// differ.
-pub fn check_against_tables(net: &Network, spec: &[TruthTable]) -> Equivalence {
-    assert_eq!(net.outputs().len(), spec.len(), "output counts must match");
+/// Panics if `positions` does not have one entry per primary input, the
+/// network has fewer outputs than `spec`, or the network is cyclic.
+pub fn check_against_tables(
+    net: &Network,
+    spec: &[TruthTable],
+    positions: &[usize],
+) -> Option<(u64, usize)> {
     let n = spec.first().map_or(0, TruthTable::vars);
-    let positions: Vec<usize> = net
-        .inputs()
-        .iter()
-        .map(|&id| {
-            net.node_name(id)
-                .strip_prefix('x')
-                .and_then(|s| s.parse().ok())
-                .unwrap_or_else(|| panic!("input {:?} is not x<i>", net.node_name(id)))
-        })
-        .collect();
-    // Batch 64 minterms per topological pass: bit j of each input word
-    // carries minterm base + j.
     let total = 1u64 << n;
-    let mut base = 0u64;
-    while base < total {
-        let lanes = (total - base).min(64) as u32;
-        let lane_mask = if lanes == 64 {
-            !0u64
-        } else {
-            (1u64 << lanes) - 1
+    let stride = (total / SPEC_SAMPLES).max(1);
+    let mut samples: Vec<u64> = Vec::with_capacity(64);
+    let mut next = 0u64;
+    while next < total {
+        samples.clear();
+        while samples.len() < 64 && next < total {
+            samples.push(next);
+            next += stride;
+        }
+        // Bit j of every word carries sample j.
+        let pack = |bit: &dyn Fn(u64) -> bool| {
+            samples
+                .iter()
+                .enumerate()
+                .fold(0u64, |w, (j, &m)| w | u64::from(bit(m)) << j)
         };
         let words: Vec<u64> = positions
             .iter()
-            .map(|&p| {
-                let mut w = 0u64;
-                for j in 0..lanes {
-                    w |= ((base + u64::from(j)) >> p & 1) << j;
-                }
-                w
-            })
+            .map(|&p| pack(&|m| m >> p & 1 == 1))
             .collect();
         let got = net.eval_batch64(&words);
-        // Earliest mismatching minterm across every output, matching the
-        // scan order of the unbatched loop.
-        let mut bad = u64::MAX;
-        for (o, f) in spec.iter().enumerate() {
-            let mut want = 0u64;
-            for j in 0..lanes {
-                want |= u64::from(f.eval((base + u64::from(j)) as u32)) << j;
-            }
-            let diff = (got[o] ^ want) & lane_mask;
-            if diff != 0 {
-                bad = bad.min(base + u64::from(diff.trailing_zeros()));
-            }
+        let lanes = u64::MAX >> (64 - samples.len());
+        let bad = spec
+            .iter()
+            .enumerate()
+            .filter_map(|(o, f)| {
+                let diff = (got[o] ^ pack(&|m| f.eval(m as u32))) & lanes;
+                (diff != 0).then(|| (diff.trailing_zeros() as usize, o))
+            })
+            .min();
+        if let Some((j, o)) = bad {
+            return Some((samples[j], o));
         }
-        if bad != u64::MAX {
-            let m = bad as u32;
-            return Equivalence::Counterexample((0..n).map(|i| m >> i & 1 == 1).collect());
-        }
-        base += u64::from(lanes);
     }
-    Equivalence::Equivalent {
-        exhaustive: true,
-        vectors: 1 << n,
-    }
+    None
 }
 
 /// Simulates `vectors` random input assignments, returning per-node toggle
@@ -286,18 +280,17 @@ mod tests {
     }
 
     #[test]
-    fn table_check() {
-        let net = xor_net(false);
-        let spec = TruthTable::var(2, 0) ^ TruthTable::var(2, 1);
-        // inputs are named a/b, not x<i>: rename through a rebuilt net.
-        let mut renamed = Network::new("x");
-        let a = renamed.add_input("x0");
-        let b = renamed.add_input("x1");
+    fn check_against_tables_maps_inputs_through_positions() {
+        // Inputs declared (b, a) carry specification variables (1, 0).
+        let net = xor_net(true);
         let xor = TruthTable::var(2, 0) ^ TruthTable::var(2, 1);
-        let n = renamed.add_node("n", vec![a, b], xor).unwrap();
-        renamed.mark_output("o", n);
-        assert!(check_against_tables(&renamed, &[spec]).holds());
-        let _ = net;
+        assert_eq!(
+            check_against_tables(&net, std::slice::from_ref(&xor), &[1, 0]),
+            None
+        );
+        let and = TruthTable::var(2, 0) & TruthTable::var(2, 1);
+        // xor and and first differ at minterm 1 (a = 1, b = 0).
+        assert_eq!(check_against_tables(&net, &[and], &[1, 0]), Some((1, 0)));
     }
 
     #[test]

@@ -179,11 +179,12 @@ mod tests {
 
     #[test]
     fn analyze_mapped_circuit() {
-        use crate::flow::{FlowKind, MappingFlow};
+        use crate::{FlowKind, Job, Session};
         let c = hyde_circuits::rd73();
-        let report = MappingFlow::new(5, FlowKind::hyde(3))
-            .map_outputs(&c.name, &c.outputs)
-            .unwrap();
+        let report = Session::new(5, FlowKind::hyde(3))
+            .run(&Job::new(&c.name, c.outputs.clone()))
+            .unwrap()
+            .report;
         let t = analyze(&report.network);
         assert_eq!(t.depth, report.depth);
         assert!(!t.critical_path.is_empty());

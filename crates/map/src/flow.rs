@@ -54,25 +54,25 @@ pub enum FlowKind {
         /// Encoder for the joint classes.
         encoder: EncoderKind,
     },
-    /// The HYDE hyper-function flow.
+    /// The HYDE hyper-function flow: at most [`MAX_CLUSTER`] outputs per
+    /// hyper-function, at most [`MAX_UNION`] variables in a cluster's
+    /// union support.
     Hyper {
-        /// Encoder for classes and ingredients.
-        encoder: EncoderKind,
-        /// Maximum ingredients per hyper-function.
-        max_cluster: usize,
-        /// Maximum union support of a cluster.
-        max_union: usize,
+        /// Seed of the HYDE encoder for classes and ingredients.
+        seed: u64,
     },
 }
+
+/// Maximum ingredients per hyper-function.
+pub const MAX_CLUSTER: usize = 4;
+
+/// Maximum union support of a hyper-function cluster.
+pub const MAX_UNION: usize = 16;
 
 impl FlowKind {
     /// The full HYDE configuration used by the tables.
     pub fn hyde(seed: u64) -> Self {
-        FlowKind::Hyper {
-            encoder: EncoderKind::Hyde { seed },
-            max_cluster: 4,
-            max_union: 16,
-        }
+        FlowKind::Hyper { seed }
     }
 
     /// IMODEC-like baseline: rigid strict per-output encoding with
@@ -101,102 +101,36 @@ impl FlowKind {
     }
 }
 
-/// A configured mapping flow.
-#[derive(Debug, Clone)]
-pub struct MappingFlow {
-    k: usize,
-    kind: FlowKind,
-    /// Verification sample budget (exhaustive below this many minterms).
-    verify_samples: usize,
+/// One mapping attempt, filled in by [`crate::session::Session`]: the
+/// flow, the budget and ladder rung of the attempt, and the session's
+/// chaos layer and NPN cache.
+#[derive(Debug)]
+pub(crate) struct MappingFlow<'a> {
+    /// Target LUT size (at least 3, asserted by the session).
+    pub(crate) k: usize,
+    /// The flow to run.
+    pub(crate) kind: &'a FlowKind,
     /// Resource budget threaded through every decomposition step.
-    budget: Budget,
-    /// Topmost rung of the fallback ladder this flow attempts. Defaults
-    /// to [`Rung::Exact`]; a retrying supervisor
-    /// (`hyde_map::session::Session`) lowers it one rung per attempt so
-    /// a job that failed at the exact rung re-runs capped.
-    start_rung: Rung,
-    /// Deterministic fault-injection layer (armed from `HYDE_CHAOS` unless
-    /// overridden via [`MappingFlow::with_chaos`]).
-    chaos: Option<Chaos>,
-    /// NPN-keyed λ-search memo shared by every decomposition this flow
-    /// runs. Fresh per flow by default; [`MappingFlow::with_decomp_cache`]
-    /// injects a cache shared across circuits (as `hyde-bench` does).
-    /// Cached values are pure functions of their keys, so sharing never
-    /// changes results — only how often the search actually runs.
-    cache: Arc<DecompCache>,
+    /// Exhausting it does not fail the flow: each exhaustion steps the
+    /// affected output down one rung of the fallback ladder (exact
+    /// Roth–Karp, BDD cut decomposition, Shannon split, direct SOP cover).
+    pub(crate) budget: Budget,
+    /// Topmost rung of the fallback ladder this attempt tries. Rungs
+    /// above it are skipped without recording degradation events: the
+    /// retrying session already took (and recorded) those steps.
+    pub(crate) start_rung: Rung,
+    /// Deterministic fault-injection layer; `None` injects nothing.
+    pub(crate) chaos: Option<Chaos>,
+    /// Whether the chaos layer may also inject panics (the
+    /// `panic:<circuit>` site), not just budget exhaustions.
+    pub(crate) panic_faults: bool,
+    /// NPN-keyed λ-search memo shared by every decomposition the session
+    /// runs. Cached values are pure functions of their keys, so sharing
+    /// never changes results — only how often the search actually runs.
+    pub(crate) cache: &'a Arc<DecompCache>,
 }
 
-impl MappingFlow {
-    /// Creates a flow targeting `k`-input LUTs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k < 3`.
-    pub fn new(k: usize, kind: FlowKind) -> Self {
-        assert!(k >= 3, "LUT size must be at least 3");
-        MappingFlow {
-            k,
-            kind,
-            verify_samples: 1 << 12,
-            budget: Budget::unlimited(),
-            start_rung: Rung::Exact,
-            chaos: Chaos::from_env(),
-            cache: Arc::new(DecompCache::new()),
-        }
-    }
-
-    /// Target LUT size.
-    pub fn k(&self) -> usize {
-        self.k
-    }
-
-    /// Sets the resource budget enforced during decomposition. Exhausting
-    /// a budget does not fail the flow: each exhaustion steps the affected
-    /// output down one rung of the fallback ladder (exact Roth–Karp, BDD
-    /// cut decomposition, Shannon split, direct SOP cover).
-    pub fn with_budget(mut self, budget: Budget) -> Self {
-        self.budget = budget;
-        self
-    }
-
-    /// Arms the deterministic chaos layer with an explicit seed, overriding
-    /// the `HYDE_CHAOS` environment variable. Identical seeds produce
-    /// identical fault schedules regardless of `HYDE_THREADS`.
-    pub fn with_chaos(mut self, seed: u64) -> Self {
-        self.chaos = Some(Chaos::new(seed));
-        self
-    }
-
-    /// The budget this flow enforces.
-    pub fn budget(&self) -> &Budget {
-        &self.budget
-    }
-
-    /// Caps the ladder at `rung`: rungs above it are skipped without
-    /// recording degradation events (the step down was already taken by
-    /// the retrying caller, not by a budget exhaustion here).
-    pub fn with_start_rung(mut self, rung: Rung) -> Self {
-        self.start_rung = rung;
-        self
-    }
-
-    /// The topmost ladder rung this flow attempts.
-    pub fn start_rung(&self) -> Rung {
-        self.start_rung
-    }
-
-    /// Replaces the flow's decomposition cache with a shared one, so NPN
-    /// search results carry across circuits within one run.
-    pub fn with_decomp_cache(mut self, cache: Arc<DecompCache>) -> Self {
-        self.cache = cache;
-        self
-    }
-
-    /// The NPN decomposition cache this flow populates.
-    pub fn decomp_cache(&self) -> &Arc<DecompCache> {
-        &self.cache
-    }
-
+impl MappingFlow<'_> {
     /// Maps a multi-output function vector (all outputs over the same
     /// `n`-variable input space) to a κ-feasible LUT network.
     ///
@@ -204,7 +138,7 @@ impl MappingFlow {
     ///
     /// Propagates decomposition errors; a functional mismatch after mapping
     /// surfaces as [`CoreError::Verification`].
-    pub fn map_outputs(
+    pub(crate) fn map_outputs(
         &self,
         name: &str,
         outputs: &[TruthTable],
@@ -220,25 +154,23 @@ impl MappingFlow {
         }
         let _obs = hyde_obs::span!("map.outputs");
         hyde_obs::counter("map.output_functions", outputs.len() as u64);
-        // Chaos panic site: only armed when the batch driver opts in
-        // (HYDE_CHAOS_PANIC=1), so library users never see injected panics.
-        if let Some(chaos) = self.chaos {
-            if Chaos::panics_armed() && chaos.trips(&format!("panic:{name}"), 16) {
+        // Chaos panic site: only armed when the session opts in
+        // (`hyde-bench chaos`), so other callers never see injected panics.
+        if let Some(chaos) = self.chaos.filter(|_| self.panic_faults) {
+            if chaos.trips(&format!("panic:{name}"), 16) {
                 panic!("chaos: injected panic for circuit '{name}'");
             }
         }
         // sa:allow(SA002): elapsed time is reported alongside results,
         // never used to choose them.
         let start = Instant::now();
-        let mut net = match &self.kind {
+        let mut net = match self.kind {
             FlowKind::PerOutput { encoder } => self.per_output(name, outputs, encoder, false)?,
             FlowKind::SharedAlpha { encoder } => self.per_output(name, outputs, encoder, true)?,
             FlowKind::ColumnEncoding { encoder } => self.column_encoding(outputs, encoder)?,
-            FlowKind::Hyper {
-                encoder,
-                max_cluster,
-                max_union,
-            } => self.hyper_flow(name, outputs, encoder, *max_cluster, *max_union)?,
+            FlowKind::Hyper { seed } => {
+                self.hyper_flow(name, outputs, &EncoderKind::Hyde { seed: *seed })?
+            }
         };
         net.sweep();
         // The xl_cover step of the paper's script: collapse LUTs that fit
@@ -688,10 +620,8 @@ impl MappingFlow {
         name: &str,
         outputs: &[TruthTable],
         encoder: &EncoderKind,
-        max_cluster: usize,
-        max_union: usize,
     ) -> Result<Network, CoreError> {
-        let clusters = cluster_outputs(outputs, max_cluster, max_union);
+        let clusters = cluster_outputs(outputs, MAX_CLUSTER, MAX_UNION);
         let dec = Decomposer::new(self.k, encoder.clone())
             .with_budget(self.budget)
             .with_chaos(self.chaos, name)
@@ -787,16 +717,17 @@ impl MappingFlow {
         Ok(merged)
     }
 
-    /// Runs the structured invariant checks on a mapped network: `HY005`
-    /// when simulation differs from the specification tables (exhaustive
-    /// on small input spaces, strided sample otherwise) and `HY002` when a
-    /// LUT exceeds the flow's fanin bound `k`.
-    pub fn diagnose(&self, net: &Network, outputs: &[TruthTable]) -> Vec<Diagnostic> {
-        let mut out = Vec::new();
+    /// Checks the mapped network against the specification and fails on
+    /// the first deny-level diagnostic: `HY002` when a LUT exceeds the
+    /// fanin bound `k`, `HY005` when simulation differs from the
+    /// specification tables ([`hyde_logic::sim::check_against_tables`],
+    /// inputs placed by their `x<i>` names).
+    fn verify(&self, net: &Network, outputs: &[TruthTable]) -> Result<(), CoreError> {
+        let mut diags = Vec::new();
         for id in net.node_ids() {
             let fanin = net.fanins(id).len();
-            if net.role(id) == hyde_logic::NodeRole::Internal && fanin > self.k {
-                out.push(
+            if net.role(id) == NodeRole::Internal && fanin > self.k {
+                diags.push(
                     Diagnostic::new(
                         Code::NetworkFaninExceedsK,
                         format!(
@@ -809,111 +740,30 @@ impl MappingFlow {
                 );
             }
         }
-        let n = outputs[0].vars();
-        if (1u64 << n) <= self.verify_samples as u64 {
-            if let hyde_logic::sim::Equivalence::Counterexample(bits) =
-                hyde_logic::sim::check_against_tables(net, outputs)
-            {
-                out.push(Diagnostic::new(
-                    Code::NetworkSpecMismatch,
-                    format!("mapped network differs from its specification at input {bits:?}"),
-                ));
-            }
-            return out;
-        }
-        // Wide circuits: strided sample of the minterm space.
-        let mut pi_positions: Vec<usize> = Vec::with_capacity(net.inputs().len());
-        for &id in net.inputs() {
-            match net
-                .node_name(id)
-                .strip_prefix('x')
-                .and_then(|s| s.parse::<usize>().ok())
-            {
-                Some(p) => pi_positions.push(p),
-                None => {
-                    out.push(Diagnostic::new(
-                        Code::NetworkSpecMismatch,
-                        format!(
-                            "cannot sample-verify: input '{}' is not named x<i>",
-                            net.node_name(id)
-                        ),
-                    ));
-                    return out;
+        let positions: Option<Vec<usize>> = net
+            .inputs()
+            .iter()
+            .map(|&id| net.node_name(id).strip_prefix('x')?.parse().ok())
+            .collect();
+        match positions {
+            None => diags.push(Diagnostic::new(
+                Code::NetworkSpecMismatch,
+                "cannot simulate: a mapped input is not named x<i>",
+            )),
+            Some(positions) => {
+                if let Some((m, o)) =
+                    hyde_logic::sim::check_against_tables(net, outputs, &positions)
+                {
+                    diags.push(
+                        Diagnostic::new(
+                            Code::NetworkSpecMismatch,
+                            format!("output {o} differs from its specification at minterm {m}"),
+                        )
+                        .at(Location::Output(o)),
+                    );
                 }
             }
         }
-        let total = 1u64 << n;
-        let stride = (total / self.verify_samples as u64).max(1);
-        // Batch 64 sample minterms per topological pass (bit j of each
-        // input word carries sample j); report the earliest mismatching
-        // (minterm, output) pair, matching the unbatched scan order.
-        let mut samples: Vec<u64> = Vec::with_capacity(64);
-        let mut m = 0u64;
-        loop {
-            if m < total {
-                samples.push(m);
-                m += stride;
-            }
-            if samples.is_empty() {
-                break;
-            }
-            if samples.len() < 64 && m < total {
-                continue;
-            }
-            let words: Vec<u64> = pi_positions
-                .iter()
-                .map(|&p| {
-                    let mut w = 0u64;
-                    for (j, &s) in samples.iter().enumerate() {
-                        w |= (s >> p & 1) << j;
-                    }
-                    w
-                })
-                .collect();
-            let got = net.eval_batch64(&words);
-            let lane_mask = if samples.len() == 64 {
-                !0u64
-            } else {
-                (1u64 << samples.len()) - 1
-            };
-            let mut bad: Option<(usize, usize)> = None;
-            for (o, f) in outputs.iter().enumerate() {
-                let mut want = 0u64;
-                for (j, &s) in samples.iter().enumerate() {
-                    want |= u64::from(f.eval(s as u32)) << j;
-                }
-                let diff = (got[o] ^ want) & lane_mask;
-                if diff != 0 {
-                    let j = diff.trailing_zeros() as usize;
-                    if bad.is_none_or(|(bj, bo)| (j, o) < (bj, bo)) {
-                        bad = Some((j, o));
-                    }
-                }
-            }
-            if let Some((j, o)) = bad {
-                out.push(
-                    Diagnostic::new(
-                        Code::NetworkSpecMismatch,
-                        format!(
-                            "output {o} differs from its specification at minterm {}",
-                            samples[j]
-                        ),
-                    )
-                    .at(Location::Output(o)),
-                );
-                break;
-            }
-            samples.clear();
-        }
-        out
-    }
-
-    /// Checks the mapped network against the specification.
-    ///
-    /// Thin wrapper over [`MappingFlow::diagnose`]: fails on the first
-    /// deny-level diagnostic.
-    fn verify(&self, net: &Network, outputs: &[TruthTable]) -> Result<(), CoreError> {
-        let diags = self.diagnose(net, outputs);
         if any_deny(&diags) {
             let msg = diags
                 .iter()
@@ -993,6 +843,7 @@ fn chart_columns(f: &TruthTable, bound: &[usize], free: &[usize]) -> Vec<TruthTa
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session::{BudgetSpec, Job, JobResult, Session};
     use rand::SeedableRng;
 
     fn adder_outputs(bits: usize) -> Vec<TruthTable> {
@@ -1009,20 +860,36 @@ mod tests {
             .collect()
     }
 
+    fn per_output_lex() -> FlowKind {
+        FlowKind::PerOutput {
+            encoder: EncoderKind::Lexicographic,
+        }
+    }
+
+    /// Maps `outputs` as job `name` under `budget`; the mapping verified
+    /// against `outputs` inside the flow.
+    fn map(session: &Session, name: &str, outputs: &[TruthTable], budget: BudgetSpec) -> JobResult {
+        let job = Job::new(name, outputs.to_vec()).with_budget(budget);
+        session.run(&job).expect("maps")
+    }
+
     #[test]
     fn all_flows_map_an_adder_correctly() {
         let outputs = adder_outputs(3); // 6 inputs, 4 outputs
         for kind in [
-            FlowKind::PerOutput {
-                encoder: EncoderKind::Lexicographic,
-            },
+            per_output_lex(),
             FlowKind::imodec_like(),
             FlowKind::fgsyn_like(),
             FlowKind::hyde(7),
         ] {
             let label = kind.label();
-            let flow = MappingFlow::new(5, kind);
-            let report = flow.map_outputs("add3", &outputs).unwrap();
+            let report = map(
+                &Session::new(5, kind),
+                "add3",
+                &outputs,
+                BudgetSpec::unlimited(),
+            )
+            .report;
             assert!(report.network.is_k_feasible(5), "{label}");
             assert!(report.luts > 0, "{label}");
             assert!(report.clbs.is_some(), "{label}");
@@ -1032,18 +899,15 @@ mod tests {
     #[test]
     fn shared_alpha_never_beats_per_output_count() {
         let outputs = adder_outputs(3);
-        let per = MappingFlow::new(
-            5,
-            FlowKind::PerOutput {
-                encoder: EncoderKind::Lexicographic,
-            },
-        )
-        .map_outputs("a", &outputs)
-        .unwrap();
-        let shared = MappingFlow::new(5, FlowKind::imodec_like())
-            .map_outputs("a", &outputs)
-            .unwrap();
-        assert!(shared.luts <= per.luts);
+        let unlimited = BudgetSpec::unlimited();
+        let per = map(&Session::new(5, per_output_lex()), "a", &outputs, unlimited);
+        let shared = map(
+            &Session::new(5, FlowKind::imodec_like()),
+            "a",
+            &outputs,
+            unlimited,
+        );
+        assert!(shared.report.luts <= per.report.luts);
     }
 
     #[test]
@@ -1058,8 +922,13 @@ mod tests {
             FlowKind::hyde(5),
         ] {
             let label = kind.label();
-            let flow = MappingFlow::new(4, kind);
-            let report = flow.map_outputs("rnd", &outputs).unwrap();
+            let report = map(
+                &Session::new(4, kind),
+                "rnd",
+                &outputs,
+                BudgetSpec::unlimited(),
+            )
+            .report;
             assert!(report.network.is_k_feasible(4), "{label}");
             assert!(report.clbs.is_none(), "k=4 has no CLB packing");
         }
@@ -1069,41 +938,25 @@ mod tests {
     fn rejects_mismatched_outputs() {
         let a = TruthTable::var(3, 0);
         let b = TruthTable::var(4, 0);
-        let flow = MappingFlow::new(5, FlowKind::fgsyn_like());
-        assert!(flow.map_outputs("bad", &[a, b]).is_err());
-        assert!(flow.map_outputs("empty", &[]).is_err());
-    }
-
-    /// Serializes tests that observe the process-global degradation log.
-    static LADDER_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-    fn ladder_lock() -> std::sync::MutexGuard<'static, ()> {
-        LADDER_LOCK.lock().unwrap_or_else(|p| p.into_inner())
-    }
-
-    fn events_for(ctx: &str) -> Vec<hyde_guard::DegradationEvent> {
-        hyde_guard::drain_degradations()
-            .into_iter()
-            .filter(|e| e.context == ctx)
-            .collect()
+        let session = Session::new(5, FlowKind::fgsyn_like());
+        assert!(session.run(&Job::new("bad", vec![a, b])).is_err());
+        assert!(session.run(&Job::new("empty", vec![])).is_err());
     }
 
     #[test]
     fn ladder_rung2_maps_and_verifies_on_candidate_exhaustion() {
-        let _g = ladder_lock();
-        hyde_guard::drain_degradations();
-        let outputs = adder_outputs(3);
-        let flow = MappingFlow::new(
-            4,
-            FlowKind::PerOutput {
-                encoder: EncoderKind::Lexicographic,
-            },
-        )
-        .with_budget(Budget::unlimited().with_candidates(0));
-        // map_outputs verifies the degraded network against the spec.
-        let report = flow.map_outputs("rung2", &outputs).unwrap();
-        assert!(report.network.is_k_feasible(4));
-        let events = events_for("rung2");
+        let budget = BudgetSpec {
+            candidates: Some(0),
+            ..BudgetSpec::unlimited()
+        };
+        let result = map(
+            &Session::new(4, per_output_lex()),
+            "rung2",
+            &adder_outputs(3),
+            budget,
+        );
+        assert!(result.report.network.is_k_feasible(4));
+        let events = result.degradations;
         assert!(!events.is_empty(), "wide outputs must degrade");
         assert!(events
             .iter()
@@ -1113,19 +966,19 @@ mod tests {
 
     #[test]
     fn ladder_rung3_maps_and_verifies_on_bdd_exhaustion() {
-        let _g = ladder_lock();
-        hyde_guard::drain_degradations();
-        let outputs = adder_outputs(3);
-        let flow = MappingFlow::new(
-            4,
-            FlowKind::PerOutput {
-                encoder: EncoderKind::Lexicographic,
-            },
-        )
-        .with_budget(Budget::unlimited().with_candidates(0).with_bdd_nodes(2));
-        let report = flow.map_outputs("rung3", &outputs).unwrap();
-        assert!(report.network.is_k_feasible(4));
-        let events = events_for("rung3");
+        let budget = BudgetSpec {
+            candidates: Some(0),
+            bdd_nodes: Some(2),
+            ..BudgetSpec::unlimited()
+        };
+        let result = map(
+            &Session::new(4, per_output_lex()),
+            "rung3",
+            &adder_outputs(3),
+            budget,
+        );
+        assert!(result.report.network.is_k_feasible(4));
+        let events = result.degradations;
         assert!(
             events.iter().any(|e| e.from == Rung::BddThreshold
                 && e.to == Rung::Shannon
@@ -1136,8 +989,6 @@ mod tests {
 
     #[test]
     fn ladder_rung4_maps_and_verifies_under_injected_shannon_fault() {
-        let _g = ladder_lock();
-        hyde_guard::drain_degradations();
         let f = TruthTable::from_fn(6, |m| m.count_ones() >= 3);
         // Deterministically pick a seed whose schedule faults the Shannon
         // rung for this circuit/stage; the tiny budget forces rungs 1–2
@@ -1145,17 +996,15 @@ mod tests {
         let seed = (0..1u64 << 12)
             .find(|&s| Chaos::new(s).trips("shannon:rung4:o0", 4))
             .expect("a quarter of all seeds trip any given site");
-        let flow = MappingFlow::new(
-            4,
-            FlowKind::PerOutput {
-                encoder: EncoderKind::Lexicographic,
-            },
-        )
-        .with_budget(Budget::unlimited().with_candidates(0).with_bdd_nodes(1))
-        .with_chaos(seed);
-        let report = flow.map_outputs("rung4", std::slice::from_ref(&f)).unwrap();
-        assert!(report.network.is_k_feasible(4));
-        let events = events_for("rung4");
+        let budget = BudgetSpec {
+            candidates: Some(0),
+            bdd_nodes: Some(1),
+            ..BudgetSpec::unlimited()
+        };
+        let session = Session::new(4, per_output_lex()).with_chaos(seed);
+        let result = map(&session, "rung4", std::slice::from_ref(&f), budget);
+        assert!(result.report.network.is_k_feasible(4));
+        let events = result.degradations;
         assert!(
             events
                 .iter()
@@ -1166,31 +1015,29 @@ mod tests {
 
     #[test]
     fn hyper_flow_with_tiny_budget_still_verifies() {
-        let _g = ladder_lock();
-        hyde_guard::drain_degradations();
-        let outputs = adder_outputs(3);
-        let flow = MappingFlow::new(5, FlowKind::hyde(7))
-            .with_budget(Budget::unlimited().with_candidates(0));
-        let report = flow.map_outputs("tinyhyper", &outputs).unwrap();
-        assert!(report.network.is_k_feasible(5));
-        hyde_guard::drain_degradations();
+        let budget = BudgetSpec {
+            candidates: Some(0),
+            ..BudgetSpec::unlimited()
+        };
+        let session = Session::new(5, FlowKind::hyde(7));
+        let result = map(&session, "tinyhyper", &adder_outputs(3), budget);
+        assert!(result.report.network.is_k_feasible(5));
     }
 
     #[test]
     fn chaos_degradation_log_is_thread_count_invariant() {
-        let _g = ladder_lock();
         let outputs = adder_outputs(3);
-        let mut logs: Vec<String> = Vec::new();
+        let budget = BudgetSpec {
+            candidates: Some(4),
+            bdd_nodes: Some(64),
+            ..BudgetSpec::unlimited()
+        };
+        let mut logs: Vec<Vec<hyde_guard::DegradationEvent>> = Vec::new();
         let prev = std::env::var("HYDE_THREADS").ok();
         for threads in ["1", "8"] {
             std::env::set_var("HYDE_THREADS", threads);
-            hyde_guard::drain_degradations();
-            let flow = MappingFlow::new(4, FlowKind::hyde(3))
-                .with_budget(Budget::unlimited().with_candidates(4).with_bdd_nodes(64))
-                .with_chaos(0xC0FFEE);
-            flow.map_outputs("det", &outputs).unwrap();
-            logs.push(hyde_guard::degradation_log_text());
-            hyde_guard::drain_degradations();
+            let session = Session::new(4, FlowKind::hyde(3)).with_chaos(0xC0FFEE);
+            logs.push(map(&session, "det", &outputs, budget).degradations);
         }
         match prev {
             Some(v) => std::env::set_var("HYDE_THREADS", v),
@@ -1211,10 +1058,37 @@ mod tests {
             FlowKind::fgsyn_like(),
             FlowKind::hyde(1),
         ] {
-            let report = MappingFlow::new(5, kind)
-                .map_outputs("maj", std::slice::from_ref(&f))
-                .unwrap();
-            assert_eq!(report.luts, 1);
+            let result = map(
+                &Session::new(5, kind),
+                "maj",
+                std::slice::from_ref(&f),
+                BudgetSpec::unlimited(),
+            );
+            assert_eq!(result.report.luts, 1);
         }
+    }
+
+    #[test]
+    fn verify_rejects_a_mapping_that_differs_from_its_spec() {
+        let f = TruthTable::from_fn(6, |m| m.count_ones() % 2 == 1);
+        let mut net = Network::new("wrong");
+        let ins: Vec<NodeId> = (0..6).map(|i| net.add_input(&format!("x{i}"))).collect();
+        let g = net.add_node("g", ins, !f.clone()).unwrap();
+        net.mark_output("o0", g);
+        let cache = Arc::new(DecompCache::new());
+        let flow = MappingFlow {
+            k: 6,
+            kind: &FlowKind::hyde(1),
+            budget: Budget::unlimited(),
+            start_rung: Rung::Exact,
+            chaos: None,
+            panic_faults: false,
+            cache: &cache,
+        };
+        match flow.verify(&net, std::slice::from_ref(&f)) {
+            Err(CoreError::Verification(msg)) => assert!(msg.contains("HY005"), "{msg}"),
+            other => panic!("expected a verification error, got {other:?}"),
+        }
+        assert!(flow.verify(&net, &[!f]).is_ok());
     }
 }

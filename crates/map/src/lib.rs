@@ -4,7 +4,10 @@
 //! (b) plain 5-input LUTs (Table 2), comparing the HYDE flow against
 //! IMODEC-like and FGSyn-like baselines. This crate provides:
 //!
-//! * [`flow::MappingFlow`] — the end-to-end flows: per-output
+//! * [`session::Session`] — the one way to run a mapping: a [`Job`]
+//!   (named output functions plus a budget) mapped under a [`FlowKind`]
+//!   with panic isolation, retries and degradation capture;
+//! * [`flow::FlowKind`] — the end-to-end flows: per-output
 //!   decomposition, per-output with structural sharing, FGSyn-style column
 //!   encoding (shared α functions via multi-output charts), and the full
 //!   HYDE hyper-function flow;
@@ -16,15 +19,15 @@
 //! # Example
 //!
 //! ```
-//! use hyde_map::flow::{FlowKind, MappingFlow};
+//! use hyde_map::{FlowKind, Job, Session};
 //! use hyde_logic::TruthTable;
 //!
 //! // Map a 2-output adder slice to 5-LUTs with the HYDE flow.
 //! let sum = TruthTable::from_fn(5, |m| m.count_ones() % 2 == 1);
 //! let carry = TruthTable::from_fn(5, |m| m.count_ones() >= 3);
-//! let flow = MappingFlow::new(5, FlowKind::hyde(42));
-//! let report = flow.map_outputs("adder", &[sum, carry]).unwrap();
-//! assert!(report.network.is_k_feasible(5));
+//! let session = Session::new(5, FlowKind::hyde(42));
+//! let result = session.run(&Job::new("adder", vec![sum, carry])).unwrap();
+//! assert!(result.report.network.is_k_feasible(5));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -40,7 +43,7 @@ pub mod xc3000;
 
 pub use cluster::cluster_outputs;
 pub use cover::compact;
-pub use flow::{FlowKind, MappingFlow};
+pub use flow::FlowKind;
 pub use report::MappingReport;
 pub use session::{Job, JobError, JobResult, Session};
 pub use xc3000::pack_clbs;

@@ -1,29 +1,31 @@
-//! Session/Job facade: one reusable end-to-end mapping path shared by
-//! the CLI drivers (`hyde-bench`, `hyde-lint`) and the `hyde-serve`
-//! daemon.
+//! Session/Job facade: the one public way to run a mapping, shared by
+//! the CLI drivers (`hyde-bench`, `hyde-lint`), the `hyde-serve` daemon,
+//! the tests and the examples.
 //!
-//! A [`Session`] owns the per-worker state a mapping run needs — the
-//! flow configuration, the shared NPN decomposition cache, the chaos
-//! layer and a [`RetryPolicy`] — and executes typed [`Job`]s:
+//! A [`Session`] owns the per-worker state a mapping run needs — LUT
+//! size and [`FlowKind`], the NPN decomposition cache shared by every job
+//! it runs (and by its clones), the chaos layer and a [`RetryPolicy`] —
+//! and executes typed [`Job`]s:
 //!
 //! * each attempt runs under `catch_unwind`, so a panicking worker is
 //!   an [`AttemptOutcome::Panicked`] record, never a dead thread;
 //! * degradation events are captured per attempt with
 //!   [`hyde_guard::ScopedDegradations`], so concurrent sessions do not
 //!   interleave the process-global log;
-//! * every retry steps the fallback ladder down one rung
-//!   ([`MappingFlow::with_start_rung`]) — a job that failed at the
-//!   exact rung re-runs capped — and sleeps the policy's deterministic
-//!   backoff;
+//! * every retry steps the fallback ladder down one rung — a job that
+//!   failed at the exact rung re-runs capped — and sleeps the policy's
+//!   deterministic backoff;
 //! * a job that exhausts its attempts becomes a typed [`JobError`]
 //!   carrying the panic payload, per-attempt rung history and the
 //!   degradation log (quarantine material, not an abort).
 //!
-//! Chaos v2 worker faults (`serve.kill:*` / `serve.stall:*` sites) are
-//! injected here, *inside* the supervised attempt, but only when the
-//! caller opts in via [`Session::with_worker_faults`] — the
-//! `HYDE_CHAOS` environment variable alone never arms them, so batch
-//! drivers keep their existing fault surface.
+//! Fault injection is armed only through the session, never from the
+//! environment: [`Session::with_chaos`] seeds the flow's budget and BDD
+//! fault sites, and two opt-ins add process-level faults on top —
+//! [`Session::with_worker_faults`] (`serve.kill:*` / `serve.stall:*`,
+//! injected *inside* the supervised attempt, for `hyde-serve`) and
+//! [`Session::with_panic_faults`] (the flow's `panic:<circuit>` site,
+//! for the `hyde-bench chaos` drill).
 
 use crate::flow::{FlowKind, MappingFlow};
 use crate::report::MappingReport;
@@ -269,12 +271,13 @@ pub struct Session {
     kind: FlowKind,
     cache: Arc<DecompCache>,
     retry: RetryPolicy,
-    /// Chaos seed for the flow's fault sites (`None` = inherit
-    /// `HYDE_CHAOS` like a bare flow would).
+    /// Chaos seed for the flow's fault sites (`None` injects nothing).
     chaos: Option<u64>,
     /// Arms the `serve.kill:*` / `serve.stall:*` worker-fault sites.
-    /// Requires an explicit chaos seed; env arming is not enough.
+    /// Requires a chaos seed.
     worker_faults: bool,
+    /// Arms the flow's `panic:<circuit>` site. Requires a chaos seed.
+    panic_faults: bool,
 }
 
 /// Denominator for the worker-kill chaos site: roughly one kill per
@@ -285,11 +288,8 @@ const STALL_DENOM: u64 = 4;
 
 impl Session {
     /// A session mapping to `k`-input LUTs with the given flow, one
-    /// attempt per job (batch semantics), fresh shared cache.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k < 3` (the flow's own invariant).
+    /// attempt per job (batch semantics), fresh shared cache, no chaos.
+    /// Running a job panics if `k < 3`.
     pub fn new(k: usize, kind: FlowKind) -> Self {
         Session {
             k,
@@ -298,6 +298,7 @@ impl Session {
             retry: RetryPolicy::single_attempt(),
             chaos: None,
             worker_faults: false,
+            panic_faults: false,
         }
     }
 
@@ -323,30 +324,18 @@ impl Session {
         self
     }
 
-    /// Replaces the decomposition cache with a shared one.
-    pub fn with_decomp_cache(mut self, cache: Arc<DecompCache>) -> Self {
-        self.cache = cache;
+    /// Arms (or disarms) the flow's injected-panic site, which trips
+    /// for about one circuit in sixteen. Only effective together with
+    /// [`Session::with_chaos`]; the panic surfaces as
+    /// [`AttemptOutcome::Panicked`].
+    pub fn with_panic_faults(mut self, armed: bool) -> Self {
+        self.panic_faults = armed;
         self
     }
 
     /// The retry policy in force.
     pub fn retry(&self) -> &RetryPolicy {
         &self.retry
-    }
-
-    /// Target LUT size.
-    pub fn k(&self) -> usize {
-        self.k
-    }
-
-    /// The flow kind jobs run under.
-    pub fn kind(&self) -> &FlowKind {
-        &self.kind
-    }
-
-    /// The shared decomposition cache.
-    pub fn decomp_cache(&self) -> &Arc<DecompCache> {
-        &self.cache
     }
 
     /// Runs a job to a terminal state.
@@ -439,13 +428,16 @@ impl Session {
         attempt: u32,
         rung: Rung,
     ) -> (AttemptOutcome, Vec<DegradationEvent>, Option<MappingReport>) {
-        let mut flow = MappingFlow::new(self.k, self.kind.clone())
-            .with_budget(job.budget.to_budget())
-            .with_start_rung(rung)
-            .with_decomp_cache(self.cache.clone());
-        if let Some(seed) = self.chaos {
-            flow = flow.with_chaos(seed);
-        }
+        assert!(self.k >= 3, "LUT size must be at least 3");
+        let flow = MappingFlow {
+            k: self.k,
+            kind: &self.kind,
+            budget: job.budget.to_budget(),
+            start_rung: rung,
+            chaos: self.chaos.map(Chaos::new),
+            panic_faults: self.panic_faults,
+            cache: &self.cache,
+        };
         let faults = match (self.worker_faults, self.chaos) {
             (true, Some(seed)) => Some(Chaos::new(seed)),
             _ => None,
@@ -518,15 +510,18 @@ mod tests {
     }
 
     #[test]
-    fn session_matches_direct_flow_byte_for_byte() {
-        let job = xor_job("adder");
-        let session = Session::new(5, FlowKind::hyde(0xDA98));
-        let result = session.run(&job).expect("maps");
-        let flow = MappingFlow::new(5, FlowKind::hyde(0xDA98));
-        let direct = flow.map_outputs("adder", &job.outputs).expect("maps");
-        assert_eq!(result.blif(), hyde_logic::blif::write(&direct.network));
-        assert_eq!(result.attempts.len(), 1);
-        assert_eq!(result.attempts[0].outcome, AttemptOutcome::Ok);
+    fn panic_faults_require_explicit_opt_in() {
+        let job = xor_job("boom");
+        let seed = (0..10_000u64)
+            .find(|&s| Chaos::new(s).trips("panic:boom", 16))
+            .unwrap();
+        let session = Session::new(5, FlowKind::hyde(0xDA98)).with_chaos(seed);
+        assert!(session.run(&job).is_ok(), "chaos alone injects no panic");
+        let err = session
+            .with_panic_faults(true)
+            .run(&job)
+            .expect_err("the armed panic site trips");
+        assert!(matches!(err.kind, JobErrorKind::Panicked(_)), "{err}");
     }
 
     #[test]

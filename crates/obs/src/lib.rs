@@ -19,7 +19,7 @@
 //!
 //! Collected data feeds four consumers:
 //!
-//! * [`report`] — an aggregated [`ObsReport`] (per-phase invocation
+//! * [`report`](mod@report) — an aggregated [`ObsReport`] (per-phase invocation
 //!   counts, total/self time, p50/p95/p99 latency, counter sums), from
 //!   which `hyde-benchmark` reads its per-layer metrics;
 //! * [`chrome_trace`] — Chrome trace-event JSON loadable in

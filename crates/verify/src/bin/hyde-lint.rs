@@ -9,6 +9,7 @@
 use hyde_core::decompose::{decompose_step, Decomposer};
 use hyde_core::encoding::EncoderKind;
 use hyde_core::hyper::HyperFunction;
+use hyde_guard::Chaos;
 use hyde_logic::diag::{Code, Diagnostic, Location, Severity};
 use hyde_logic::{blif, pla::Pla, Network, NodeRole, TruthTable};
 use hyde_map::flow::FlowKind;
@@ -50,6 +51,11 @@ Options:
   --deny-warnings  treat warn-level diagnostics as deny
   --list-codes     print the diagnostic code table and exit
   -h, --help       this message
+
+Environment:
+  HYDE_CHAOS=<SEED>  arm the mapping flow's deterministic fault injection
+                     for --suite (decimal or 0x-prefixed hex)
+  HYDE_TRACE=<PATH>  as --trace
 
 Exit codes:
   0  no deny-level findings (and no warns under --deny-warnings)
@@ -213,13 +219,20 @@ fn lint_file(path: &str, opts: &Options, registry: &Registry) -> Result<Vec<Diag
 /// decomposition and ingredient recovery. With `--deep` the first output
 /// wide enough to decompose also exercises the encoding-injectivity
 /// proof on a single Roth–Karp step.
-fn lint_suite(opts: &Options, registry: &Registry) -> Vec<(String, Vec<Diagnostic>)> {
+fn lint_suite(
+    opts: &Options,
+    registry: &Registry,
+    chaos: Option<Chaos>,
+) -> Vec<(String, Vec<Diagnostic>)> {
     let k = opts.k.unwrap_or(5);
     // Mapping runs through the same single-attempt Session the bench
     // drivers and hyde-serve share; the outer catch_unwind only guards
     // the lint-only paths (hyper recovery, deep proofs) that run
     // outside the supervised mapping attempt.
-    let session = Session::new(k, FlowKind::hyde(0xDA98));
+    let mut session = Session::new(k, FlowKind::hyde(0xDA98));
+    if let Some(chaos) = chaos {
+        session = session.with_chaos(chaos.seed);
+    }
     let mut results = Vec::new();
     for circuit in hyde_circuits::suite() {
         let _obs = hyde_obs::span!("lint.circuit");
@@ -435,7 +448,12 @@ fn main() -> ExitCode {
     };
     let mut groups: Vec<(String, Vec<Diagnostic>, Vec<ProofRecord>)> = Vec::new();
     if opts.suite {
-        for (name, diags) in lint_suite(&opts, &registry) {
+        // The one place the chaos seed comes from the environment:
+        // `cargo xtask chaos` drives the lint suite this way.
+        let chaos = std::env::var("HYDE_CHAOS")
+            .ok()
+            .and_then(|v| Chaos::from_env_value(&v));
+        for (name, diags) in lint_suite(&opts, &registry, chaos) {
             let proofs = drain(&log);
             groups.push((name, diags, proofs));
         }

@@ -3,7 +3,7 @@
 
 use crate::registry::{Artifact, Lint};
 use hyde_logic::diag::{Code, Diagnostic, Location};
-use hyde_logic::{Network, NodeId, NodeRole, TruthTable};
+use hyde_logic::{Network, NodeId, NodeRole};
 use std::collections::{HashMap, HashSet};
 
 /// `HY001`: combinational cycle detection with the offending cycle
@@ -202,12 +202,11 @@ impl Lint for SupportLint {
 /// `HY005`: the simulated network differs from its specification tables.
 ///
 /// `spec[o]` is output `o` as a function of the primary inputs in
-/// declaration order; the check is exhaustive up to 16 inputs and a
-/// strided sample beyond that.
+/// declaration order. The check runs
+/// [`hyde_logic::sim::check_against_tables`]: exhaustive up to 12 inputs,
+/// a strided sample of [`hyde_logic::sim::SPEC_SAMPLES`] minterms beyond
+/// that.
 pub struct SpecLint;
-
-/// Sampling budget for wide networks.
-const SPEC_SAMPLES: u64 = 1 << 12;
 
 impl Lint for SpecLint {
     fn name(&self) -> &'static str {
@@ -256,30 +255,15 @@ impl Lint for SpecLint {
             ));
             return;
         }
-        check_spec(net, spec, out);
-    }
-}
-
-fn check_spec(net: &Network, spec: &[TruthTable], out: &mut Vec<Diagnostic>) {
-    let n = spec[0].vars();
-    let total = 1u64 << n;
-    let stride = (total / SPEC_SAMPLES).max(1);
-    let mut m = 0u64;
-    while m < total {
-        let bits: Vec<bool> = (0..n).map(|v| m >> v & 1 == 1).collect();
-        let got = net.eval(&bits);
-        for (o, f) in spec.iter().enumerate() {
-            if got[o] != f.eval(m as u32) {
-                out.push(
-                    Diagnostic::new(
-                        Code::NetworkSpecMismatch,
-                        format!("output {o} differs from its specification at minterm {m}"),
-                    )
-                    .at(Location::Output(o)),
-                );
-                return;
-            }
+        let positions: Vec<usize> = (0..n).collect();
+        if let Some((m, o)) = hyde_logic::sim::check_against_tables(net, spec, &positions) {
+            out.push(
+                Diagnostic::new(
+                    Code::NetworkSpecMismatch,
+                    format!("output {o} differs from its specification at minterm {m}"),
+                )
+                .at(Location::Output(o)),
+            );
         }
-        m += stride;
     }
 }

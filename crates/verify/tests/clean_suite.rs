@@ -7,7 +7,7 @@ use hyde_core::decompose::Decomposer;
 use hyde_core::encoding::EncoderKind;
 use hyde_core::hyper::HyperFunction;
 use hyde_logic::TruthTable;
-use hyde_map::flow::{FlowKind, MappingFlow};
+use hyde_map::{FlowKind, Job, Session};
 use hyde_verify::{Artifact, Diagnostic, Registry};
 use std::collections::HashSet;
 
@@ -22,11 +22,12 @@ fn denies(diags: &[Diagnostic]) -> Vec<String> {
 #[test]
 fn mapped_suite_has_no_deny_diagnostics() {
     let registry = Registry::with_defaults();
-    let flow = MappingFlow::new(5, FlowKind::hyde(0xDA98));
+    let session = Session::new(5, FlowKind::hyde(0xDA98));
     for circuit in hyde_circuits::suite_small() {
-        let report = flow
-            .map_outputs(&circuit.name, &circuit.outputs)
-            .unwrap_or_else(|e| panic!("{}: mapping failed: {e}", circuit.name));
+        let report = session
+            .run(&Job::new(&circuit.name, circuit.outputs.clone()))
+            .unwrap_or_else(|e| panic!("{}: mapping failed: {e}", circuit.name))
+            .report;
         let diags = registry.run(&Artifact::Network {
             net: &report.network,
             k: Some(5),

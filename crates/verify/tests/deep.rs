@@ -8,10 +8,18 @@ use hyde_core::decompose::{decompose_step, Decomposer, Decomposition};
 use hyde_core::encoding::{CodeAssignment, EncoderKind};
 use hyde_core::hyper::HyperFunction;
 use hyde_logic::{Network, NodeRole, TruthTable};
-use hyde_map::flow::{FlowKind, MappingFlow};
+use hyde_map::{FlowKind, Job, MappingReport, Session};
 use hyde_verify::deep::{register_deep, DeepConfig, ProofLog};
 use hyde_verify::{any_deny, Artifact, Code, Diagnostic, Registry};
 use std::time::Duration;
+
+/// Maps `circuit` with the HYDE flow at k = 5.
+fn map(circuit: &hyde_circuits::Circuit) -> MappingReport {
+    Session::new(5, FlowKind::hyde(0xDA98))
+        .run(&Job::new(&circuit.name, circuit.outputs.clone()))
+        .unwrap()
+        .report
+}
 
 fn has(diags: &[Diagnostic], code: Code) -> bool {
     diags.iter().any(|d| d.code == code)
@@ -63,13 +71,12 @@ fn simulates(net: &Network, specs: &[TruthTable]) -> bool {
 #[test]
 fn sat_cec_agrees_with_exhaustive_simulation_on_small_suite() {
     let (registry, _log) = deep_registry(sat_only());
-    let flow = MappingFlow::new(5, FlowKind::hyde(0xDA98));
     let mut checked = 0;
     for circuit in hyde_circuits::suite_small() {
         if circuit.outputs[0].vars() > 12 {
             continue;
         }
-        let report = flow.map_outputs(&circuit.name, &circuit.outputs).unwrap();
+        let report = map(&circuit);
         assert!(
             simulates(&report.network, &circuit.outputs),
             "{}: simulation oracle disagrees with the mapper",
@@ -92,9 +99,8 @@ fn sat_cec_agrees_with_exhaustive_simulation_on_small_suite() {
 
 #[test]
 fn hy401_mutated_network_is_refuted_by_both_engines() {
-    let flow = MappingFlow::new(5, FlowKind::hyde(0xDA98));
     let circuit = &hyde_circuits::suite_small()[0];
-    let mut report = flow.map_outputs(&circuit.name, &circuit.outputs).unwrap();
+    let mut report = map(circuit);
     flip_one_lut_bit(&mut report.network, 0);
     assert!(!simulates(&report.network, &circuit.outputs));
     let artifact = Artifact::Network {
@@ -120,9 +126,8 @@ fn hy401_mutated_network_is_refuted_by_both_engines() {
 
 #[test]
 fn hy401_counterexample_minterm_is_real() {
-    let flow = MappingFlow::new(5, FlowKind::hyde(0xDA98));
     let circuit = &hyde_circuits::suite_small()[0];
-    let mut report = flow.map_outputs(&circuit.name, &circuit.outputs).unwrap();
+    let mut report = map(circuit);
     flip_one_lut_bit(&mut report.network, 3);
     let (registry, _log) = deep_registry(sat_only());
     let diags = registry.run(&Artifact::Network {

@@ -115,6 +115,34 @@ fn hy005_spec_mismatch_fires() {
 }
 
 #[test]
+fn hy005_samples_beyond_twelve_inputs() {
+    // 13 inputs in declaration order (names play no part), one LUT: the
+    // check simulates every other minterm.
+    let mut net = Network::new("wide");
+    let inputs: Vec<_> = (0..13).map(|i| net.add_input(&format!("in{i}"))).collect();
+    let parity = TruthTable::from_fn(13, |m| m.count_ones() % 2 == 1);
+    let g = net.add_node("g", inputs, parity.clone()).unwrap();
+    net.mark_output("g", g);
+    let lint = |flip_at: u32| {
+        let spec = [TruthTable::from_fn(13, |m| parity.eval(m) ^ (m == flip_at))];
+        run(&Artifact::Network {
+            net: &net,
+            k: None,
+            spec: Some(&spec),
+        })
+    };
+    let sampled = lint(8190);
+    let hit = sampled
+        .iter()
+        .find(|d| d.code == Code::NetworkSpecMismatch)
+        .unwrap_or_else(|| panic!("{sampled:?}"));
+    assert!(hit.message.ends_with("minterm 8190"), "{hit}");
+    // An odd minterm falls between samples: 4096 samples are exhaustive
+    // only up to 12 inputs.
+    assert!(!has(&lint(8191), Code::NetworkSpecMismatch));
+}
+
+#[test]
 fn hy101_non_injective_codes_fire() {
     let codes = CodeAssignment::new(vec![0, 0], 1).unwrap();
     let diags = run(&Artifact::Encoding { codes: &codes });

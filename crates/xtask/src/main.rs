@@ -5,6 +5,8 @@
 //!
 //! * `fmt` — `cargo fmt --check` over the workspace
 //! * `clippy` — `cargo clippy --workspace --all-targets -- -D warnings`
+//! * `doc` — `cargo doc --workspace --no-deps --offline` with
+//!   `RUSTDOCFLAGS="-D warnings"`, so a doc link to a deleted item fails
 //! * `test` — `cargo test -q` (tier-1) then `cargo test -q --workspace`
 //! * `lint-suite` — `hyde-lint --suite` over the bundled circuits;
 //!   `lint-suite --deep` additionally runs the `HY4xx` semantic proofs
@@ -102,6 +104,14 @@ fn clippy(root: &Path) -> Result<(), String> {
             "-D",
             "warnings",
         ],
+    )
+}
+
+fn doc(root: &Path) -> Result<(), String> {
+    run_env(
+        root,
+        &["doc", "--workspace", "--no-deps", "--offline"],
+        &[("RUSTDOCFLAGS", "-D warnings".into())],
     )
 }
 
@@ -798,6 +808,7 @@ fn main() -> ExitCode {
     let result = match task.as_str() {
         "fmt" => fmt(&root),
         "clippy" => clippy(&root),
+        "doc" => doc(&root),
         "test" => test(&root),
         "lint-suite" => lint_suite(&root, deep),
         "ab" => ab(&root, args.get(1).map_or("HEAD~1", String::as_str)),
@@ -810,6 +821,7 @@ fn main() -> ExitCode {
         "analyze" => analyze(&root, args.iter().any(|a| a == "--diff")),
         "all" => fmt(&root)
             .and_then(|()| clippy(&root))
+            .and_then(|()| doc(&root))
             .and_then(|()| analyze(&root, false))
             .and_then(|()| test(&root))
             .and_then(|()| benchmark_test(&root))
@@ -819,7 +831,7 @@ fn main() -> ExitCode {
             .and_then(|()| chaos(&root))
             .and_then(|()| serve_drill(&root)),
         other => Err(format!(
-            "unknown task '{other}' (expected fmt | clippy | test | lint-suite [--deep] | \
+            "unknown task '{other}' (expected fmt | clippy | doc | test | lint-suite [--deep] | \
              ab [<base-rev>] | trace <circuit> | chaos | serve-drill | analyze [--diff] | all)"
         )),
     };

@@ -3,7 +3,7 @@
 //!
 //! Run with `cargo run --release --example map_xc3000`.
 
-use hyde::map::flow::{FlowKind, MappingFlow};
+use hyde::map::{FlowKind, Job, Session};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let circuits = vec![
@@ -24,8 +24,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     for c in &circuits {
         for (label, kind) in &flows {
-            let flow = MappingFlow::new(5, kind.clone());
-            let report = flow.map_outputs(&c.name, &c.outputs)?;
+            let job = Job::new(&c.name, c.outputs.clone());
+            let report = Session::new(5, kind.clone()).run(&job)?.report;
             println!(
                 "{:<10}{:>5}/{:<3}{:>17}{:>8}{:>6}",
                 c.name,

@@ -3,7 +3,17 @@
 //! must match the paper's *shape* (competitive with or better than the
 //! baselines).
 
-use hyde::map::flow::{FlowKind, MappingFlow};
+use hyde::circuits::Circuit;
+use hyde::map::{FlowKind, Job, MappingReport, Session};
+
+/// Maps `c` through `session`; the flow verifies the network against the
+/// circuit's specification before returning it.
+fn map(session: &Session, c: &Circuit) -> MappingReport {
+    session
+        .run(&Job::new(&c.name, c.outputs.clone()))
+        .unwrap_or_else(|e| panic!("{}: {e}", c.name))
+        .report
+}
 
 #[test]
 fn small_suite_maps_under_every_flow() {
@@ -19,11 +29,7 @@ fn small_suite_maps_under_every_flow() {
     for c in &circuits {
         for kind in &flows {
             let label = kind.label();
-            let flow = MappingFlow::new(5, kind.clone());
-            // map_outputs verifies the network against the spec internally.
-            let report = flow
-                .map_outputs(&c.name, &c.outputs)
-                .unwrap_or_else(|e| panic!("{} under {label}: {e}", c.name));
+            let report = map(&Session::new(5, kind.clone()), c);
             assert!(report.network.is_k_feasible(5), "{} {label}", c.name);
             assert!(report.clbs.is_some());
             assert!(report.clbs.unwrap() <= report.luts);
@@ -35,11 +41,8 @@ fn small_suite_maps_under_every_flow() {
 fn hyde_total_is_competitive_on_small_suite() {
     let circuits = hyde::circuits::suite_small();
     let total = |kind: FlowKind| -> usize {
-        let flow = MappingFlow::new(5, kind);
-        circuits
-            .iter()
-            .map(|c| flow.map_outputs(&c.name, &c.outputs).unwrap().luts)
-            .sum()
+        let session = Session::new(5, kind);
+        circuits.iter().map(|c| map(&session, c).luts).sum()
     };
     let no_share = total(FlowKind::PerOutput {
         encoder: hyde::core::encoding::EncoderKind::Lexicographic,
@@ -56,8 +59,7 @@ fn hyde_total_is_competitive_on_small_suite() {
 fn k4_mapping_also_works() {
     // The paper targets 4- and 5-input LUTs; check k=4 on two circuits.
     for c in [hyde::circuits::rd73(), hyde::circuits::misex1()] {
-        let flow = MappingFlow::new(4, FlowKind::hyde(11));
-        let report = flow.map_outputs(&c.name, &c.outputs).unwrap();
+        let report = map(&Session::new(4, FlowKind::hyde(11)), &c);
         assert!(report.network.is_k_feasible(4), "{}", c.name);
         assert!(report.clbs.is_none(), "CLB packing is k=5 only");
     }
@@ -67,9 +69,7 @@ fn k4_mapping_also_works() {
 fn xc3000_packing_never_exceeds_lut_count() {
     let c = hyde::circuits::rd84();
     for kind in [FlowKind::imodec_like(), FlowKind::hyde(2)] {
-        let report = MappingFlow::new(5, kind)
-            .map_outputs(&c.name, &c.outputs)
-            .unwrap();
+        let report = map(&Session::new(5, kind), &c);
         let clbs = report.clbs.unwrap();
         assert!(clbs <= report.luts);
         assert!(clbs * 2 >= report.luts, "a CLB holds at most two LUTs");
@@ -80,9 +80,7 @@ fn xc3000_packing_never_exceeds_lut_count() {
 fn exact_spec_circuits_behave_as_documented() {
     // rd84 under any flow computes the ones count.
     let c = hyde::circuits::rd84();
-    let report = MappingFlow::new(5, FlowKind::hyde(5))
-        .map_outputs(&c.name, &c.outputs)
-        .unwrap();
+    let report = map(&Session::new(5, FlowKind::hyde(5)), &c);
     let net = &report.network;
     let positions: Vec<usize> = net
         .inputs()

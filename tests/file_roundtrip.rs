@@ -3,7 +3,7 @@
 
 use hyde::logic::sim::{check_networks, Equivalence};
 use hyde::logic::{blif, pla::Pla};
-use hyde::map::flow::{FlowKind, MappingFlow};
+use hyde::map::{FlowKind, Job, Session};
 
 #[test]
 fn pla_to_mapped_blif_roundtrip() {
@@ -15,8 +15,10 @@ fn pla_to_mapped_blif_roundtrip() {
         assert_eq!(outputs, circuit.outputs, "{}", circuit.name);
 
         // Map.
-        let flow = MappingFlow::new(5, FlowKind::hyde(3));
-        let report = flow.map_outputs(&circuit.name, &outputs).unwrap();
+        let report = Session::new(5, FlowKind::hyde(3))
+            .run(&Job::new(&circuit.name, outputs))
+            .unwrap()
+            .report;
 
         // Mapped network -> BLIF -> parse -> equivalence.
         let blif_text = blif::write(&report.network);
@@ -33,8 +35,10 @@ fn pla_to_mapped_blif_roundtrip() {
 #[test]
 fn blif_written_networks_stay_k_feasible() {
     let circuit = hyde::circuits::rd84();
-    let flow = MappingFlow::new(4, FlowKind::fgsyn_like());
-    let report = flow.map_outputs(&circuit.name, &circuit.outputs).unwrap();
+    let report = Session::new(4, FlowKind::fgsyn_like())
+        .run(&Job::new(&circuit.name, circuit.outputs.clone()))
+        .unwrap()
+        .report;
     let text = blif::write(&report.network);
     let reparsed = blif::parse(&text).unwrap();
     assert!(reparsed.is_k_feasible(4));

@@ -137,14 +137,16 @@ fn hyper_of_identical_supports_shares_heavily() {
 fn column_encoding_is_special_case_of_hyper() {
     // Section 4.3: keeping pseudo inputs in the free set reproduces column
     // encoding. Verify the flows agree functionally on a shared workload.
-    use hyde::map::flow::{FlowKind, MappingFlow};
+    use hyde::map::{FlowKind, Job, Session};
     let mut rng = StdRng::seed_from_u64(123);
     let outputs: Vec<TruthTable> = (0..3).map(|_| TruthTable::random(6, &mut rng)).collect();
     for kind in [FlowKind::fgsyn_like(), FlowKind::hyde(3)] {
-        let flow = MappingFlow::new(5, kind);
-        let report = flow.map_outputs("cmp", &outputs).unwrap();
+        let report = Session::new(5, kind)
+            .run(&Job::new("cmp", outputs.clone()))
+            .unwrap()
+            .report;
         assert!(report.network.is_k_feasible(5));
-        // map_outputs verifies functionality internally.
+        // The flow verifies functionality internally.
         assert!(report.luts > 0);
     }
 }

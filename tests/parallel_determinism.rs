@@ -5,7 +5,7 @@
 //! Everything lives in ONE test function: `HYDE_THREADS` is process-global
 //! state, and the harness runs separate `#[test]`s concurrently.
 
-use hyde_map::flow::{FlowKind, MappingFlow};
+use hyde_map::{FlowKind, Job, Session};
 
 #[test]
 fn networks_are_byte_identical_across_thread_counts() {
@@ -19,7 +19,7 @@ fn networks_are_byte_identical_across_thread_counts() {
         .filter(|c| picked.contains(&c.name.as_str()))
         .collect();
     assert_eq!(circuits.len(), picked.len(), "suite must contain the picks");
-    let flow = MappingFlow::new(5, FlowKind::hyde(0xDA98));
+    let session = Session::new(5, FlowKind::hyde(0xDA98));
 
     // thread_count() honours the env override (clamped), and falls back
     // sanely on garbage.
@@ -36,17 +36,17 @@ fn networks_are_byte_identical_across_thread_counts() {
         circuits
             .iter()
             .map(|c| {
-                let report = flow
-                    .map_outputs(&c.name, &c.outputs)
-                    .expect("suite circuits map cleanly");
-                hyde_logic::blif::write(&report.network)
+                session
+                    .run(&Job::new(&c.name, c.outputs.clone()))
+                    .expect("suite circuits map cleanly")
+                    .blif()
             })
             .collect()
     };
 
     std::env::set_var("HYDE_THREADS", "1");
     let sequential = run_all();
-    // The flow's NPN decomposition cache is cold for the run above and
+    // The session's NPN decomposition cache is cold for the run above and
     // warm for every run below, so these comparisons also pin the cache
     // determinism contract: memoized answers must be byte-identical to
     // searched ones, at any thread count.

@@ -5,7 +5,7 @@ use hyde::core::decompose::{decompose_step, Decomposer};
 use hyde::core::encoding::EncoderKind;
 use hyde::core::hyper::HyperFunction;
 use hyde::logic::TruthTable;
-use hyde::map::flow::{FlowKind, MappingFlow};
+use hyde::map::{FlowKind, Job, Session};
 use hyde::verify::{any_deny, Artifact, Registry};
 
 #[test]
@@ -23,9 +23,10 @@ fn facade_pipeline_lints_clean() {
 
     // A mapped circuit against its specification.
     let circuit = hyde::circuits::rd73();
-    let report = MappingFlow::new(5, FlowKind::hyde(0xDA98))
-        .map_outputs(&circuit.name, &circuit.outputs)
-        .unwrap();
+    let report = Session::new(5, FlowKind::hyde(0xDA98))
+        .run(&Job::new(&circuit.name, circuit.outputs.clone()))
+        .unwrap()
+        .report;
     assert!(!any_deny(&registry.run(&Artifact::Network {
         net: &report.network,
         k: Some(5),
