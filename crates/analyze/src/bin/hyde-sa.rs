@@ -1,22 +1,18 @@
 //! `hyde-sa` — the workspace static analyzer, as a standalone binary.
 //!
 //! ```text
-//! hyde-sa [--root DIR] [--json PATH] [--baseline PATH] [--list-passes]
-//!         [--update-ratchets]
+//! hyde-sa [--root DIR] [--json PATH] [--list-passes] [--update-ratchets]
 //! ```
 //!
-//! Exit codes: 0 clean, 1 findings survived, 2 usage/IO error. With
-//! `--baseline`, only deny findings *new* relative to the given
-//! `ANALYZE.json` (hyde-sa-v2) fail the run. Set `HYDE_TRACE=<path>` to
-//! write Chrome-trace/flamegraph artifacts via hyde-obs.
+//! Exit codes: 0 clean, 1 deny findings survived, 2 usage/IO error. Set
+//! `HYDE_TRACE=<path>` to write Chrome-trace/flamegraph artifacts via
+//! hyde-obs.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use hyde_analyze::baseline::Baseline;
 use hyde_analyze::error::SaError;
 use hyde_analyze::registry::Registry;
-use hyde_analyze::report::Severity;
 
 /// Prints one line to stdout, ignoring broken-pipe errors so
 /// `hyde-sa ... | head` exits cleanly instead of panicking.
@@ -28,7 +24,6 @@ fn out(line: &str) {
 struct Opts {
     root: PathBuf,
     json: Option<PathBuf>,
-    baseline: Option<PathBuf>,
     list_passes: bool,
     update_ratchets: bool,
 }
@@ -37,7 +32,6 @@ fn parse_args() -> Result<Opts, SaError> {
     let mut opts = Opts {
         root: PathBuf::from("."),
         json: None,
-        baseline: None,
         list_passes: false,
         update_ratchets: false,
     };
@@ -56,22 +50,14 @@ fn parse_args() -> Result<Opts, SaError> {
                     .ok_or_else(|| SaError::Usage("--json needs a path".into()))?;
                 opts.json = Some(PathBuf::from(v));
             }
-            "--baseline" => {
-                let v = args
-                    .next()
-                    .ok_or_else(|| SaError::Usage("--baseline needs a path".into()))?;
-                opts.baseline = Some(PathBuf::from(v));
-            }
             "--list-passes" => opts.list_passes = true,
             "--update-ratchets" => opts.update_ratchets = true,
             "--help" | "-h" => {
                 out("hyde-sa: workspace static analysis\n\n\
-                     usage: hyde-sa [--root DIR] [--json PATH] [--baseline PATH] \
-                     [--list-passes] [--update-ratchets]\n\n\
+                     usage: hyde-sa [--root DIR] [--json PATH] [--list-passes] \
+                     [--update-ratchets]\n\n\
                      --root DIR          workspace root to analyze (default: .)\n\
                      --json PATH         also write the report as hyde-sa-v2 JSON\n\
-                     --baseline PATH     diff mode: fail only on deny findings not in\n\
-                     \u{20}                    the given hyde-sa-v2 ANALYZE.json\n\
                      --list-passes       print the registered passes and exit\n\
                      --update-ratchets   regenerate crates/analyze/ratchets/ and exit");
                 std::process::exit(0);
@@ -98,42 +84,14 @@ fn run() -> Result<bool, SaError> {
         }
         return Ok(true);
     }
-    let baseline = match &opts.baseline {
-        Some(path) => {
-            let text = std::fs::read_to_string(path)
-                .map_err(|e| SaError::Io(format!("{}: {e}", path.display())))?;
-            Some(Baseline::parse(&text).map_err(SaError::Usage)?)
-        }
-        None => None,
-    };
     let report = hyde_analyze::analyze_root(&opts.root)?;
     if let Some(json_path) = &opts.json {
         std::fs::write(json_path, report.to_json())
             .map_err(|e| SaError::Io(format!("{}: {e}", json_path.display())))?;
     }
-    let clean = if let Some(baseline) = &baseline {
-        let new = baseline.new_denies(&report);
-        for f in &new {
-            out(&format!("NEW {f}"));
-        }
-        let known = report
-            .findings
-            .iter()
-            .filter(|f| f.severity == Severity::Deny)
-            .count()
-            - new.len();
-        if known > 0 {
-            out(&format!(
-                "hyde-sa: {known} known findings carried by the baseline"
-            ));
-        }
-        new.is_empty()
-    } else {
-        for f in &report.findings {
-            out(&f.to_string());
-        }
-        report.clean()
-    };
+    for f in &report.findings {
+        out(&f.to_string());
+    }
     for n in &report.notes {
         out(&format!("note: {n}"));
     }
@@ -145,7 +103,7 @@ fn run() -> Result<bool, SaError> {
         report.warnings().count(),
         report.allowed()
     ));
-    Ok(clean)
+    Ok(report.clean())
 }
 
 fn main() -> ExitCode {

@@ -177,7 +177,6 @@ pub const BDD_CONSTRUCTORS: &[&str] = &[
     "cut_subfunctions",
     "compatible_class_count",
     "restrict_cube",
-    "permute",
 ];
 
 /// Evidence that a function threads (or caps) a budget.

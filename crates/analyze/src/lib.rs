@@ -20,18 +20,20 @@
 //! | panic-reach | SA009 | public fns that can transitively panic are ratcheted, with call-path evidence |
 //! | budget-flow | SA010 | budgets flow from `Budget`-accepting entry points into every reachable BDD/SAT constructor |
 //! | par-merge | SA011 | `map_chunked` worker closures stay pure: no shared mutable state, unordered merge collections, or float accumulation |
-//! | swallow | SA012 | no `let _ =` / statement-`.ok()` discarding a `Result` in result-affecting crates |
 //! | suppressions | SA013 | `sa:allow` directives that suppress nothing are warned stale |
+//!
+//! Swallowed `Result`s in the result-affecting crates are not a pass:
+//! each of their roots denies `clippy::let_underscore_must_use` and
+//! `clippy::unused_result_ok`, so `cargo xtask clippy` catches them.
 //!
 //! Violations are suppressed site-by-site with
 //! `// sa:allow(SAxxx): reason` directives (a non-empty justification is
 //! mandatory; `//!` makes the directive file-scoped), or — for the
 //! ratcheted passes — capped by committed ratchet files under
 //! `crates/analyze/ratchets/` (per-file counts for SA003, a fn-id set
-//! for SA009). Run it as `cargo xtask analyze` or via the `hyde-sa`
-//! binary; both exit nonzero when deny findings survive (SA013 is
-//! warn-level). `--baseline ANALYZE.json` reports only findings new
-//! relative to a committed report ([`baseline`]).
+//! for SA009). Run it as the `hyde-sa` binary (`cargo xtask analyze`
+//! runs the same binary and writes `ANALYZE.json`); it exits nonzero
+//! when deny findings survive (SA013 is warn-level).
 //!
 //! hyde-sa is self-hosting: the analyzer's own sources are part of the
 //! analyzed workspace and must come out clean. Token-level matching is
@@ -42,7 +44,6 @@
 #![warn(missing_docs)]
 
 pub mod ast;
-pub mod baseline;
 pub mod callgraph;
 pub mod config;
 pub mod error;

@@ -9,4 +9,3 @@ pub mod panic_reach;
 pub mod panic_surface;
 pub mod par_merge;
 pub mod suppressions;
-pub mod swallow;

@@ -172,7 +172,6 @@ impl Registry {
         r.register(Box::new(crate::passes::panic_reach::PanicReachPass));
         r.register(Box::new(crate::passes::budget_flow::BudgetFlowPass));
         r.register(Box::new(crate::passes::par_merge::ParMergePass));
-        r.register(Box::new(crate::passes::swallow::SwallowPass));
         let known = r.all_codes_with("SA013");
         r.register(Box::new(crate::passes::suppressions::SuppressionsPass {
             known_codes: known,

@@ -2,8 +2,7 @@
 
 use hyde_obs::json::escape;
 
-/// JSON schema tag written into `ANALYZE.json`, and the only schema
-/// accepted as `--baseline` input (see [`crate::baseline`]).
+/// JSON schema tag written into `ANALYZE.json`.
 pub const SCHEMA: &str = "hyde-sa-v2";
 
 /// How a surviving finding affects the exit status.

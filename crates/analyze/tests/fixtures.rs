@@ -360,46 +360,6 @@ fn sa011_flags_float_accumulation_and_unordered_collections() {
 }
 
 #[test]
-fn sa012_flags_swallowed_results() {
-    let bad = Workspace::from_sources(&[(
-        "crates/core/src/x.rs",
-        "pub fn f(w: &mut dyn std::io::Write) {\n\
-             let _ = writeln!(w, \"x\");\n\
-         }\n\
-         pub fn g() {\n\
-             std::fs::remove_file(\"x\").ok();\n\
-         }\n",
-    )]);
-    let r = run_pass(Box::new(passes::swallow::SwallowPass), &bad);
-    assert!(
-        r.findings.iter().filter(|f| f.code == "SA012").count() == 2,
-        "{:?}",
-        r.findings
-    );
-
-    let clean = Workspace::from_sources(&[(
-        "crates/core/src/x.rs",
-        "pub fn f(x: u32) -> u32 {\n\
-             let _ = x;\n\
-             let kept = std::fs::remove_file(\"x\").ok();\n\
-             kept.map_or(0, |()| x)\n\
-         }\n",
-    )]);
-    let r = run_pass(Box::new(passes::swallow::SwallowPass), &clean);
-    assert!(r.clean(), "{:?}", r.findings);
-}
-
-#[test]
-fn sa012_ignores_benches_and_non_result_affecting_crates() {
-    let ws = Workspace::from_sources(&[(
-        "crates/bench/src/x.rs",
-        "pub fn f() { std::fs::remove_file(\"x\").ok(); }\n",
-    )]);
-    let r = run_pass(Box::new(passes::swallow::SwallowPass), &ws);
-    assert!(r.clean(), "{:?}", r.findings);
-}
-
-#[test]
 fn sa013_warns_on_stale_and_unknown_directives() {
     let mut r = Registry::empty();
     r.register(Box::new(passes::determinism::DeterminismPass));
@@ -503,11 +463,11 @@ const DIAG_TEST: &str = "#[test]\n\
     fn exercises_codes() {\n\
         assert_eq!(Code::NetworkCycle.as_str(), \"HY001\");\n\
         let _all_sa = \"SA001 SA002 SA003 SA005 SA006 SA007 SA008 \
-    SA009 SA010 SA011 SA012 SA013\";\n\
+    SA009 SA010 SA011 SA013\";\n\
     }\n";
 const DESIGN_OK: &str = "HY001 network cycle.\n\
     SA001 SA002 SA003 SA005 SA006 SA007 SA008 SA009 SA010 SA011 \
-    SA012 SA013 analyzer codes.\n";
+    SA013 analyzer codes.\n";
 
 #[test]
 fn sa007_flags_undocumented_and_untested_codes() {
@@ -517,7 +477,7 @@ fn sa007_flags_undocumented_and_untested_codes() {
         (
             "DESIGN.md",
             "SA001 SA002 SA003 SA005 SA006 SA007 SA008 SA009 SA010 \
-             SA011 SA012 SA013\n",
+             SA011 SA013\n",
         ),
     ]);
     let r = run_pass(Box::new(passes::diag::DiagRegistryPass), &undocumented);
@@ -562,7 +522,7 @@ fn sa007_flags_stale_doc_rows_and_duplicate_literals() {
             "DESIGN.md",
             "HY001 and the long-gone HY999.\n\
              SA001 SA002 SA003 SA005 SA006 SA007 SA008 SA009 SA010 \
-             SA011 SA012 SA013\n",
+             SA011 SA013\n",
         ),
     ]);
     let r = run_pass(Box::new(passes::diag::DiagRegistryPass), &stale);

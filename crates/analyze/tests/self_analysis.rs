@@ -56,9 +56,6 @@ fn analyze_root_and_json_roundtrip() {
     assert!(json.contains("\"pass\": \"panic-reach\""));
     assert!(json.contains("\"pass\": \"budget-flow\""));
     assert!(json.contains("\"pass\": \"par-merge\""));
-    // The committed report is a valid baseline for itself.
-    let baseline = hyde_analyze::baseline::Baseline::parse(&json).expect("self-baseline parses");
-    assert!(baseline.new_denies(&report).is_empty());
 }
 
 #[test]
@@ -66,11 +63,11 @@ fn default_registry_covers_the_documented_codes() {
     let codes = Registry::with_defaults().all_codes();
     for expected in [
         "SA001", "SA002", "SA003", "SA005", "SA006", "SA007", "SA008", "SA009", "SA010", "SA011",
-        "SA012", "SA013",
+        "SA013",
     ] {
         assert!(codes.contains(&expected), "missing {expected}");
     }
-    assert_eq!(Registry::with_defaults().pass_list().len(), 10);
+    assert_eq!(Registry::with_defaults().pass_list().len(), 9);
 }
 
 /// Satellite 1's acceptance test: lexing/parsing through `map_chunked`

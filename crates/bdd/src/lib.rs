@@ -33,6 +33,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![deny(clippy::let_underscore_must_use, clippy::unused_result_ok)]
 #![warn(missing_docs)]
 
 mod cec;

@@ -1181,7 +1181,10 @@ impl Bdd {
     /// decomposition cuts.
     pub fn to_dot(&self, f: Ref, name: &str) -> String {
         let mut s = String::new();
-        // sa:allow(SA012): fmt::Write into a String is infallible
+        #[expect(
+            clippy::let_underscore_must_use,
+            reason = "fmt::Write into a String is infallible"
+        )]
         let _ = self.to_dot_into(&mut s, f, name);
         s
     }

@@ -157,12 +157,7 @@ fn step(
     hyde_obs::counter("decompose.classes", classes.len() as u64);
     let codes = {
         let _obs = hyde_obs::span!("encoding.encode");
-        let mut enc = encoder.build();
-        enc.set_budget(*budget);
-        if let Some(cache) = cache {
-            enc.set_decomp_cache(cache.clone());
-        }
-        enc.encode(classes, k)?
+        encoder.build(budget, cache).encode(classes, k)?
     };
     let alphas = build_alphas(classes.class_map(), &codes, bound.len());
     let (image, image_dc) = build_image(classes, &codes);
@@ -276,16 +271,6 @@ impl Decomposer {
     pub fn with_cache(mut self, cache: Option<std::sync::Arc<crate::dcache::DecompCache>>) -> Self {
         self.cache = cache;
         self
-    }
-
-    /// The resource budget in force.
-    pub fn budget(&self) -> &hyde_guard::Budget {
-        &self.budget
-    }
-
-    /// Target LUT size κ.
-    pub fn k(&self) -> usize {
-        self.k
     }
 
     /// Decomposes `f` into a fresh κ-feasible network with one output.

@@ -263,22 +263,18 @@ pub trait Encoder {
         classes: &CompatibleClasses,
         k: usize,
     ) -> Result<CodeAssignment, CoreError>;
-
-    /// Applies a resource budget. Encoders whose internal searches can
-    /// blow up (the HYDE encoder's λ-set selection) honor it by failing
-    /// with [`CoreError::OutOfBudget`]; the default implementation
-    /// ignores the budget (cheap encoders have nothing to bound).
-    fn set_budget(&mut self, _budget: hyde_guard::Budget) {}
-
-    /// Attaches the shared NPN-keyed decomposition cache. Only encoders
-    /// that run λ-set searches internally (the HYDE encoder's step 3)
-    /// have anything to memoize; the default implementation ignores it.
-    fn set_decomp_cache(&mut self, _cache: std::sync::Arc<crate::dcache::DecompCache>) {}
 }
 
 impl EncoderKind {
-    /// Instantiates the encoder.
-    pub fn build(&self) -> Box<dyn Encoder> {
+    /// Instantiates the encoder. Only the HYDE encoder's λ-set searches
+    /// use `budget` (failing with [`CoreError::OutOfBudget`] when it runs
+    /// out) and `cache` (the shared NPN-keyed decomposition memo); the
+    /// other encoders have nothing to bound or memoize.
+    pub fn build(
+        &self,
+        budget: &hyde_guard::Budget,
+        cache: Option<&std::sync::Arc<crate::dcache::DecompCache>>,
+    ) -> Box<dyn Encoder> {
         let inner: Box<dyn Encoder> = match self {
             EncoderKind::Lexicographic => Box::new(LexEncoder),
             EncoderKind::Random { seed } => Box::new(RandomEncoder { seed: *seed }),
@@ -288,8 +284,8 @@ impl EncoderKind {
             }),
             EncoderKind::Hyde { seed } => Box::new(HydeEncoder {
                 seed: *seed,
-                budget: hyde_guard::Budget::unlimited(),
-                cache: None,
+                budget: *budget,
+                cache: cache.cloned(),
             }),
             EncoderKind::SupportMin { seed, iters } => Box::new(SupportMinEncoder {
                 seed: *seed,
@@ -316,14 +312,6 @@ struct CheckedEncoder {
 
 #[cfg(any(debug_assertions, feature = "strict-checks"))]
 impl Encoder for CheckedEncoder {
-    fn set_budget(&mut self, budget: hyde_guard::Budget) {
-        self.inner.set_budget(budget);
-    }
-
-    fn set_decomp_cache(&mut self, cache: std::sync::Arc<crate::dcache::DecompCache>) {
-        self.inner.set_decomp_cache(cache);
-    }
-
     fn encode(
         &mut self,
         classes: &CompatibleClasses,
@@ -495,14 +483,6 @@ struct HydeEncoder {
 }
 
 impl Encoder for HydeEncoder {
-    fn set_budget(&mut self, budget: hyde_guard::Budget) {
-        self.budget = budget;
-    }
-
-    fn set_decomp_cache(&mut self, cache: std::sync::Arc<crate::dcache::DecompCache>) {
-        self.cache = Some(cache);
-    }
-
     fn encode(
         &mut self,
         classes: &CompatibleClasses,
@@ -928,6 +908,7 @@ fn place_and_encode(
 mod tests {
     use super::*;
     use crate::partition::example_3_2_partitions;
+    use hyde_guard::Budget;
 
     fn classes_from_fns(fns: Vec<TruthTable>) -> CompatibleClasses {
         let class_of: Vec<usize> = (0..fns.len()).collect();
@@ -1005,7 +986,7 @@ mod tests {
             TruthTable::var(1, 0),
         ]);
         let ca = EncoderKind::Lexicographic
-            .build()
+            .build(&Budget::unlimited(), None)
             .encode(&classes, 5)
             .unwrap();
         assert_eq!(ca.codes(), &[0, 1, 2]);
@@ -1022,11 +1003,11 @@ mod tests {
             TruthTable::var(2, 0) ^ TruthTable::var(2, 1),
         ]);
         let a = EncoderKind::Random { seed: 7 }
-            .build()
+            .build(&Budget::unlimited(), None)
             .encode(&classes, 5)
             .unwrap();
         let b = EncoderKind::Random { seed: 7 }
-            .build()
+            .build(&Budget::unlimited(), None)
             .encode(&classes, 5)
             .unwrap();
         assert_eq!(a, b);
@@ -1043,11 +1024,11 @@ mod tests {
             TruthTable::zero(2),
         ]);
         let lex = EncoderKind::Lexicographic
-            .build()
+            .build(&Budget::unlimited(), None)
             .encode(&classes, 4)
             .unwrap();
         let opt = EncoderKind::CubeMin { seed: 3, iters: 40 }
-            .build()
+            .build(&Budget::unlimited(), None)
             .encode(&classes, 4)
             .unwrap();
         let cubes = |ca: &CodeAssignment| {
@@ -1081,7 +1062,7 @@ mod tests {
             };
             let lex = CodeAssignment::new((0..classes.len() as u32).collect(), t).unwrap();
             let opt = EncoderKind::SupportMin { seed: 3, iters: 60 }
-                .build()
+                .build(&Budget::unlimited(), None)
                 .encode(&classes, 5)
                 .unwrap();
             assert!(opt.is_strict());
@@ -1106,7 +1087,7 @@ mod tests {
             TruthTable::var(2, 0),
         ]);
         let ca = EncoderKind::SupportMin { seed: 1, iters: 10 }
-            .build()
+            .build(&Budget::unlimited(), None)
             .encode(&classes, 5)
             .unwrap();
         assert_eq!(ca.codes(), &[0, 1, 2]);
@@ -1153,7 +1134,7 @@ mod tests {
             let chart = crate::chart::DecompositionChart::new(&f, &[0, 1, 2]).unwrap();
             let classes = chart.classes().clone();
             let ca = EncoderKind::Hyde { seed: trial }
-                .build()
+                .build(&Budget::unlimited(), None)
                 .encode(&classes, 5)
                 .unwrap();
             assert_eq!(ca.len(), classes.len());
@@ -1176,11 +1157,11 @@ mod tests {
             }
             let k = 5;
             let hyde = EncoderKind::Hyde { seed: 1000 + trial }
-                .build()
+                .build(&Budget::unlimited(), None)
                 .encode(&classes, k)
                 .unwrap();
             let rand_ca = EncoderKind::Random { seed: 2000 + trial }
-                .build()
+                .build(&Budget::unlimited(), None)
                 .encode(&classes, k)
                 .unwrap();
             // Evaluate both on their best k-bound set of the image.

@@ -82,7 +82,10 @@ impl HyperFunction {
         // Ingredients as "compatible classes": reuse the encoder machinery.
         let classes =
             CompatibleClasses::from_parts((0..ingredients.len()).collect(), ingredients.clone());
-        let codes = encoder.build().encode(&classes, k)?;
+        // Unbudgeted and uncached on purpose: budgeting the fold changes mapped output.
+        let codes = encoder
+            .build(&hyde_guard::Budget::unlimited(), None)
+            .encode(&classes, k)?;
         let (table, dc) = build_image(&classes, &codes);
         let h = HyperFunction {
             ingredients,

@@ -291,7 +291,10 @@ pub fn parse(text: &str) -> Result<Network, LogicError> {
 /// duplicates exist.
 pub fn write(net: &Network) -> String {
     let mut s = String::new();
-    // sa:allow(SA012): fmt::Write into a String is infallible
+    #[expect(
+        clippy::let_underscore_must_use,
+        reason = "fmt::Write into a String is infallible"
+    )]
     let _ = write_into(&mut s, net);
     s
 }

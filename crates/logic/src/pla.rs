@@ -203,7 +203,10 @@ impl Pla {
     /// Serializes back to PLA text (type `fd`: only on/dc rows written).
     pub fn to_text(&self) -> String {
         let mut s = String::new();
-        // sa:allow(SA012): fmt::Write into a String is infallible
+        #[expect(
+            clippy::let_underscore_must_use,
+            reason = "fmt::Write into a String is infallible"
+        )]
         let _ = self.write_into(&mut s);
         s
     }

@@ -588,7 +588,10 @@ impl MappingFlow<'_> {
             .collect();
         let classes =
             hyde_core::classes::CompatibleClasses::from_parts(chart.class_map().to_vec(), stacked);
-        let codes: CodeAssignment = encoder.build().encode(&classes, self.k)?;
+        // Unbudgeted and uncached, as this joint-class encode has always run.
+        let codes: CodeAssignment = encoder
+            .build(&Budget::unlimited(), None)
+            .encode(&classes, self.k)?;
         let alphas = chart.alphas(&codes);
         let bound_sigs: Vec<NodeId> = bound.iter().map(|&v| signals[v]).collect();
         let mut g_sigs: Vec<NodeId> = Vec::new();

@@ -28,6 +28,7 @@
 //! top and reports per-proof statistics.
 
 #![forbid(unsafe_code)]
+#![deny(clippy::let_underscore_must_use, clippy::unused_result_ok)]
 #![warn(missing_docs)]
 
 pub mod cnf;

@@ -35,14 +35,12 @@
 //!   aborts, outputs byte-identical to the offline session), then
 //!   SIGKILL a serving child mid-run and require a restart on the same
 //!   journal to finish the rest; writes `CHAOS_serve_s<seed>.json`
-//! * `analyze` — run the `hyde-sa` static analyzer (SA001–SA013:
-//!   determinism, panic-surface and panic-reachability ratchets,
-//!   budget flow, obs coverage, diag-registry consistency, feature
-//!   hygiene, parallel-merge determinism, swallowed errors,
-//!   suppression hygiene) over the whole workspace in-process and
-//!   write `ANALYZE.json`; `analyze --diff` reads the committed
-//!   `ANALYZE.json` as a baseline first and fails only on *new*
-//!   findings (the pull-request gate)
+//! * `analyze` — `cargo run -p hyde-analyze --bin hyde-sa -- --json
+//!   ANALYZE.json`: the `hyde-sa` static analyzer (SA001–SA013:
+//!   determinism, panic-surface and panic-reachability ratchets, budget
+//!   flow, obs coverage, diag-registry consistency, feature hygiene,
+//!   parallel-merge determinism, suppression hygiene) over the whole
+//!   workspace, writing `ANALYZE.json` and failing on any deny finding
 //! * `all` — everything above (with `--deep` and the smoke-circuit
 //!   trace), in that order, with `cargo test --offline --manifest-path
 //!   hyde-benchmark/Cargo.toml` right after `test`: the benchmark package
@@ -728,76 +726,24 @@ fn serve_drill(root: &Path) -> Result<(), String> {
     Ok(())
 }
 
-/// Runs the `hyde-sa` static analyzer in-process over the workspace and
-/// writes `ANALYZE.json` at the root.
-///
-/// In strict mode (the default, and what `all` runs) any surviving deny
-/// finding fails — the same bar the analyzer's own `self_analysis` test
-/// enforces. With `--diff`, the committed `ANALYZE.json` is read as a
-/// baseline *before* being overwritten and only findings that are new
-/// relative to it fail; this is the pull-request gate, so a branch is
-/// judged on what it introduces rather than on pre-existing debt.
-fn analyze(root: &Path, diff: bool) -> Result<(), String> {
-    println!(
-        "xtask: hyde-sa --root {} --json ANALYZE.json{}",
-        root.display(),
-        if diff { " --diff" } else { "" }
-    );
-    let json_path = root.join("ANALYZE.json");
-    let baseline = if diff {
-        let text = std::fs::read_to_string(&json_path).map_err(|e| {
-            format!(
-                "analyze --diff needs a committed {}: {e}",
-                json_path.display()
-            )
-        })?;
-        Some(
-            hyde_analyze::baseline::Baseline::parse(&text)
-                .map_err(|e| format!("{}: {e}", json_path.display()))?,
-        )
-    } else {
-        None
-    };
-    let report = hyde_analyze::analyze_root(root).map_err(|e| format!("hyde-sa: {e}"))?;
-    std::fs::write(&json_path, report.to_json())
-        .map_err(|e| format!("{}: {e}", json_path.display()))?;
-    for note in &report.notes {
-        println!("xtask: note: {note}");
-    }
-    println!(
-        "xtask: hyde-sa: {} files, {} passes, {} findings, {} allowed -> {}",
-        report.files_scanned,
-        report.passes.len(),
-        report.findings.len(),
-        report.allowed(),
-        json_path.display()
-    );
-    if let Some(base) = baseline {
-        let new = base.new_denies(&report);
-        if new.is_empty() {
-            println!(
-                "xtask: analyze --diff: no new findings vs committed baseline ({})",
-                base.schema
-            );
-            return Ok(());
-        }
-        let rendered: Vec<String> = new.iter().map(|f| f.to_string()).collect();
-        return Err(format!(
-            "analyze --diff: {} new finding(s) vs committed baseline:\n  {}",
-            rendered.len(),
-            rendered.join("\n  ")
-        ));
-    }
-    if report.clean() {
-        Ok(())
-    } else {
-        let rendered: Vec<String> = report.findings.iter().map(|f| f.to_string()).collect();
-        Err(format!(
-            "analyze: {} finding(s):\n  {}",
-            rendered.len(),
-            rendered.join("\n  ")
-        ))
-    }
+/// Runs the `hyde-sa` static analyzer over the workspace, writing
+/// `ANALYZE.json` at the root; any surviving deny finding fails, the
+/// same bar the analyzer's own `self_analysis` test enforces.
+fn analyze(root: &Path) -> Result<(), String> {
+    run(
+        root,
+        &[
+            "run",
+            "-q",
+            "-p",
+            "hyde-analyze",
+            "--bin",
+            "hyde-sa",
+            "--",
+            "--json",
+            "ANALYZE.json",
+        ],
+    )
 }
 
 fn main() -> ExitCode {
@@ -818,11 +764,11 @@ fn main() -> ExitCode {
         },
         "chaos" => chaos(&root),
         "serve-drill" => serve_drill(&root),
-        "analyze" => analyze(&root, args.iter().any(|a| a == "--diff")),
+        "analyze" => analyze(&root),
         "all" => fmt(&root)
             .and_then(|()| clippy(&root))
             .and_then(|()| doc(&root))
-            .and_then(|()| analyze(&root, false))
+            .and_then(|()| analyze(&root))
             .and_then(|()| test(&root))
             .and_then(|()| benchmark_test(&root))
             .and_then(|()| lint_suite(&root, true))
@@ -832,7 +778,7 @@ fn main() -> ExitCode {
             .and_then(|()| serve_drill(&root)),
         other => Err(format!(
             "unknown task '{other}' (expected fmt | clippy | doc | test | lint-suite [--deep] | \
-             ab [<base-rev>] | trace <circuit> | chaos | serve-drill | analyze [--diff] | all)"
+             ab [<base-rev>] | trace <circuit> | chaos | serve-drill | analyze | all)"
         )),
     };
     match result {

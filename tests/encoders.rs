@@ -6,6 +6,7 @@ use hyde::core::decompose::{decompose_step, Decomposer};
 use hyde::core::encoding::{build_image, EncoderKind};
 use hyde::core::varpart::VariablePartitioner;
 use hyde::logic::TruthTable;
+use hyde_guard::Budget;
 
 fn all_encoders() -> Vec<(&'static str, EncoderKind)> {
     vec![
@@ -63,8 +64,9 @@ fn image_dc_semantics_shared_by_all_encoders() {
     let f = hyde::circuits::sym9().outputs[0].clone();
     let chart = DecompositionChart::new(&f, &[0, 1, 2, 3]).unwrap();
     let classes = chart.classes().clone();
+    let budget = Budget::unlimited();
     for (name, enc) in all_encoders() {
-        let codes = enc.build().encode(&classes, 5).unwrap();
+        let codes = enc.build(&budget, None).encode(&classes, 5).unwrap();
         let (on, dc) = build_image(&classes, &codes);
         assert!((&on & &dc).is_zero(), "{name}");
         let used: std::collections::HashSet<u32> = codes.codes().iter().copied().collect();
@@ -79,9 +81,10 @@ fn encoders_are_deterministic() {
     let f = hyde::circuits::rd73().outputs[0].clone();
     let chart = DecompositionChart::new(&f, &[0, 1, 2]).unwrap();
     let classes = chart.classes().clone();
+    let budget = Budget::unlimited();
     for (name, enc) in all_encoders() {
-        let a = enc.build().encode(&classes, 5).unwrap();
-        let b = enc.build().encode(&classes, 5).unwrap();
+        let a = enc.build(&budget, None).encode(&classes, 5).unwrap();
+        let b = enc.build(&budget, None).encode(&classes, 5).unwrap();
         assert_eq!(a, b, "{name} must be deterministic");
     }
 }
