@@ -96,6 +96,7 @@ pub const COUNTERS: &[&str] = &[
     "serve.cancelled",
     "serve.recovered",
     "serve.journal.events",
+    "serve.journal.errors",
     "serve.watchdog.overruns",
     "guard.chaos.injected",
     "guard.hyper_fallback",

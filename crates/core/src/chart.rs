@@ -239,7 +239,8 @@ pub fn class_count_with(
     let (bound, _free) = split_bound_free(f.vars(), bound)?;
     let n = f.vars();
     if n <= 6 {
-        return Ok(class_count_small(f, &bound));
+        let mask = bound.iter().fold(0, |m, &v| m | 1 << v);
+        return Ok(class_count_small(f, mask, usize::MAX, &mut scratch.keys));
     }
     let words = f.as_words();
     scratch.a.clear();
@@ -293,7 +294,8 @@ pub fn class_count_with(
 }
 
 /// Exact candidate scorer that amortizes table permutations across a
-/// lexicographically ordered candidate stream.
+/// lexicographically ordered candidate stream and stops counting once a
+/// candidate cannot win.
 ///
 /// [`class_count_with`] promotes each bound variable with its own pass
 /// over the table, so scoring `C(n, k)` candidates re-derives the same
@@ -302,10 +304,15 @@ pub fn class_count_with(
 /// order, each variable's position adjusted for the prefix already
 /// above it), and on the next candidate only redoes the passes past the
 /// longest shared sorted-prefix — amortized ~1 pass per candidate on a
-/// lexicographic stream instead of `k`. Column dedup folds each column
-/// into two independent 64-bit hash streams in one sequential pass and
-/// counts distinct 128-bit digests: equal columns always digest equal,
-/// and two *distinct* columns collide only if both streams collide
+/// lexicographic stream instead of `k`. Candidates are variable masks,
+/// so scoring one allocates nothing once the buffers have grown.
+///
+/// Column dedup is a linear scan over the at most `2^k` distinct keys
+/// seen so far, and [`Self::score`] returns its `limit` as soon as that
+/// many distinct columns are seen. Whole-word columns are folded into
+/// two independent 64-bit hash streams in one sequential pass and
+/// compared as 128-bit digests: equal columns always digest equal, and
+/// two *distinct* columns collide only if both streams collide
 /// (~`2^-128` per pair), so the count can understate [`class_count`]
 /// only with negligible probability — and deterministically, since the
 /// digests are a fixed function of the table. Ranking loops that need a
@@ -316,7 +323,6 @@ pub struct PrefixScorer<'f> {
     prefix: Vec<usize>,
     /// `bufs[j]` holds the table with `prefix[..=j]` promoted to the top.
     bufs: Vec<Vec<u64>>,
-    sorted: Vec<usize>,
     keys: Vec<u64>,
     digests: Vec<u128>,
 }
@@ -328,46 +334,48 @@ impl<'f> PrefixScorer<'f> {
             f,
             prefix: Vec::new(),
             bufs: Vec::new(),
-            sorted: Vec::new(),
             keys: Vec::new(),
             digests: Vec::new(),
         }
     }
 
-    /// Compatible-class count of `bound`: equal to
-    /// [`class_count`]`(f, bound)` unless two distinct columns collide in
-    /// both hash streams (probability ~`2^-128` per pair, and a fixed
-    /// function of `f` — the result is identical on every run and thread
-    /// count either way).
+    /// Compatible-class count of the bound set whose variables are the
+    /// set bits of `bound`, capped at `limit`: `min(`[`class_count`]`,
+    /// limit)`, unless two distinct columns collide in both hash streams
+    /// (probability ~`2^-128` per pair, and a fixed function of `f` — the
+    /// result is identical on every run and thread count either way).
     ///
-    /// # Errors
-    ///
-    /// Same conditions as [`DecompositionChart::new`].
-    pub fn score(&mut self, bound: &[usize]) -> Result<usize, CoreError> {
-        let (bound, _free) = split_bound_free(self.f.vars(), bound)?;
+    /// The mask is not validated: the caller checks its candidates once
+    /// per search. It must be non-empty, name only variables of `f` and
+    /// leave at least one variable free.
+    pub fn score(&mut self, bound: u32, limit: usize) -> usize {
         let n = self.f.vars();
+        debug_assert!(
+            bound != 0 && bound >> n == 0 && (bound.count_ones() as usize) < n,
+            "bound mask {bound:#x} invalid for a {n}-variable function"
+        );
         if n <= 6 {
-            return Ok(class_count_small(self.f, &bound));
+            return class_count_small(self.f, bound, limit, &mut self.keys);
         }
-        self.sorted.clear();
-        self.sorted.extend_from_slice(&bound);
-        self.sorted.sort_unstable();
-        let k = self.sorted.len();
+        let k = bound.count_ones() as usize;
         let words = self.f.as_words();
         // Reuse the promotion stack up to the longest shared prefix.
+        let mut rest = bound;
         let mut shared = 0;
-        while shared < self.prefix.len() && shared < k && self.prefix[shared] == self.sorted[shared]
-        {
+        while shared < self.prefix.len() && self.prefix[shared] == rest.trailing_zeros() as usize {
+            rest &= rest - 1;
             shared += 1;
         }
         self.prefix.truncate(shared);
         while self.bufs.len() < k {
             self.bufs.push(vec![0; words.len()]);
         }
-        for j in shared..k {
-            let v = self.sorted[j];
+        while rest != 0 {
+            let v = rest.trailing_zeros() as usize;
+            rest &= rest - 1;
             // Promoting ascending: the `j` prefix variables already at
             // the top all started below `v`, so `v` sits `j` lower.
+            let j = self.prefix.len();
             let pos = v - j;
             if j == 0 {
                 promote_to_top(words, &mut self.bufs[0], pos);
@@ -385,56 +393,78 @@ impl<'f> PrefixScorer<'f> {
             self.keys.clear();
             for c in 0..1usize << k {
                 let bitpos = c << row_bits;
-                self.keys.push((src[bitpos >> 6] >> (bitpos & 63)) & mask);
+                let key = (src[bitpos >> 6] >> (bitpos & 63)) & mask;
+                if insert_capped(&mut self.keys, key, limit) {
+                    return limit;
+                }
             }
-            self.keys.sort_unstable();
-            self.keys.dedup();
-            return Ok(self.keys.len());
+            return self.keys.len();
         }
         // Whole-word columns: fold each column's word run into two
         // independent 64-bit streams (FNV-1a and a Murmur-constant
         // variant) and count distinct 128-bit digests.
         let cw = 1usize << (row_bits - 6);
-        let cols = 1usize << k;
         self.digests.clear();
-        for c in 0..cols {
+        for col in src.chunks_exact(cw) {
             let mut h1 = 0xcbf2_9ce4_8422_2325u64;
             let mut h2 = 0x9e37_79b9_7f4a_7c15u64;
-            for &w in &src[c * cw..(c + 1) * cw] {
+            for &w in col {
                 h1 = (h1 ^ w).wrapping_mul(0x0000_0100_0000_01b3);
                 h2 = (h2 ^ w).wrapping_mul(0xff51_afd7_ed55_8ccd);
             }
-            self.digests.push(u128::from(h1) << 64 | u128::from(h2));
+            if insert_capped(
+                &mut self.digests,
+                u128::from(h1) << 64 | u128::from(h2),
+                limit,
+            ) {
+                return limit;
+            }
         }
-        self.digests.sort_unstable();
-        self.digests.dedup();
-        Ok(self.digests.len())
+        self.digests.len()
     }
 }
 
-/// Naive column extraction for single-word functions (`n <= 6`): at most
-/// 64 bit probes total, cheaper than any setup.
-fn class_count_small(f: &TruthTable, bound: &[usize]) -> usize {
-    let n = f.vars();
-    let free: Vec<usize> = (0..n).filter(|v| !bound.contains(v)).collect();
-    let mut keys: Vec<u64> = Vec::with_capacity(1 << bound.len());
-    for c in 0..1u32 << bound.len() {
-        let mut key = 0u64;
-        for r in 0..1u32 << free.len() {
-            let mut m = 0u32;
-            for (i, &v) in bound.iter().enumerate() {
-                m |= (c >> i & 1) << v;
-            }
-            for (i, &v) in free.iter().enumerate() {
-                m |= (r >> i & 1) << v;
-            }
-            key |= u64::from(f.eval(m)) << r;
-        }
-        keys.push(key);
+/// Adds `key` to `seen` unless it is already there (a linear scan: `seen`
+/// holds at most one key per chart column) and reports whether `seen`
+/// has reached `limit` keys.
+fn insert_capped<K: PartialEq>(seen: &mut Vec<K>, key: K, limit: usize) -> bool {
+    if !seen.contains(&key) {
+        seen.push(key);
     }
-    keys.sort_unstable();
-    keys.dedup();
-    keys.len()
+    seen.len() >= limit
+}
+
+/// Column extraction for single-word functions (`n <= 6`): at most 64
+/// bit probes in all, cheaper than any setup. Returns the class count of
+/// the bound set `bound` (a variable mask), capped at `limit`; `keys` is
+/// scratch.
+fn class_count_small(f: &TruthTable, bound: u32, limit: usize, keys: &mut Vec<u64>) -> usize {
+    let word = f.as_words()[0];
+    let free = !bound & ((1u32 << f.vars()) - 1);
+    keys.clear();
+    // `c` and `r` walk the sub-masks of `bound` and `free` in increasing
+    // order, so every column reads its rows in the same order.
+    let mut c = 0u32;
+    loop {
+        let mut key = 0u64;
+        let mut r = 0u32;
+        let mut row = 0;
+        loop {
+            key |= (word >> (c | r) & 1) << row;
+            row += 1;
+            r = r.wrapping_sub(free) & free;
+            if r == 0 {
+                break;
+            }
+        }
+        if insert_capped(keys, key, limit) {
+            return limit;
+        }
+        c = c.wrapping_sub(bound) & bound;
+        if c == 0 {
+            return keys.len();
+        }
+    }
 }
 
 /// Reorders `src` (a `2^n`-bit table, `n >= 7`) into `dst` so the
@@ -700,6 +730,10 @@ mod tests {
         }
     }
 
+    fn mask_of(bound: &[usize]) -> u32 {
+        bound.iter().map(|&v| 1u32 << v).sum()
+    }
+
     #[test]
     fn prefix_scorer_matches_class_count_in_any_order() {
         use rand::seq::SliceRandom;
@@ -728,7 +762,7 @@ mod tests {
                 lex.sort();
                 for c in lex.iter().chain(cands.iter()) {
                     assert_eq!(
-                        scorer.score(c).unwrap(),
+                        scorer.score(mask_of(c), usize::MAX),
                         class_count_with(&f, c, &mut scratch).unwrap(),
                         "n {n} bound {c:?}"
                     );
@@ -748,10 +782,54 @@ mod tests {
             vec![0, 1, 2],
         ] {
             assert_eq!(
-                scorer.score(&bound).unwrap(),
+                scorer.score(mask_of(&bound), usize::MAX),
                 class_count_with(&g, &bound, &mut scratch).unwrap(),
                 "structured bound {bound:?}"
             );
+        }
+    }
+
+    #[test]
+    fn capped_score_is_the_class_count_clamped_to_the_limit() {
+        use rand::seq::SliceRandom;
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x1D17);
+        // n = 6 is the single-word path; n = 9 at k = 5 has sub-word
+        // columns and n = 12 at k = 5 whole-word ones.
+        for (n, k) in [(6usize, 3usize), (6, 5), (9, 5), (12, 5), (12, 3)] {
+            // Random tables (near 2^k classes) and structured ones: each
+            // column drawn from a few patterns, so counts span 1..=2^k.
+            let mut tables = vec![TruthTable::random(n, &mut rng)];
+            for patterns in [1usize, 2, 5, 13] {
+                let pool: Vec<TruthTable> = (0..patterns)
+                    .map(|_| TruthTable::random(n, &mut rng))
+                    .collect();
+                let pick: Vec<usize> = (0..1 << k).map(|_| rng.gen_range(0..patterns)).collect();
+                tables.push(TruthTable::from_fn(n, |m| {
+                    pool[pick[(m & ((1 << k) - 1)) as usize]].eval(m >> k << k)
+                }));
+            }
+            for f in &tables {
+                let mut scorer = PrefixScorer::new(f);
+                let vars: Vec<usize> = (0..n).collect();
+                for _ in 0..6 {
+                    let mut v = vars.clone();
+                    v.shuffle(&mut rng);
+                    let mut bound = v[..k].to_vec();
+                    bound.sort_unstable();
+                    // The low k variables select the planted pattern.
+                    for bound in [bound, (0..k).collect()] {
+                        let exact = class_count(f, &bound).unwrap();
+                        for limit in 1..=33 {
+                            assert_eq!(
+                                scorer.score(mask_of(&bound), limit),
+                                exact.min(limit),
+                                "n {n} bound {bound:?} limit {limit}"
+                            );
+                        }
+                    }
+                }
+            }
         }
     }
 

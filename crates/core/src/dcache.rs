@@ -51,10 +51,9 @@ const DEFAULT_ENTRY_CAP: usize = 1 << 16;
 const DEFAULT_WORD_BUDGET: usize = 1 << 21;
 
 /// Cache key: the canonical table plus everything else the search result
-/// depends on. `candidate_cap` is deliberately absent — successful
+/// depends on. `candidate_cap` is deliberately absent: successful
 /// searches do not depend on it (caps only turn successes into errors,
-/// and errors are never cached) — as is `bdd_threshold`, because the BDD
-/// and chart scorers compute identical counts.
+/// and errors are never cached).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct CacheKey {
     words: Box<[u64]>,

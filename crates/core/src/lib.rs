@@ -16,8 +16,8 @@
 //!   (column sets by maximum-weight b-matching, row sets by matching on the
 //!   benefit-weighted row graph) plus the baseline encoders the evaluation
 //!   compares against;
-//! * [`varpart`] — λ-set selection in the style of reference `[2]` (BDD cut
-//!   counting / chart counting);
+//! * [`varpart`] — λ-set selection in the style of reference `[2]`
+//!   (class counting on truth-table charts);
 //! * [`decompose`] — single decomposition steps and the recursive
 //!   decomposition of a function into a k-feasible LUT network;
 //! * [`hyper`] — hyper-function construction (Definition 4.1), ingredient

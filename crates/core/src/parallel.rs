@@ -76,8 +76,8 @@ where
 }
 
 /// Like [`map_chunked`], but each worker first builds private state with
-/// `init` (e.g. its own BDD manager) and threads it through every block
-/// it claims.
+/// `init` (e.g. its own scorer scratch) and threads it through every
+/// block it claims.
 ///
 /// `init` runs once per worker, so it may be expensive relative to a
 /// single item; results still land at their input indices. `label` names
@@ -87,11 +87,18 @@ where
 /// blocks with fixed boundaries; workers claim block indices from one
 /// shared atomic cursor and compute each claimed block into a private
 /// buffer. After the scope joins, blocks are merged back at their input
-/// positions. The schedule (who computed what) is timing-dependent, but
-/// the *result* is not: `f` is applied to the same items with the same
-/// per-item inputs whatever the claim order, and the merge is indexed by
-/// block, so the output is byte-identical at any `HYDE_THREADS` — the
-/// property checked by hyde-sa's SA011 pass on every worker closure.
+/// positions. The schedule (who computed what) is timing-dependent. If
+/// `f`'s result depends only on its item, the output is byte-identical at
+/// any `HYDE_THREADS` — the property checked by hyde-sa's SA011 pass on
+/// every worker closure.
+///
+/// State that carries information from one item to the next (such as the
+/// λ-search's incumbent class count) makes per-item results depend on the
+/// schedule. The one guarantee such a caller may build on: every worker
+/// sees its items in increasing input order, because it claims blocks in
+/// increasing cursor order and walks each block front to back. The
+/// caller must then reduce the results to something the schedule cannot
+/// change, as `VariablePartitioner`'s argmin does.
 ///
 /// Obs counters (recorded only while tracing is enabled):
 /// `sched.steal.blocks` (blocks scheduled) and `sched.steal.steals`

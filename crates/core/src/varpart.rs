@@ -1,11 +1,11 @@
 //! λ-set (bound set) selection — Problem 1 of the paper.
 //!
-//! HYDE adopts the BDD-based variable partitioning of Jiang et al.
-//! (ASP-DAC 1997, reference `[2]`): among candidate bound sets of the target
-//! size, pick the one minimizing the number of compatible classes. Small
-//! functions are searched exhaustively on truth-table charts; larger ones
-//! switch to BDD cut counting and, beyond a candidate budget, seeded
-//! sampling.
+//! HYDE adopts the variable partitioning of Jiang et al. (ASP-DAC 1997,
+//! reference `[2]`): among candidate bound sets of the target size, pick
+//! the one minimizing the number of compatible classes. Classes are
+//! counted on the truth table by a prefix-sharing chart scorer; supports
+//! with few enough candidates are searched exhaustively, larger ones by
+//! seeded sampling.
 
 use crate::chart::{class_count, PrefixScorer};
 use crate::dcache::{CacheKey, DecompCache};
@@ -15,6 +15,8 @@ use hyde_logic::TruthTable;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
+use std::cmp::Reverse;
+use std::collections::HashSet;
 use std::sync::Arc;
 
 /// Candidate budget: supports with at most this many size-`k` subsets are
@@ -40,44 +42,22 @@ const SAMPLE_SEED: u64 = 0x9D5E_C0DE;
 /// assert_eq!(classes, 2);
 /// assert!(bound == vec![0, 1] || bound == vec![2, 3]);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct VariablePartitioner {
-    /// Use BDD cut counting instead of chart hashing above this support
-    /// size. The chart path's prefix-sharing scorer keeps winning well
-    /// past word width — the crossover sits where materializing and
-    /// repeatedly sweeping the 2^n-bit table loses to BDD restricts.
-    bdd_threshold: usize,
     /// Hard cap on the number of candidates a search may evaluate; a
     /// search needing more fails with [`CoreError::OutOfBudget`].
     candidate_cap: Option<usize>,
-    /// Node cap applied to the per-worker BDD managers on the cut-count
-    /// path (root build only, so the outcome is identical at any
-    /// `HYDE_THREADS`).
-    bdd_node_cap: Option<usize>,
     /// Optional NPN-keyed search memo shared across partitioner clones
     /// (and, through the flow, across circuits). `None` searches directly.
     cache: Option<Arc<DecompCache>>,
 }
 
-impl Default for VariablePartitioner {
-    fn default() -> Self {
-        VariablePartitioner {
-            bdd_threshold: 20,
-            candidate_cap: None,
-            bdd_node_cap: None,
-            cache: None,
-        }
-    }
-}
-
 impl VariablePartitioner {
-    /// Applies the candidate and BDD-node limits from a pipeline budget.
-    /// Searches exceeding either limit fail with
-    /// [`CoreError::OutOfBudget`] so the caller can step down the
-    /// fallback ladder.
+    /// Applies the candidate limit from a pipeline budget. Searches
+    /// needing more candidates fail with [`CoreError::OutOfBudget`] so the
+    /// caller can step down the fallback ladder.
     pub fn with_budget(mut self, budget: &hyde_guard::Budget) -> Self {
         self.candidate_cap = budget.candidates;
-        self.bdd_node_cap = budget.bdd_nodes;
         self
     }
 
@@ -118,8 +98,7 @@ impl VariablePartitioner {
                 return self.best_bound_set_cached(f, k, cache);
             }
         }
-        let candidates = candidates(&support, k);
-        self.select_best(f, candidates)
+        self.select_best(f, candidate_masks(&support, k))
     }
 
     /// The memoized search: canonize, look up, and on a miss run the
@@ -142,8 +121,7 @@ impl VariablePartitioner {
         }
         // NPN transforms are variable bijections, so the canonical support
         // has the same size and the k-validity check above still holds.
-        let canon_support = canon.table.support();
-        let candidates = candidates(&canon_support, k);
+        let candidates = candidate_masks(&canon.table.support(), k);
         let (canon_bound, classes) = self.select_best(&canon.table, candidates)?;
         cache.insert(key, canon_bound.clone(), classes);
         Ok((canon.transform.bound_to_original(&canon_bound), classes))
@@ -189,25 +167,33 @@ impl VariablePartitioner {
                 }
             }
         }
-        let candidates = candidates(&pool, k);
-        self.select_best(f, candidates)
+        self.select_best(f, candidate_masks(&pool, k))
     }
 
-    /// Counts compatible classes for every candidate (in parallel when
-    /// worker threads are available) and reduces to the best bound set.
+    /// Scores every candidate (in parallel when worker threads are
+    /// available) and reduces to the lexicographically first bound set of
+    /// the fewest classes. The callers build `candidates` from a support
+    /// they have validated, so every mask is a valid bound set of `f`.
     ///
     /// Candidates are sorted lexicographically once, before the fan-out:
-    /// on the chart path consecutive candidates then share long sorted
-    /// prefixes, which is what lets the per-worker [`PrefixScorer`] reuse
-    /// its promotion stack. The fan-out is embarrassingly parallel —
-    /// counts are pure per-candidate integers, workers on the BDD path
-    /// each build a private manager — and the argmin breaks ties on the
-    /// candidate itself, so the result is identical for any
-    /// `HYDE_THREADS` and any candidate order.
+    /// consecutive candidates then share long sorted prefixes, which is
+    /// what lets the per-worker [`PrefixScorer`] reuse its promotion
+    /// stack. Each worker also keeps an *incumbent*, the fewest classes
+    /// it has counted so far, and caps every later count there, so a
+    /// candidate that cannot win stops being counted early.
+    ///
+    /// Capped counts depend on the schedule; the argmin does not. A
+    /// worker claims its blocks in increasing input order, so its
+    /// incumbent always comes from lexicographically earlier candidates.
+    /// A capped candidate therefore reports a count that an earlier
+    /// candidate already reached: it can neither beat nor tie the first
+    /// minimum. The first minimum itself is never capped, since every
+    /// candidate before it has more classes. The result is identical for
+    /// any `HYDE_THREADS`.
     fn select_best(
         &self,
         f: &TruthTable,
-        mut candidates: Vec<Vec<usize>>,
+        mut candidates: Vec<u32>,
     ) -> Result<(Vec<usize>, usize), CoreError> {
         let _obs = hyde_obs::span!("varpart.select_best");
         hyde_obs::counter("varpart.candidates", candidates.len() as u64);
@@ -219,75 +205,49 @@ impl VariablePartitioner {
                 )));
             }
         }
-        candidates.sort_unstable();
-        let threads = parallel::thread_count();
-        let counts: Vec<Result<usize, CoreError>> = if f.vars() > self.bdd_threshold {
-            parallel::map_chunked_init(
-                "varpart.score",
-                &candidates,
-                threads,
-                || {
-                    let mut b = hyde_bdd::Bdd::with_capacity(f.vars(), 1 << 12);
-                    // Cap only the root build: it is identical in every
-                    // worker, so success or failure cannot depend on how
-                    // candidates are chunked across threads.
-                    b.set_node_cap(self.bdd_node_cap);
-                    let root = b.guarded(|b| b.from_fn(|m| f.eval(m)));
-                    b.set_node_cap(None);
-                    (b, root)
-                },
-                |(b, root), cand| match root {
-                    Ok(r) => {
-                        // Candidate boundaries are GC safe points for the
-                        // worker-private manager: only the root survives
-                        // between candidates. No-op unless armed (the
-                        // node cap above arms a growth-pressure trigger).
-                        b.maybe_gc(&[*r]);
-                        Ok(b.compatible_class_count(*r, cand))
-                    }
-                    Err(e) => Err(CoreError::OutOfBudget(*e)),
-                },
-            )
-        } else {
-            parallel::map_chunked_init(
-                "varpart.score",
-                &candidates,
-                threads,
-                || PrefixScorer::new(f),
-                |scorer, cand| scorer.score(cand),
-            )
-        };
-        let mut best: Option<(Vec<usize>, usize)> = None;
-        for (cand, count) in candidates.into_iter().zip(counts) {
-            let count = count?;
-            let better = match &best {
-                None => true,
-                Some((bb, bc)) => count < *bc || (count == *bc && cand < *bb),
-            };
-            if better {
-                best = Some((cand, count));
-            }
+        // Lexicographic order of the ascending variable lists is
+        // descending order of the bit-reversed masks: the lowest variable
+        // becomes the most significant bit.
+        candidates.sort_unstable_by_key(|m| Reverse(m.reverse_bits()));
+        let counts = parallel::map_chunked_init(
+            "varpart.score",
+            &candidates,
+            parallel::thread_count(),
+            || (PrefixScorer::new(f), usize::MAX),
+            |(scorer, incumbent), &mask| {
+                let count = scorer.score(mask, *incumbent);
+                *incumbent = count.min(*incumbent);
+                count
+            },
+        );
+        // `min_by_key` keeps the first of equal minima.
+        let (&classes, &best) = counts
+            .iter()
+            .zip(&candidates)
+            .min_by_key(|&(&count, _)| count)
+            .ok_or_else(|| CoreError::InvalidBoundSet("no candidate bound sets".into()))?;
+        let bound = mask_vars(best);
+        if f.vars() <= 6 {
+            return Ok((bound, classes));
         }
-        let mut best =
-            best.ok_or_else(|| CoreError::InvalidBoundSet("no candidate bound sets".into()))?;
-        if f.vars() > 6 && f.vars() <= self.bdd_threshold {
-            // Certify the winner: the digest-based score can (with
-            // ~2^-128 probability) understate the class count, so the
-            // value handed onward is recounted exactly — one call per
-            // search instead of one per candidate.
-            best.1 = class_count(f, &best.0)?;
-        }
-        Ok(best)
+        // Certify the winner: the digest-based score can (with ~2^-128
+        // probability) understate the class count, so the value handed
+        // onward is recounted exactly — one call per search instead of
+        // one per candidate.
+        let classes = class_count(f, &bound)?;
+        Ok((bound, classes))
     }
 }
 
-/// The size-`k` bound-set candidates over `support`: every subset up to
-/// [`CANDIDATE_BUDGET`] of them, a seeded sample of that many beyond.
-fn candidates(support: &[usize], k: usize) -> Vec<Vec<usize>> {
-    if binomial(support.len(), k) <= CANDIDATE_BUDGET as u128 {
-        combinations(support, k)
+/// The size-`k` bound-set candidates over `support` as variable masks:
+/// every subset up to [`CANDIDATE_BUDGET`] of them, in index-walk order,
+/// and a seeded sample of that many beyond.
+fn candidate_masks(support: &[usize], k: usize) -> Vec<u32> {
+    let bits: Vec<u32> = support.iter().map(|&v| 1 << v).collect();
+    if binomial(bits.len(), k) <= CANDIDATE_BUDGET as u128 {
+        subset_masks(&bits, k)
     } else {
-        sample_subsets(support, k, CANDIDATE_BUDGET, SAMPLE_SEED)
+        sampled_masks(&bits, k)
     }
 }
 
@@ -302,49 +262,55 @@ fn binomial(n: usize, k: usize) -> u128 {
     r
 }
 
-fn combinations(items: &[usize], k: usize) -> Vec<Vec<usize>> {
+/// Every `k`-subset of `bits`, walking index combinations in
+/// lexicographic order.
+fn subset_masks(bits: &[u32], k: usize) -> Vec<u32> {
+    let n = bits.len();
     let mut out = Vec::new();
     let mut idx: Vec<usize> = (0..k).collect();
-    let n = items.len();
     loop {
-        out.push(idx.iter().map(|&i| items[i]).collect());
-        // Advance the combination.
-        let mut i = k;
-        loop {
-            if i == 0 {
-                return out;
-            }
-            i -= 1;
-            if idx[i] != i + n - k {
-                break;
-            }
-        }
-        if idx[i] == i + n - k {
+        out.push(idx.iter().fold(0, |m, &i| m | bits[i]));
+        // Advance the combination: bump the last index not yet at its
+        // ceiling and renumber the ones after it consecutively.
+        let Some(i) = idx.iter().enumerate().rposition(|(i, &x)| x != i + n - k) else {
             return out;
-        }
-        idx[i] += 1;
-        for j in (i + 1)..k {
-            idx[j] = idx[j - 1] + 1;
+        };
+        let start = idx[i] + 1;
+        for (slot, x) in idx[i..].iter_mut().zip(start..) {
+            *slot = x;
         }
     }
 }
 
-fn sample_subsets(items: &[usize], k: usize, count: usize, seed: u64) -> Vec<Vec<usize>> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut seen = std::collections::HashSet::new();
-    let mut out = Vec::new();
-    let mut attempts = 0usize;
-    while out.len() < count && attempts < count * 8 {
-        attempts += 1;
-        let mut pick: Vec<usize> = items.to_vec();
+/// [`CANDIDATE_BUDGET`] distinct `k`-subsets of `bits`, each the first `k`
+/// entries of a seeded shuffle, giving up after eight draws per sample.
+fn sampled_masks(bits: &[u32], k: usize) -> Vec<u32> {
+    let mut rng = StdRng::seed_from_u64(SAMPLE_SEED);
+    let mut seen = HashSet::new();
+    let mut out = Vec::with_capacity(CANDIDATE_BUDGET);
+    let mut pick = bits.to_vec();
+    for _ in 0..CANDIDATE_BUDGET * 8 {
+        if out.len() == CANDIDATE_BUDGET {
+            break;
+        }
+        pick.copy_from_slice(bits);
         pick.shuffle(&mut rng);
-        pick.truncate(k);
-        pick.sort_unstable();
-        if seen.insert(pick.clone()) {
-            out.push(pick);
+        let mask = pick.iter().take(k).fold(0, |m, &b| m | b);
+        if seen.insert(mask) {
+            out.push(mask);
         }
     }
     out
+}
+
+/// The variables of a bound-set mask, ascending.
+fn mask_vars(mut mask: u32) -> Vec<usize> {
+    let mut vars = Vec::with_capacity(mask.count_ones() as usize);
+    while mask != 0 {
+        vars.push(mask.trailing_zeros() as usize);
+        mask &= mask - 1;
+    }
+    vars
 }
 
 #[cfg(test)]
@@ -360,11 +326,13 @@ mod tests {
     }
 
     #[test]
-    fn combinations_enumerate_all() {
-        let c = combinations(&[10, 20, 30, 40], 2);
+    fn subset_masks_enumerate_all() {
+        let c = subset_masks(&[1 << 1, 1 << 3, 1 << 5, 1 << 7], 2);
         assert_eq!(c.len(), 6);
-        assert!(c.contains(&vec![10, 40]));
-        assert!(c.contains(&vec![20, 30]));
+        assert_eq!(c[0], 1 << 1 | 1 << 3);
+        assert!(c.contains(&(1 << 1 | 1 << 7)));
+        assert!(c.contains(&(1 << 3 | 1 << 5)));
+        assert_eq!(mask_vars(1 << 1 | 1 << 7), vec![1, 7]);
     }
 
     #[test]
@@ -377,33 +345,38 @@ mod tests {
         assert!(bound == vec![0, 1, 2] || bound == vec![3, 4, 5]);
     }
 
-    #[test]
-    fn candidates_enumerate_within_budget_and_sample_beyond() {
-        let small: Vec<usize> = (0..7).collect();
-        assert_eq!(candidates(&small, 3), combinations(&small, 3));
-        // C(16, 5) = 4368 exceeds the budget: a seeded, repeatable sample.
-        let wide: Vec<usize> = (0..16).collect();
-        let sample = candidates(&wide, 5);
-        assert_eq!(sample.len(), CANDIDATE_BUDGET);
-        assert_eq!(sample, candidates(&wide, 5));
+    /// FNV-1a over a mask list, for pinning long candidate lists.
+    fn digest(masks: &[u32]) -> u64 {
+        masks.iter().fold(0xcbf2_9ce4_8422_2325, |h, &m| {
+            (h ^ u64::from(m)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
     }
 
     #[test]
-    fn bdd_path_agrees_with_chart_path() {
-        use rand::SeedableRng;
-        let mut rng = StdRng::seed_from_u64(77);
-        let f = TruthTable::random(9, &mut rng);
-        let chart_vp = VariablePartitioner {
-            bdd_threshold: 30,
-            ..VariablePartitioner::default()
-        };
-        let bdd_vp = VariablePartitioner {
-            bdd_threshold: 1,
-            ..VariablePartitioner::default()
-        };
-        let a = chart_vp.best_bound_set(&f, 3).unwrap();
-        let b = bdd_vp.best_bound_set(&f, 3).unwrap();
-        assert_eq!(a, b);
+    fn candidates_enumerate_within_budget_and_sample_beyond() {
+        let small: Vec<usize> = (0..7).collect();
+        let all = candidate_masks(&small, 3);
+        assert_eq!(all.len(), 35);
+        assert!(all.iter().all(|m| m.count_ones() == 3 && m >> 7 == 0));
+        assert!(all.windows(2).all(|w| w[0] != w[1]));
+        // C(16, 5) = 4368 exceeds the budget: a seeded, repeatable sample,
+        // pinned to the output of the earlier `Vec<usize>` sampler (same
+        // draws, same order), first entries and FNV-1a digest.
+        let wide: Vec<usize> = (0..16).collect();
+        let sample = candidate_masks(&wide, 5);
+        assert_eq!(sample.len(), CANDIDATE_BUDGET);
+        assert_eq!(sample[..4], [44064, 24841, 436, 43552]);
+        assert_eq!(sample[CANDIDATE_BUDGET - 1], 57354);
+        assert_eq!(digest(&sample), 0x9a9e_053a_cda1_666f);
+        for (n, k, pinned) in [
+            (13usize, 5usize, 0x5f12_7429_2624_bf07u64),
+            (14, 5, 0xf232_99c8_30ad_dd19),
+            (20, 5, 0x6927_cf76_aca4_1b0e),
+            (16, 4, 0xb7a4_aa19_3b58_163e),
+        ] {
+            let support: Vec<usize> = (0..n).collect();
+            assert_eq!(digest(&candidate_masks(&support, k)), pinned, "n {n} k {k}");
+        }
     }
 
     #[test]
@@ -416,13 +389,13 @@ mod tests {
 
     #[test]
     fn best_bound_set_is_the_lexicographic_argmin_of_class_count() {
-        use rand::seq::SliceRandom;
         use rand::{Rng, SeedableRng};
-        // Reference: exact chart count of every k-subset of the support,
-        // ties broken toward the lexicographically smallest bound set.
-        fn naive(f: &TruthTable, k: usize) -> (Vec<usize>, usize) {
+        // Reference: exact chart count of every candidate, ties broken
+        // toward the lexicographically smallest bound set.
+        fn naive(f: &TruthTable, masks: &[u32]) -> (Vec<usize>, usize) {
             let mut best: Option<(Vec<usize>, usize)> = None;
-            for cand in combinations(&f.support(), k) {
+            for &mask in masks {
+                let cand = mask_vars(mask);
                 let count = class_count(f, &cand).unwrap();
                 let better = match &best {
                     None => true,
@@ -434,43 +407,56 @@ mod tests {
             }
             best.unwrap()
         }
+        // A function whose columns under `bound` take only three distinct
+        // patterns (so later candidates are capped at a low incumbent).
+        fn planted(n: usize, bound: &[usize], rng: &mut StdRng) -> TruthTable {
+            let class_of: Vec<usize> = (0..1 << bound.len()).map(|_| rng.gen_range(0..3)).collect();
+            let patterns: Vec<TruthTable> = (0..3).map(|_| TruthTable::random(n, rng)).collect();
+            let bound_mask: u32 = bound.iter().map(|&v| 1 << v).sum();
+            TruthTable::from_fn(n, |m| {
+                let col = bound
+                    .iter()
+                    .enumerate()
+                    .fold(0, |c, (i, &v)| c | ((m >> v) as usize & 1) << i);
+                patterns[class_of[col]].eval(m & !bound_mask)
+            })
+        }
         let vp = VariablePartitioner::default();
         let mut rng = StdRng::seed_from_u64(2024);
-        for n in 7usize..=10 {
-            for k in [3usize, 4] {
-                // A plain random function (every candidate ties at 2^k
-                // classes) and one with a planted bound set whose columns
-                // take only three distinct patterns.
-                let random = TruthTable::random(n, &mut rng);
-                let mut vars: Vec<usize> = (0..n).collect();
-                vars.shuffle(&mut rng);
-                let planted_bound = vars[..k].to_vec();
-                let class_of: Vec<usize> = (0..1 << k).map(|_| rng.gen_range(0..3)).collect();
-                let patterns: Vec<TruthTable> =
-                    (0..3).map(|_| TruthTable::random(n, &mut rng)).collect();
-                let bound_mask: u32 = planted_bound.iter().map(|&v| 1 << v).sum();
-                let planted = TruthTable::from_fn(n, |m| {
-                    let col = planted_bound
-                        .iter()
-                        .enumerate()
-                        .fold(0, |c, (i, &v)| c | ((m >> v) as usize & 1) << i);
-                    patterns[class_of[col]].eval(m & !bound_mask)
-                });
-                assert!(naive(&planted, k).1 <= 3, "n {n} k {k}: planted bound lost");
-                for f in [random, planted] {
-                    assert_eq!(
-                        vp.best_bound_set(&f, k).unwrap(),
-                        naive(&f, k),
-                        "n {n} k {k}"
-                    );
-                }
+        // k = 3, 4 at n = 7..10, and k = 5 at n = 11..14, where columns
+        // are whole words (the digest path). n = 13, 14 at k = 5 exceed
+        // the candidate budget, so those searches are sampled.
+        let sizes = (7usize..=10)
+            .flat_map(|n| [(n, 3usize), (n, 4)])
+            .chain((11..=14).map(|n| (n, 5)));
+        for (n, k) in sizes {
+            // A plain random function (every candidate ties at 2^k
+            // classes) and one with a planted bound set.
+            let random = TruthTable::random(n, &mut rng);
+            let mut vars: Vec<usize> = (0..n).collect();
+            vars.shuffle(&mut rng);
+            let planted = planted(n, &vars[..k], &mut rng);
+            let masks = candidate_masks(&(0..n).collect::<Vec<_>>(), k);
+            if masks.len() as u128 == binomial(n, k) {
+                assert!(
+                    naive(&planted, &masks).1 <= 3,
+                    "n {n} k {k}: planted bound lost"
+                );
+            }
+            for f in [random, planted] {
+                assert_eq!(f.support().len(), n);
+                assert_eq!(
+                    vp.best_bound_set(&f, k).unwrap(),
+                    naive(&f, &masks),
+                    "n {n} k {k}"
+                );
             }
         }
         // Totally symmetric function: every candidate ties, so the
         // lexicographically first bound set wins.
         let sym = TruthTable::from_fn(9, |m| (3..=6).contains(&m.count_ones()));
         let found = vp.best_bound_set(&sym, 4).unwrap();
-        assert_eq!(found, naive(&sym, 4));
+        assert_eq!(found, naive(&sym, &candidate_masks(&sym.support(), 4)));
         assert_eq!(found.0, vec![0, 1, 2, 3]);
     }
 
@@ -496,24 +482,6 @@ mod tests {
             roomy.best_bound_set(&f, 3).unwrap(),
             plain.best_bound_set(&f, 3).unwrap()
         );
-    }
-
-    #[test]
-    fn bdd_node_cap_fails_typed_on_cut_count_path() {
-        use rand::SeedableRng;
-        let mut rng = StdRng::seed_from_u64(31);
-        let f = TruthTable::random(8, &mut rng);
-        let vp = VariablePartitioner {
-            bdd_threshold: 1,      // force the BDD path
-            bdd_node_cap: Some(8), // a random 8-var function won't fit
-            ..VariablePartitioner::default()
-        };
-        match vp.best_bound_set(&f, 3) {
-            Err(CoreError::OutOfBudget(e)) => {
-                assert_eq!(e.resource, hyde_guard::Resource::BddNodes)
-            }
-            other => panic!("expected OutOfBudget, got {other:?}"),
-        }
     }
 
     #[test]

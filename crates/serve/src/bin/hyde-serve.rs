@@ -8,6 +8,8 @@
 //! restart it on the same journal, and require the replay to finish
 //! every job with outputs byte-identical to the offline `Session` path.
 
+#![deny(clippy::let_underscore_must_use, clippy::unused_result_ok)]
+
 use hyde_serve::drill::{
     drill_config, offline_job, offline_session, run_supervised_drill, tcp_request,
 };
@@ -162,7 +164,10 @@ fn run_server(opts: &Options) -> Result<(), String> {
     if opts.print_addr {
         println!("{}", server.local_addr());
         use std::io::Write as _;
-        let _ = std::io::stdout().flush();
+        // The drill parent reads this line to find the port.
+        std::io::stdout()
+            .flush()
+            .map_err(|e| format!("print address: {e}"))?;
     }
     // Run until stdin EOF (daemon convention: the supervisor owns our
     // stdin) or a client's shutdown request.
@@ -170,7 +175,9 @@ fn run_server(opts: &Options) -> Result<(), String> {
     let eof2 = Arc::clone(&eof);
     std::thread::spawn(move || {
         let mut sink = Vec::new();
-        let _ = std::io::stdin().lock().read_to_end(&mut sink);
+        if let Err(e) = std::io::stdin().lock().read_to_end(&mut sink) {
+            eprintln!("hyde-serve: stdin read failed, shutting down as on EOF: {e}");
+        }
         eof2.store(true, Ordering::Relaxed);
     });
     while !eof.load(Ordering::Relaxed) && !server.shutdown_requested() {
@@ -197,7 +204,7 @@ fn run_drill(seed: u64, opts: &Options) -> Result<(), String> {
     // Phase A: in-process supervision drill (kills/stalls injected,
     // every job terminal, outputs byte-identical to the offline path).
     let inproc_journal = dir.join("inproc.jsonl");
-    let _ = std::fs::remove_file(&inproc_journal);
+    remove_stale(&inproc_journal)?;
     let summary = run_supervised_drill(
         seed,
         &circuits,
@@ -213,7 +220,7 @@ fn run_drill(seed: u64, opts: &Options) -> Result<(), String> {
     // Phase B: kill a serving child mid-run, restart on the same
     // journal, and require the replay to finish the remaining jobs.
     let journal = dir.join("journal.jsonl");
-    let _ = std::fs::remove_file(&journal);
+    remove_stale(&journal)?;
     let recovered = kill_restart_scenario(seed, &circuits, &journal, opts.workers)?;
     eprintln!("serve-drill s{seed}: kill/restart recovered {recovered} job(s) from the journal");
 
@@ -226,6 +233,24 @@ fn run_drill(seed: u64, opts: &Options) -> Result<(), String> {
     std::fs::write(&out, &json).map_err(|e| format!("write {}: {e}", out.display()))?;
     eprintln!("serve-drill s{seed}: wrote {}", out.display());
     Ok(())
+}
+
+/// Deletes a journal left by an earlier drill run, if there is one.
+fn remove_stale(path: &std::path::Path) -> Result<(), String> {
+    match std::fs::remove_file(path) {
+        Err(e) if e.kind() != std::io::ErrorKind::NotFound => {
+            Err(format!("remove {}: {e}", path.display()))
+        }
+        _ => Ok(()),
+    }
+}
+
+/// Kills a drill child on an error path. The drill already fails with
+/// its own error, so a failed kill is reported, not returned.
+fn kill_child(proc: &mut std::process::Child) {
+    if let Err(e) = proc.kill() {
+        eprintln!("serve-drill: cannot kill the child server: {e}");
+    }
 }
 
 struct Child {
@@ -260,7 +285,7 @@ fn spawn_server(seed: u64, journal: &std::path::Path, workers: usize) -> Result<
         .map_err(|e| format!("read child addr: {e}"))?;
     let addr = addr.trim().to_owned();
     if addr.is_empty() {
-        let _ = proc.kill();
+        kill_child(&mut proc);
         return Err("child printed no address".into());
     }
     Ok(Child { proc, addr })
@@ -301,7 +326,7 @@ fn kill_restart_scenario(
         );
         let resp = tcp_request(&child.addr, &line)?;
         if !resp.contains("\"ok\":true") {
-            let _ = child.proc.kill();
+            kill_child(&mut child.proc);
             return Err(format!("submit {} rejected: {resp}", c.name));
         }
     }
@@ -317,13 +342,16 @@ fn kill_restart_scenario(
             break;
         }
         if Instant::now() > deadline {
-            let _ = child.proc.kill();
+            kill_child(&mut child.proc);
             return Err("kill/restart: no progress before kill point".into());
         }
         std::thread::sleep(Duration::from_millis(100));
     }
     child.proc.kill().map_err(|e| format!("kill child: {e}"))?;
-    let _ = child.proc.wait();
+    child
+        .proc
+        .wait()
+        .map_err(|e| format!("reap killed child: {e}"))?;
     let unfinished = before_kill.values().filter(|s| !terminal(s)).count();
 
     // Restart on the same journal: replay must recover the queue and
@@ -336,7 +364,7 @@ fn kill_restart_scenario(
             break;
         }
         if Instant::now() > deadline {
-            let _ = child.proc.kill();
+            kill_child(&mut child.proc);
             return Err(format!(
                 "kill/restart: jobs stuck after replay: {:?}",
                 states
@@ -367,13 +395,13 @@ fn kill_restart_scenario(
                     .and_then(|b| b.as_str())
                     .ok_or_else(|| format!("{}: done result lacks blif", c.name))?;
                 if blif != r.blif() {
-                    let _ = child.proc.kill();
+                    kill_child(&mut child.proc);
                     return Err(format!("{}: blif differs from offline path", c.name));
                 }
             }
             ("quarantined", Err(_)) => {}
             (s, r) => {
-                let _ = child.proc.kill();
+                kill_child(&mut child.proc);
                 return Err(format!(
                     "{}: serve={s} vs offline={}",
                     c.name,
@@ -384,14 +412,17 @@ fn kill_restart_scenario(
     }
 
     // Graceful stop: close the child's stdin (EOF → drain → exit).
-    let _ = tcp_request(&child.addr, "{\"op\":\"shutdown\"}");
+    // Closing stdin below stops the child even if this request fails.
+    if let Err(e) = tcp_request(&child.addr, "{\"op\":\"shutdown\"}") {
+        eprintln!("serve-drill: shutdown request failed, relying on stdin EOF: {e}");
+    }
     drop(child.proc.stdin.take());
     let waited = Instant::now();
     loop {
         match child.proc.try_wait() {
             Ok(Some(_)) => break,
             Ok(None) if waited.elapsed() > Duration::from_secs(60) => {
-                let _ = child.proc.kill();
+                kill_child(&mut child.proc);
                 break;
             }
             Ok(None) => std::thread::sleep(Duration::from_millis(50)),

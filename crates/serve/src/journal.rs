@@ -436,6 +436,6 @@ mod tests {
         let (_j, events, skipped) = Journal::open(&path).unwrap();
         assert_eq!(events.len(), 1);
         assert_eq!(skipped, 1);
-        std::fs::remove_dir_all(&dir).ok();
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

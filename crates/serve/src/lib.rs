@@ -20,6 +20,7 @@
 //! behind `cargo xtask serve-drill`.
 
 #![forbid(unsafe_code)]
+#![deny(clippy::let_underscore_must_use, clippy::unused_result_ok)]
 #![warn(missing_docs)]
 
 pub mod drill;

@@ -52,9 +52,16 @@ impl Server {
                     if let Ok(stream) = conn {
                         let service = Arc::clone(&service);
                         let req = Arc::clone(&t_req);
-                        let _ = std::thread::Builder::new()
+                        let spawned = std::thread::Builder::new()
                             .name("hyde-serve-conn".to_owned())
                             .spawn(move || handle_connection(stream, &service, &req));
+                        // The stream moved into the failed spawn and is
+                        // closed with it.
+                        if let Err(e) = spawned {
+                            eprintln!(
+                                "hyde-serve: dropping a connection, cannot spawn its thread: {e}"
+                            );
+                        }
                     }
                 }
             })?;
@@ -84,8 +91,16 @@ impl Server {
     fn stop_and_join(&mut self) {
         if let Some(handle) = self.handle.take() {
             self.stop.store(true, Ordering::Relaxed);
+            // Wake the blocking accept so the loop sees `stop`; if the
+            // connect fails, the loop has already exited.
+            #[expect(
+                clippy::let_underscore_must_use,
+                reason = "the wake-up connection only unblocks accept; failure means nothing is blocked"
+            )]
             let _ = TcpStream::connect_timeout(&self.local_addr, IO_TIMEOUT);
-            let _ = handle.join();
+            if handle.join().is_err() {
+                eprintln!("hyde-serve: the accept thread panicked");
+            }
         }
     }
 }
@@ -97,8 +112,14 @@ impl Drop for Server {
 }
 
 fn handle_connection(stream: TcpStream, service: &MapService, shutdown_req: &AtomicBool) {
-    let _ = stream.set_read_timeout(Some(IO_TIMEOUT));
-    let _ = stream.set_write_timeout(Some(IO_TIMEOUT));
+    // A connection without timeouts could pin its thread forever: drop it.
+    let timeouts = stream
+        .set_read_timeout(Some(IO_TIMEOUT))
+        .and_then(|()| stream.set_write_timeout(Some(IO_TIMEOUT)));
+    if let Err(e) = timeouts {
+        eprintln!("hyde-serve: dropping a connection, cannot set its timeouts: {e}");
+        return;
+    }
     let mut reader = BufReader::new(match stream.try_clone() {
         Ok(s) => s,
         Err(_) => return,
@@ -122,35 +143,28 @@ fn handle_connection(stream: TcpStream, service: &MapService, shutdown_req: &Ato
             hyde_obs::observe("serve.request_us", t0.elapsed().as_micros() as u64);
             return;
         }
-        let response = if line.len() > MAX_LINE_BYTES {
-            let _ = write_line(
-                &mut stream,
-                &ProtoError::new(
-                    "oversized-frame",
-                    format!("frame exceeds {MAX_LINE_BYTES} bytes"),
-                )
-                .to_json(),
+        // Oversized and truncated frames get an error reply, then the
+        // connection closes: the rest of the stream is unframed.
+        let (response, close) = if line.len() > MAX_LINE_BYTES {
+            let e = ProtoError::new(
+                "oversized-frame",
+                format!("frame exceeds {MAX_LINE_BYTES} bytes"),
             );
-            hyde_obs::observe("serve.request_us", t0.elapsed().as_micros() as u64);
-            return; // the rest of the stream is unframed; drop it
+            (e.to_json(), true)
         } else if !complete {
-            // EOF hit mid-line: answer (the client may have half-closed)
-            // and drop the connection.
-            let _ = write_line(
-                &mut stream,
-                &ProtoError::new("truncated-frame", "connection closed mid-frame").to_json(),
-            );
-            hyde_obs::observe("serve.request_us", t0.elapsed().as_micros() as u64);
-            return;
+            // EOF hit mid-line: answer (the client may have half-closed).
+            let e = ProtoError::new("truncated-frame", "connection closed mid-frame");
+            (e.to_json(), true)
         } else {
-            match std::str::from_utf8(&line) {
+            let response = match std::str::from_utf8(&line) {
                 Ok(text) => dispatch(text, service, shutdown_req),
                 Err(_) => ProtoError::new("bad-utf8", "request line is not valid UTF-8").to_json(),
-            }
+            };
+            (response, false)
         };
         let ok = write_line(&mut stream, &response).is_ok();
         hyde_obs::observe("serve.request_us", t0.elapsed().as_micros() as u64);
-        if !ok {
+        if close || !ok {
             return;
         }
     }
@@ -326,6 +340,10 @@ fn handle_http(
             "not found\n".to_owned(),
         ),
     };
+    #[expect(
+        clippy::let_underscore_must_use,
+        reason = "the connection closes after this reply, so a failed write has no one to report to"
+    )]
     let _ = write!(
         stream,
         "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",

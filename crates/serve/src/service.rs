@@ -272,9 +272,7 @@ impl MapService {
     #[allow(clippy::result_unit_err)]
     pub fn cancel(&self, id: &str) -> Result<bool, ()> {
         if self.inner.queue.cancel(id) {
-            if let Some(j) = self.inner.journal.lock().expect("journal mutex").as_mut() {
-                let _ = j.append(&JournalEvent::Cancelled { id: id.to_owned() });
-            }
+            journal_append(&self.inner, &JournalEvent::Cancelled { id: id.to_owned() });
             self.inner
                 .states
                 .lock()
@@ -362,15 +360,25 @@ impl MapService {
             std::thread::sleep(Duration::from_millis(10));
         }
         for h in workers.drain(..) {
-            if h.is_finished() {
-                let _ = h.join();
+            // Jobs run under `catch_unwind`, so a worker panic is a
+            // supervision bug: report it, shutdown goes on.
+            if h.is_finished() && h.join().is_err() {
+                eprintln!("hyde-serve: a worker thread panicked outside job supervision");
             }
             // An unfinished worker is mid-job past the drain deadline:
             // detach it; the job's journal records keep it recoverable.
         }
         if let Some(wd) = self.watchdog.lock().expect("watchdog mutex").take() {
-            let _ = wd.join();
+            join_watchdog(wd);
         }
+    }
+}
+
+/// Joins the watchdog thread. It only flags overruns, so a panic there
+/// loses no job state: it is reported, not propagated.
+fn join_watchdog(wd: std::thread::JoinHandle<()>) {
+    if wd.join().is_err() {
+        eprintln!("hyde-serve: the watchdog thread panicked");
     }
 }
 
@@ -379,7 +387,7 @@ impl Drop for MapService {
         self.inner.queue.close();
         self.inner.stop.store(true, Ordering::Relaxed);
         if let Some(wd) = self.watchdog.lock().expect("watchdog mutex").take() {
-            let _ = wd.join();
+            join_watchdog(wd);
         }
     }
 }
@@ -581,10 +589,17 @@ fn finish(inner: &Inner, spec: &JobSpec, t0: Instant, outcome: Result<DoneBody, 
     hyde_obs::observe("serve.job_wall_us", t0.elapsed().as_micros() as u64);
 }
 
+/// Appends `ev` to the journal, if the service has one. A failure after
+/// admission is dropped durability, not a job failure: the in-memory run
+/// proceeds, `serve.journal.errors` counts it and stderr gets one line.
 fn journal_append(inner: &Inner, ev: &JournalEvent) {
     if let Some(j) = inner.journal.lock().expect("journal mutex").as_mut() {
-        // Journal write failures after admission are logged as dropped
-        // durability, not job failures: the in-memory run proceeds.
-        let _ = j.append(ev);
+        if let Err(e) = j.append(ev) {
+            hyde_obs::counter("serve.journal.errors", 1);
+            eprintln!(
+                "hyde-serve: journal append to {} failed: {e}",
+                j.path().display()
+            );
+        }
     }
 }
