@@ -39,7 +39,7 @@
 mod cec;
 mod manager;
 
-pub use manager::{global_managers_dropped, global_stats, Bdd, BddStats, Ref};
+pub use manager::{Bdd, BddStats, Ref};
 
 #[cfg(test)]
 mod tests {

@@ -4,13 +4,15 @@
 //!
 //! * the **unique table** is an open-addressed array of node indices with
 //!   power-of-two capacity, multiplicative integer hashing and linear
-//!   probing. The manager is append-only, so the table never deletes and
-//!   needs no tombstones; growth doubles the bucket array and reinserts.
-//! * the **operation cache** is a fixed-size direct-mapped array of
-//!   `(op, operands, result)` slots. Lookups hash to exactly one slot;
-//!   inserts overwrite whatever lives there (lossy, like CUDD's computed
-//!   table). Losing an entry only costs a recomputation — results are
-//!   canonical either way.
+//!   probing. Entries are never deleted one by one, so the table needs no
+//!   tombstones: growth doubles the bucket array and reinserts, and a
+//!   garbage collection ([`Bdd::gc`]) rebuilds it from the surviving
+//!   nodes.
+//! * the **operation cache** is a direct-mapped array of
+//!   `(op, operands, result)` slots that doubles under eviction pressure.
+//!   Lookups hash to exactly one slot; inserts overwrite whatever lives
+//!   there (lossy, like CUDD's computed table). Losing an entry only costs
+//!   a recomputation — results are canonical either way.
 //!
 //! Both tables feed per-manager [`BddStats`] counters exposed through
 //! [`Bdd::stats`], so benchmarks and the deep verification passes can
@@ -18,7 +20,6 @@
 
 use std::cell::RefCell;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Reference to a BDD node owned by a [`Bdd`] manager.
 ///
@@ -112,105 +113,14 @@ pub struct BddStats {
     /// Occupied cache slots overwritten by a different key (direct-mapped
     /// replacement losses).
     pub cache_evictions: u64,
-    /// Unique-table doublings (growth events) since the last reset.
+    /// Unique-table doublings (growth events).
     pub unique_growths: u64,
-    /// Computed-cache doublings under eviction pressure since the last
-    /// reset.
+    /// Computed-cache doublings under eviction pressure.
     pub cache_growths: u64,
     /// Garbage collections performed (see [`Bdd::gc`]).
     pub gc_runs: u64,
     /// Dead nodes reclaimed across all collections.
     pub gc_reclaimed: u64,
-}
-
-impl BddStats {
-    /// Operation-cache hit rate in `[0, 1]` (zero when nothing was looked
-    /// up).
-    pub fn cache_hit_rate(&self) -> f64 {
-        if self.cache_lookups == 0 {
-            0.0
-        } else {
-            self.cache_hits as f64 / self.cache_lookups as f64
-        }
-    }
-
-    /// Operation-cache misses.
-    pub fn cache_misses(&self) -> u64 {
-        self.cache_lookups - self.cache_hits
-    }
-
-    /// Mean unique-table probe length (1.0 means no collisions at all).
-    pub fn mean_probe_length(&self) -> f64 {
-        if self.unique_lookups == 0 {
-            0.0
-        } else {
-            self.unique_probes as f64 / self.unique_lookups as f64
-        }
-    }
-}
-
-/// Process-global accumulator: every dropped manager flushes its counters
-/// here unconditionally (tracing active or not), so callers can attribute
-/// BDD traffic to a workload whose managers are created and dropped
-/// internally — including the per-worker managers of parallel fan-outs.
-struct GlobalStatCells {
-    managers: AtomicU64,
-    nodes: AtomicU64,
-    unique_lookups: AtomicU64,
-    unique_probes: AtomicU64,
-    unique_hits: AtomicU64,
-    cache_lookups: AtomicU64,
-    cache_hits: AtomicU64,
-    cache_evictions: AtomicU64,
-    unique_growths: AtomicU64,
-    cache_growths: AtomicU64,
-    gc_runs: AtomicU64,
-    gc_reclaimed: AtomicU64,
-}
-
-static GLOBAL_STATS: GlobalStatCells = GlobalStatCells {
-    managers: AtomicU64::new(0),
-    nodes: AtomicU64::new(0),
-    unique_lookups: AtomicU64::new(0),
-    unique_probes: AtomicU64::new(0),
-    unique_hits: AtomicU64::new(0),
-    cache_lookups: AtomicU64::new(0),
-    cache_hits: AtomicU64::new(0),
-    cache_evictions: AtomicU64::new(0),
-    unique_growths: AtomicU64::new(0),
-    cache_growths: AtomicU64::new(0),
-    gc_runs: AtomicU64::new(0),
-    gc_reclaimed: AtomicU64::new(0),
-};
-
-/// Snapshot of the process-global counters accumulated from every manager
-/// dropped so far ([`BddStats::nodes`] is their summed node count).
-///
-/// Counters are monotone, so the way to measure a workload is to delta
-/// two snapshots around it: `hyde-bench` does exactly this per circuit to
-/// report the flow's real operation-cache hit rate. Live (undropped)
-/// managers have not flushed yet and are not included.
-pub fn global_stats() -> BddStats {
-    let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
-    BddStats {
-        nodes: load(&GLOBAL_STATS.nodes) as usize,
-        unique_lookups: load(&GLOBAL_STATS.unique_lookups),
-        unique_probes: load(&GLOBAL_STATS.unique_probes),
-        unique_hits: load(&GLOBAL_STATS.unique_hits),
-        cache_lookups: load(&GLOBAL_STATS.cache_lookups),
-        cache_hits: load(&GLOBAL_STATS.cache_hits),
-        cache_evictions: load(&GLOBAL_STATS.cache_evictions),
-        unique_growths: load(&GLOBAL_STATS.unique_growths),
-        cache_growths: load(&GLOBAL_STATS.cache_growths),
-        gc_runs: load(&GLOBAL_STATS.gc_runs),
-        gc_reclaimed: load(&GLOBAL_STATS.gc_reclaimed),
-    }
-}
-
-/// Number of managers dropped (and therefore flushed into
-/// [`global_stats`]) so far, process-wide.
-pub fn global_managers_dropped() -> u64 {
-    GLOBAL_STATS.managers.load(Ordering::Relaxed)
 }
 
 /// Default unique-table bucket count for [`Bdd::new`] (power of two).
@@ -224,9 +134,10 @@ const MAX_CACHE_SLOTS: usize = 1 << 20;
 
 /// A reduced ordered BDD manager over a fixed number of variables.
 ///
-/// Variable `0` is the topmost in the order. The manager is append-only
-/// (no garbage collection): decomposition workloads build, query, and drop
-/// the whole manager.
+/// Variable `0` is the topmost in the order. Nodes are allocated until a
+/// mark-and-sweep collection ([`Bdd::gc`], [`Bdd::maybe_gc`]) returns the
+/// unreachable ones to a free list at an explicit safe point; live nodes
+/// never move, so their [`Ref`]s stay valid.
 #[derive(Debug, Clone)]
 pub struct Bdd {
     num_vars: usize,
@@ -382,30 +293,12 @@ impl Bdd {
         }
     }
 
-    /// Zeroes the traffic counters without touching the node store or the
-    /// tables, so per-phase deltas can be taken from one long-lived
-    /// manager (`stats()` → work → `stats()`) instead of constructing a
-    /// fresh manager per phase. The `nodes` field of [`BddStats`] is a
-    /// point-in-time size, not a counter, and is unaffected.
-    pub fn reset_stats(&self) {
-        self.stats.unique_lookups.set(0);
-        self.stats.unique_probes.set(0);
-        self.stats.unique_hits.set(0);
-        self.stats.cache_lookups.set(0);
-        self.stats.cache_hits.set(0);
-        self.stats.cache_evictions.set(0);
-        self.stats.unique_growths.set(0);
-        self.stats.cache_growths.set(0);
-        self.stats.gc_runs.set(0);
-        self.stats.gc_reclaimed.set(0);
-    }
-
     /// Current unique-table bucket count (diagnostics/tests).
     pub fn unique_capacity(&self) -> usize {
         self.unique.len()
     }
 
-    /// Computed-cache slot count (fixed for the manager's lifetime).
+    /// Current computed-cache slot count (doubles under eviction pressure).
     pub fn cache_capacity(&self) -> usize {
         self.cache.len()
     }
@@ -1217,32 +1110,15 @@ impl Bdd {
 }
 
 impl Drop for Bdd {
-    /// Flushes the manager's traffic counters into the process-global
-    /// accumulator ([`global_stats`]) unconditionally, and additionally
-    /// into the hyde-obs registry when tracing is active, so an
-    /// `ObsReport` aggregates BDD work across every manager the run
-    /// constructed (including the per-worker managers inside parallel
-    /// fan-outs).
+    /// Flushes the manager's traffic counters into the hyde-obs registry
+    /// when tracing is active, so an `ObsReport` aggregates BDD work
+    /// across every manager the run constructed (including the
+    /// per-worker managers inside parallel fan-outs).
     fn drop(&mut self) {
-        let s = self.stats();
-        let add = |c: &AtomicU64, v: u64| {
-            c.fetch_add(v, Ordering::Relaxed);
-        };
-        add(&GLOBAL_STATS.managers, 1);
-        add(&GLOBAL_STATS.nodes, s.nodes as u64);
-        add(&GLOBAL_STATS.unique_lookups, s.unique_lookups);
-        add(&GLOBAL_STATS.unique_probes, s.unique_probes);
-        add(&GLOBAL_STATS.unique_hits, s.unique_hits);
-        add(&GLOBAL_STATS.cache_lookups, s.cache_lookups);
-        add(&GLOBAL_STATS.cache_hits, s.cache_hits);
-        add(&GLOBAL_STATS.cache_evictions, s.cache_evictions);
-        add(&GLOBAL_STATS.unique_growths, s.unique_growths);
-        add(&GLOBAL_STATS.cache_growths, s.cache_growths);
-        add(&GLOBAL_STATS.gc_runs, s.gc_runs);
-        add(&GLOBAL_STATS.gc_reclaimed, s.gc_reclaimed);
         if !hyde_obs::enabled() {
             return;
         }
+        let s = self.stats();
         hyde_obs::counter("bdd.managers", 1);
         hyde_obs::counter("bdd.nodes", s.nodes as u64);
         hyde_obs::counter("bdd.unique_lookups", s.unique_lookups);
@@ -1263,62 +1139,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn dropped_managers_flush_into_global_stats() {
-        // Monotonic deltas only: other tests in the process drop managers
-        // too, so assert growth, not exact values.
-        let before = global_stats();
-        let managers_before = global_managers_dropped();
-        let mut bdd = Bdd::new(4);
-        let a = bdd.var(0);
-        let b = bdd.var(1);
-        let x = bdd.and(a, b);
-        let _ = bdd.or(x, a);
-        let _ = bdd.and(a, b); // cache hit on the repeated op
-        let live = bdd.stats();
-        assert!(live.cache_lookups > 0 && live.cache_hits > 0);
-        drop(bdd);
-        let after = global_stats();
-        assert!(global_managers_dropped() > managers_before);
-        assert!(after.nodes > before.nodes);
-        assert!(after.unique_probes > before.unique_probes);
-        assert!(after.cache_lookups >= before.cache_lookups + live.cache_lookups);
-        assert!(after.cache_hits >= before.cache_hits + live.cache_hits);
-    }
-
-    #[test]
     fn terminals() {
         let bdd = Bdd::new(3);
         assert_eq!(bdd.zero(), Ref::FALSE);
         assert_eq!(bdd.one(), Ref::TRUE);
         assert_eq!(bdd.sat_count(Ref::TRUE), 8);
         assert_eq!(bdd.sat_count(Ref::FALSE), 0);
-    }
-
-    #[test]
-    fn reset_stats_zeroes_counters_without_touching_nodes() {
-        let mut bdd = Bdd::new(4);
-        let a = bdd.var(0);
-        let b = bdd.var(1);
-        let _f = bdd.and(a, b);
-        let before = bdd.stats();
-        assert!(before.unique_lookups > 0);
-        assert!(before.cache_lookups > 0);
-        bdd.reset_stats();
-        let after = bdd.stats();
-        assert_eq!(after.unique_lookups, 0);
-        assert_eq!(after.unique_probes, 0);
-        assert_eq!(after.unique_hits, 0);
-        assert_eq!(after.cache_lookups, 0);
-        assert_eq!(after.cache_hits, 0);
-        assert_eq!(after.cache_evictions, 0);
-        assert_eq!(after.unique_growths, 0);
-        assert_eq!(after.cache_growths, 0);
-        // Node store untouched: nodes is a size, not a counter.
-        assert_eq!(after.nodes, before.nodes);
-        // Counters accumulate again after the reset (per-phase deltas).
-        let c = bdd.var(2);
-        let _g = bdd.or(a, c);
-        assert!(bdd.stats().unique_lookups > 0);
     }
 
     #[test]
@@ -1334,8 +1160,6 @@ mod tests {
         let s = bdd.stats();
         assert!(s.unique_growths > 0, "expected unique-table growth: {s:?}");
         assert_eq!(bdd.unique_capacity() > 1 << 4, s.unique_growths > 0);
-        bdd.reset_stats();
-        assert_eq!(bdd.stats().unique_growths, 0);
     }
 
     /// Reference function used by the GC tests: a mildly irregular
@@ -1735,8 +1559,8 @@ mod tests {
         let _ = bdd.and(f, g);
         let s2 = bdd.stats();
         assert!(s2.cache_hits > s1.cache_hits);
-        assert!(s2.cache_hit_rate() > 0.0);
-        assert!(s2.mean_probe_length() >= 1.0);
+        // Every unique-table lookup inspects at least one bucket.
+        assert!(s2.unique_probes >= s2.unique_lookups);
     }
 
     #[test]

@@ -24,14 +24,17 @@
 //!
 //! # Scoping & eviction
 //!
-//! The cache is opt-in (partitioners built without one behave exactly as
-//! before) and is shared by `Arc`: within a circuit across candidates and
-//! recursion levels, and across circuits within a `hyde-bench` run. There
-//! is no eviction — entries are immutable and small — but two caps bound
-//! memory: an entry cap and a total table-word budget. When either is
-//! reached the cache *freezes*: lookups keep hitting, inserts are dropped.
-//! Freezing (rather than evicting) keeps warm/cold runs byte-identical —
-//! an LRU would make results depend on visit order pressure.
+//! The cache is opt-in and is not result-neutral: a partitioner built
+//! without one searches the caller's table, and one built with it breaks
+//! class-count ties on the canonical table, which can pick a different
+//! bound set (and so a different network). It is shared by `Arc`: within
+//! a circuit across candidates and recursion levels, and across circuits
+//! within a `hyde-bench` run. There is no eviction — entries are
+//! immutable and small — but two caps bound memory: an entry cap and a
+//! total table-word budget. When either is reached the cache *freezes*:
+//! lookups keep hitting, inserts are dropped. Freezing (rather than
+//! evicting) keeps warm/cold runs byte-identical — an LRU would make
+//! results depend on visit order pressure.
 
 use crate::npn::{self, NpnCanon};
 use hyde_logic::TruthTable;

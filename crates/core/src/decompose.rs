@@ -188,17 +188,6 @@ fn step(
     Ok(d)
 }
 
-/// Statistics of one recursive decomposition run.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct DecomposeStats {
-    /// Number of Roth–Karp steps taken.
-    pub steps: usize,
-    /// Number of Shannon-expansion fallbacks.
-    pub shannon_fallbacks: usize,
-    /// Total α functions emitted.
-    pub alpha_luts: usize,
-}
-
 /// Recursive decomposer producing κ-feasible LUT networks.
 ///
 /// # Example
@@ -210,7 +199,7 @@ pub struct DecomposeStats {
 ///
 /// let f = TruthTable::from_fn(7, |m| m.count_ones() % 2 == 1); // parity-7
 /// let dec = Decomposer::new(5, EncoderKind::Hyde { seed: 1 });
-/// let (net, _stats) = dec.decompose_to_network(&f, "par7").unwrap();
+/// let net = dec.decompose_to_network(&f, "par7").unwrap();
 /// assert!(net.is_k_feasible(5));
 /// // The network still computes parity:
 /// let bits = [true, false, true, true, false, false, false];
@@ -279,19 +268,14 @@ impl Decomposer {
     ///
     /// Propagates decomposition errors; verification failures surface as
     /// [`CoreError::Verification`].
-    pub fn decompose_to_network(
-        &self,
-        f: &TruthTable,
-        name: &str,
-    ) -> Result<(Network, DecomposeStats), CoreError> {
+    pub fn decompose_to_network(&self, f: &TruthTable, name: &str) -> Result<Network, CoreError> {
         let mut net = Network::new(name);
         let inputs: Vec<NodeId> = (0..f.vars())
             .map(|i| net.add_input(&format!("x{i}")))
             .collect();
-        let mut stats = DecomposeStats::default();
-        let out = self.decompose_onto(&mut net, f, &inputs, name, &mut stats)?;
+        let out = self.decompose_onto(&mut net, f, &inputs, name)?;
         net.mark_output(name, out);
-        Ok((net, stats))
+        Ok(net)
     }
 
     /// Decomposes `f` inside an existing network, with `signals[i]` driving
@@ -306,16 +290,8 @@ impl Decomposer {
         f: &TruthTable,
         signals: &[NodeId],
         prefix: &str,
-        stats: &mut DecomposeStats,
     ) -> Result<NodeId, CoreError> {
-        self.decompose_onto_avoiding(
-            net,
-            f,
-            signals,
-            &std::collections::HashSet::new(),
-            prefix,
-            stats,
-        )
+        self.decompose_onto_avoiding(net, f, signals, &std::collections::HashSet::new(), prefix)
     }
 
     /// Like [`Self::decompose_onto`], but treats the signals in `avoid` as
@@ -333,7 +309,6 @@ impl Decomposer {
         signals: &[NodeId],
         avoid: &std::collections::HashSet<NodeId>,
         prefix: &str,
-        stats: &mut DecomposeStats,
     ) -> Result<NodeId, CoreError> {
         assert_eq!(f.vars(), signals.len(), "one signal per variable");
         // Support minimization first.
@@ -341,7 +316,7 @@ impl Decomposer {
         if support.len() < f.vars() {
             let reduced = project_to_support(f, &support);
             let sigs: Vec<NodeId> = support.iter().map(|&v| signals[v]).collect();
-            return self.decompose_onto_avoiding(net, &reduced, &sigs, avoid, prefix, stats);
+            return self.decompose_onto_avoiding(net, &reduced, &sigs, avoid, prefix);
         }
         if f.vars() == 0 {
             return Ok(net.add_constant(&format!("{prefix}_const"), !f.is_zero()));
@@ -401,7 +376,6 @@ impl Decomposer {
         if t >= self.k {
             // No gainful bound set: Shannon-expand, preferring a pseudo
             // variable (duplication happens at recovery anyway).
-            stats.shannon_fallbacks += 1;
             hyde_obs::counter("decompose.shannon", 1);
             let var = (0..f.vars())
                 .rev()
@@ -409,22 +383,10 @@ impl Decomposer {
                 .unwrap_or(f.vars() - 1);
             let f0 = f.cofactor(var, false);
             let f1 = f.cofactor(var, true);
-            let n0 = self.decompose_onto_avoiding(
-                net,
-                &f0,
-                signals,
-                avoid,
-                &format!("{prefix}_lo"),
-                stats,
-            )?;
-            let n1 = self.decompose_onto_avoiding(
-                net,
-                &f1,
-                signals,
-                avoid,
-                &format!("{prefix}_hi"),
-                stats,
-            )?;
+            let n0 =
+                self.decompose_onto_avoiding(net, &f0, signals, avoid, &format!("{prefix}_lo"))?;
+            let n1 =
+                self.decompose_onto_avoiding(net, &f1, signals, avoid, &format!("{prefix}_hi"))?;
             // mux(s, a, b) = s ? b : a over vars (s, a, b).
             let mux = TruthTable::from_fn(3, |m| {
                 if m & 1 == 1 {
@@ -437,7 +399,6 @@ impl Decomposer {
                 .add_node(prefix, vec![signals[var], n0, n1], mux)
                 .map_err(CoreError::from);
         }
-        stats.steps += 1;
         let d = step(
             f,
             &bound,
@@ -461,7 +422,6 @@ impl Decomposer {
             let id = net
                 .add_node(&format!("{prefix}_a{i}"), bound_sigs.clone(), alpha.clone())
                 .map_err(CoreError::from)?;
-            stats.alpha_luts += 1;
             if alpha_tainted {
                 next_avoid.insert(id);
             }
@@ -471,14 +431,7 @@ impl Decomposer {
             g_sigs.push(signals[v]);
         }
         // Recurse on the image.
-        self.decompose_onto_avoiding(
-            net,
-            &d.image,
-            &g_sigs,
-            &next_avoid,
-            &format!("{prefix}_g"),
-            stats,
-        )
+        self.decompose_onto_avoiding(net, &d.image, &g_sigs, &next_avoid, &format!("{prefix}_g"))
     }
 }
 
@@ -717,9 +670,12 @@ mod tests {
     fn parity_decomposes_without_fallback() {
         let f = TruthTable::from_fn(9, |m| m.count_ones() % 2 == 1);
         let dec = Decomposer::new(4, EncoderKind::Lexicographic);
-        let (net, stats) = dec.decompose_to_network(&f, "par9").unwrap();
+        let net = dec.decompose_to_network(&f, "par9").unwrap();
         assert!(net.is_k_feasible(4));
-        assert_eq!(stats.shannon_fallbacks, 0);
+        // Two gainful steps (one two-class α LUT each, 9 -> 6 -> 3
+        // variables) and the final LUT. A Shannon fallback would add a mux
+        // LUT on top of two cofactor networks.
+        assert_eq!(net.internal_count(), 3);
         for m in 0u32..512 {
             let bits: Vec<bool> = (0..9).map(|i| m >> i & 1 == 1).collect();
             assert_eq!(net.eval(&bits)[0], m.count_ones() % 2 == 1, "m={m}");
@@ -737,7 +693,7 @@ mod tests {
                 EncoderKind::Hyde { seed: trial },
             ] {
                 let dec = Decomposer::new(5, enc);
-                let (net, _) = dec.decompose_to_network(&f, "rnd").unwrap();
+                let net = dec.decompose_to_network(&f, "rnd").unwrap();
                 assert!(net.is_k_feasible(5));
                 for m in (0u32..256).step_by(7) {
                     let bits: Vec<bool> = (0..8).map(|i| m >> i & 1 == 1).collect();
@@ -751,9 +707,8 @@ mod tests {
     fn small_function_is_single_lut() {
         let f = TruthTable::from_fn(4, |m| m.count_ones() >= 2);
         let dec = Decomposer::new(5, EncoderKind::Lexicographic);
-        let (net, stats) = dec.decompose_to_network(&f, "maj4").unwrap();
+        let net = dec.decompose_to_network(&f, "maj4").unwrap();
         assert_eq!(net.internal_count(), 1);
-        assert_eq!(stats.steps, 0);
     }
 
     #[test]
@@ -764,7 +719,7 @@ mod tests {
             a & b | c == 1
         });
         let dec = Decomposer::new(5, EncoderKind::Lexicographic);
-        let (net, _) = dec.decompose_to_network(&f, "vac").unwrap();
+        let net = dec.decompose_to_network(&f, "vac").unwrap();
         assert_eq!(net.internal_count(), 1);
     }
 
@@ -772,7 +727,7 @@ mod tests {
     fn constant_function() {
         let f = TruthTable::one(6);
         let dec = Decomposer::new(4, EncoderKind::Lexicographic);
-        let (net, _) = dec.decompose_to_network(&f, "one").unwrap();
+        let net = dec.decompose_to_network(&f, "one").unwrap();
         assert_eq!(net.eval(&[false; 6]), vec![true]);
     }
 
@@ -782,7 +737,7 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(5);
         let f = TruthTable::random(6, &mut rng);
         let dec = Decomposer::new(3, EncoderKind::Lexicographic);
-        let (net, _stats) = dec.decompose_to_network(&f, "hard").unwrap();
+        let net = dec.decompose_to_network(&f, "hard").unwrap();
         assert!(net.is_k_feasible(3));
         for m in 0u32..64 {
             let bits: Vec<bool> = (0..6).map(|i| m >> i & 1 == 1).collect();
@@ -856,13 +811,8 @@ mod tests {
         let dec = Decomposer::new(5, EncoderKind::Lexicographic);
         let mut net = Network::new("two");
         let inputs: Vec<NodeId> = (0..7).map(|i| net.add_input(&format!("i{i}"))).collect();
-        let mut stats = DecomposeStats::default();
-        let nf = dec
-            .decompose_onto(&mut net, &f, &inputs, "f", &mut stats)
-            .unwrap();
-        let ng = dec
-            .decompose_onto(&mut net, &g, &inputs, "g", &mut stats)
-            .unwrap();
+        let nf = dec.decompose_onto(&mut net, &f, &inputs, "f").unwrap();
+        let ng = dec.decompose_onto(&mut net, &g, &inputs, "g").unwrap();
         net.mark_output("f", nf);
         net.mark_output("g", ng);
         for m in (0u32..128).step_by(3) {

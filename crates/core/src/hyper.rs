@@ -13,7 +13,7 @@
 //! ingredients play the role of compatible class functions.
 
 use crate::classes::CompatibleClasses;
-use crate::decompose::{DecomposeStats, Decomposer};
+use crate::decompose::Decomposer;
 use crate::encoding::{build_image, CodeAssignment, EncoderKind};
 use crate::CoreError;
 use hyde_logic::network::structural_merge;
@@ -202,18 +202,15 @@ impl HyperFunction {
         for i in 0..self.num_inputs {
             signals.push(net.add_input(&format!("x{i}")));
         }
-        let mut stats = DecomposeStats::default();
         // Keep pseudo primary inputs in the μ set wherever possible so the
         // duplication cone stays small (Section 4.3).
         let avoid: std::collections::HashSet<NodeId> = pseudo_inputs.iter().copied().collect();
-        let out =
-            dec.decompose_onto_avoiding(&mut net, &self.table, &signals, &avoid, "F", &mut stats)?;
+        let out = dec.decompose_onto_avoiding(&mut net, &self.table, &signals, &avoid, "F")?;
         net.mark_output("F", out);
         Ok(HyperNetwork {
             hyper: self.clone(),
             network: net,
             pseudo_inputs,
-            stats,
         })
     }
 }
@@ -226,8 +223,6 @@ pub struct HyperNetwork {
     pub network: Network,
     /// The pseudo primary input nodes (`η`).
     pub pseudo_inputs: Vec<NodeId>,
-    /// Decomposition statistics.
-    pub stats: DecomposeStats,
 }
 
 impl HyperNetwork {

@@ -48,7 +48,9 @@ pub struct VariablePartitioner {
     /// search needing more fails with [`CoreError::OutOfBudget`].
     candidate_cap: Option<usize>,
     /// Optional NPN-keyed search memo shared across partitioner clones
-    /// (and, through the flow, across circuits). `None` searches directly.
+    /// (and, through the flow, across circuits). `None` searches the
+    /// caller's table directly; a cached search can return a different
+    /// bound set of the same class count (see [`Self::with_cache`]).
     cache: Option<Arc<DecompCache>>,
 }
 
@@ -64,8 +66,10 @@ impl VariablePartitioner {
     /// Attaches a shared NPN-keyed search memo. Searches on functions the
     /// cache [covers](DecompCache::covers) are canonized, answered from
     /// the memo when possible, and run *on the canonical table* otherwise
-    /// (see the [`crate::dcache`] determinism contract). Without a cache
-    /// the partitioner behaves exactly as before.
+    /// (see the [`crate::dcache`] determinism contract). Ties between
+    /// bound sets of equally few classes are then broken in canonical
+    /// coordinates, so the returned bound set can differ from the one an
+    /// uncached partitioner returns, and the mapped network with it.
     pub fn with_cache(mut self, cache: Arc<DecompCache>) -> Self {
         self.cache = Some(cache);
         self

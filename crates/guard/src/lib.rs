@@ -21,19 +21,17 @@
 //!   invocation counters, so the same seed trips the same sites at any
 //!   `HYDE_THREADS` value.
 //!
-//! The degradation log is a process-global, mutex-guarded list so that
-//! sequential batch drivers (bench, lint) can drain per-circuit events
-//! without threading a collector through every call. Events are only
-//! recorded from sequential driver code, which keeps the log order
-//! deterministic.
+//! Degradation events have no global home: [`record_degradation`]
+//! appends to the log the caller passes in. `hyde_map`'s mapping flow
+//! owns one log per attempt and hands it back with the attempt's result,
+//! so concurrent jobs never see each other's events. Events are recorded
+//! from sequential flow code, which keeps each log's order deterministic.
 
 pub mod retry;
 
 pub use retry::{AdmissionLimits, RejectReason, Rejected, RetryPolicy};
 
-use std::cell::RefCell;
 use std::fmt;
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// The resource that a budget check found exhausted.
@@ -263,69 +261,6 @@ impl fmt::Display for DegradationEvent {
     }
 }
 
-/// Process-global degradation log. Events are recorded by sequential
-/// driver code only, so the order is deterministic for a given input
-/// and chaos seed regardless of `HYDE_THREADS`.
-static DEGRADATIONS: Mutex<Vec<DegradationEvent>> = Mutex::new(Vec::new());
-
-thread_local! {
-    /// Stack of thread-local capture scopes (see [`ScopedDegradations`]).
-    /// When non-empty, [`record_degradation`] appends to the innermost
-    /// scope instead of the process-global log, so concurrent service
-    /// workers each see only their own job's events.
-    static SCOPED: RefCell<Vec<Vec<DegradationEvent>>> = const { RefCell::new(Vec::new()) };
-}
-
-/// RAII capture scope for degradation events on the current thread.
-///
-/// While a scope is live, every [`record_degradation`] call *from this
-/// thread* lands in the scope instead of the process-global log; the
-/// obs counters still fire. [`ScopedDegradations::finish`] returns the
-/// captured events. Dropping an unfinished scope (a panic unwinding
-/// through it) discards the partial capture rather than leaking it
-/// into the global log, which keeps concurrent workers from
-/// interleaving each other's trails.
-///
-/// Scopes nest: driver code that wraps a job in a scope can itself run
-/// under an outer scope without either seeing the other's events.
-#[derive(Debug)]
-pub struct ScopedDegradations {
-    finished: bool,
-}
-
-impl ScopedDegradations {
-    /// Opens a capture scope on the current thread.
-    pub fn begin() -> Self {
-        SCOPED.with(|s| s.borrow_mut().push(Vec::new()));
-        ScopedDegradations { finished: false }
-    }
-
-    /// Closes the scope and returns the events it captured.
-    pub fn finish(mut self) -> Vec<DegradationEvent> {
-        self.finished = true;
-        SCOPED.with(|s| s.borrow_mut().pop()).unwrap_or_default()
-    }
-}
-
-impl Drop for ScopedDegradations {
-    fn drop(&mut self) {
-        if !self.finished {
-            SCOPED.with(|s| {
-                s.borrow_mut().pop();
-            });
-        }
-    }
-}
-
-/// Runs `f` under a [`ScopedDegradations`] scope and returns its result
-/// alongside the degradation events recorded on this thread during the
-/// call.
-pub fn scoped_degradations<T>(f: impl FnOnce() -> T) -> (T, Vec<DegradationEvent>) {
-    let scope = ScopedDegradations::begin();
-    let out = f();
-    (out, scope.finish())
-}
-
 /// Obs counter name for a step down onto `rung`.
 fn degrade_counter(rung: Rung) -> &'static str {
     match rung {
@@ -336,46 +271,15 @@ fn degrade_counter(rung: Rung) -> &'static str {
     }
 }
 
-/// Appends `event` to the innermost [`ScopedDegradations`] scope on the
-/// current thread (when one is live) or to the global degradation log,
-/// and bumps the per-rung `guard.degrade.*` obs counter either way.
-pub fn record_degradation(event: DegradationEvent) {
+/// Appends `event` to `log`, the degradation trail of the current
+/// attempt, and bumps the per-rung `guard.degrade.*` obs counter (plus
+/// `guard.chaos.injected` for an injected exhaustion).
+pub fn record_degradation(log: &mut Vec<DegradationEvent>, event: DegradationEvent) {
     hyde_obs::counter(degrade_counter(event.to), 1);
     if event.injected {
         hyde_obs::counter("guard.chaos.injected", 1);
     }
-    let scoped = SCOPED.with(|s| {
-        let mut stack = s.borrow_mut();
-        match stack.last_mut() {
-            Some(scope) => {
-                scope.push(event.clone());
-                true
-            }
-            None => false,
-        }
-    });
-    if !scoped {
-        DEGRADATIONS
-            .lock()
-            .expect("degradation log mutex")
-            .push(event);
-    }
-}
-
-/// Removes and returns all recorded degradation events, oldest first.
-pub fn drain_degradations() -> Vec<DegradationEvent> {
-    std::mem::take(&mut *DEGRADATIONS.lock().expect("degradation log mutex"))
-}
-
-/// Renders the current log as one line per event without draining it.
-pub fn degradation_log_text() -> String {
-    let log = DEGRADATIONS.lock().expect("degradation log mutex");
-    let mut out = String::new();
-    for e in log.iter() {
-        out.push_str(&e.to_string());
-        out.push('\n');
-    }
-    out
+    log.push(event);
 }
 
 /// Deterministic seed-driven fault injector.
@@ -490,67 +394,24 @@ mod tests {
     }
 
     #[test]
-    fn degradation_log_roundtrip() {
-        // Drain anything other tests may have left behind.
-        let _ = drain_degradations();
-        record_degradation(DegradationEvent {
-            context: "t".into(),
-            stage: "F0".into(),
-            from: Rung::Exact,
-            to: Rung::BddThreshold,
-            resource: Resource::Candidates,
-            injected: false,
-        });
-        let text = degradation_log_text();
-        assert!(text.contains("degrade t/F0: exact -> bdd-threshold (candidates)"));
-        let drained = drain_degradations();
-        assert_eq!(drained.len(), 1);
-        assert!(drain_degradations().is_empty());
-    }
-
-    fn event(context: &str) -> DegradationEvent {
-        DegradationEvent {
-            context: context.into(),
-            stage: "F0".into(),
-            from: Rung::Exact,
-            to: Rung::BddThreshold,
-            resource: Resource::Candidates,
-            injected: false,
-        }
-    }
-
-    #[test]
-    fn scoped_capture_diverts_events_from_the_global_log() {
-        let _ = drain_degradations();
-        let ((), captured) = scoped_degradations(|| {
-            record_degradation(event("scoped"));
-            record_degradation(event("scoped"));
-        });
-        assert_eq!(captured.len(), 2);
-        assert!(
-            !drain_degradations().iter().any(|e| e.context == "scoped"),
-            "scoped events must not reach the global log"
+    fn degradation_event_displays_its_step() {
+        let mut log = Vec::new();
+        record_degradation(
+            &mut log,
+            DegradationEvent {
+                context: "t".into(),
+                stage: "F0".into(),
+                from: Rung::Exact,
+                to: Rung::BddThreshold,
+                resource: Resource::Candidates,
+                injected: false,
+            },
         );
-    }
-
-    #[test]
-    fn scoped_capture_nests_and_survives_panics() {
-        let _ = drain_degradations();
-        let ((), outer) = scoped_degradations(|| {
-            record_degradation(event("outer"));
-            let payload = std::panic::catch_unwind(|| {
-                let _scope = ScopedDegradations::begin();
-                record_degradation(event("inner"));
-                panic!("boom");
-            });
-            assert!(payload.is_err());
-            record_degradation(event("outer"));
-        });
-        // The inner scope's partial capture is discarded by its Drop;
-        // the outer scope keeps only its own events.
-        assert_eq!(outer.len(), 2);
-        assert!(outer.iter().all(|e| e.context == "outer"));
-        assert!(!drain_degradations().iter().any(|e| e.context == "inner"));
+        assert_eq!(log.len(), 1);
+        assert_eq!(
+            log[0].to_string(),
+            "degrade t/F0: exact -> bdd-threshold (candidates)"
+        );
     }
 
     #[test]

@@ -21,7 +21,7 @@ use crate::report::MappingReport;
 use crate::xc3000::pack_clbs;
 use hyde_bdd::Bdd;
 use hyde_core::dcache::DecompCache;
-use hyde_core::decompose::{decompose_bdd_to_network, DecomposeStats, Decomposer};
+use hyde_core::decompose::{decompose_bdd_to_network, Decomposer};
 use hyde_core::encoding::{ceil_log2, CodeAssignment, EncoderKind};
 use hyde_core::hyper::HyperFunction;
 use hyde_core::multichart::{joint_class_count, MultiChart};
@@ -103,7 +103,8 @@ impl FlowKind {
 
 /// One mapping attempt, filled in by [`crate::session::Session`]: the
 /// flow, the budget and ladder rung of the attempt, and the session's
-/// chaos layer and NPN cache.
+/// chaos layer and NPN cache. It also owns the attempt's degradation
+/// trail, which the session takes back once the attempt ends.
 #[derive(Debug)]
 pub(crate) struct MappingFlow<'a> {
     /// Target LUT size (at least 3, asserted by the session).
@@ -126,8 +127,14 @@ pub(crate) struct MappingFlow<'a> {
     pub(crate) panic_faults: bool,
     /// NPN-keyed λ-search memo shared by every decomposition the session
     /// runs. Cached values are pure functions of their keys, so sharing
-    /// never changes results — only how often the search actually runs.
+    /// never makes results depend on job order or thread count. The cache
+    /// does change results against an uncached search: a miss searches
+    /// the canonical table, whose tie-break can pick a different bound set
+    /// with the same class count.
     pub(crate) cache: &'a Arc<DecompCache>,
+    /// Every step down the fallback ladder this attempt took, in order.
+    /// Events recorded before a panic stay here for the session to read.
+    pub(crate) degradations: Vec<DegradationEvent>,
 }
 
 impl MappingFlow<'_> {
@@ -139,7 +146,7 @@ impl MappingFlow<'_> {
     /// Propagates decomposition errors; a functional mismatch after mapping
     /// surfaces as [`CoreError::Verification`].
     pub(crate) fn map_outputs(
-        &self,
+        &mut self,
         name: &str,
         outputs: &[TruthTable],
     ) -> Result<MappingReport, CoreError> {
@@ -207,7 +214,7 @@ impl MappingFlow<'_> {
     }
 
     fn per_output(
-        &self,
+        &mut self,
         name: &str,
         outputs: &[TruthTable],
         encoder: &EncoderKind,
@@ -215,17 +222,9 @@ impl MappingFlow<'_> {
     ) -> Result<Network, CoreError> {
         let n = outputs[0].vars();
         let (mut net, inputs) = self.fresh_net(n);
-        let mut stats = DecomposeStats::default();
         for (o, f) in outputs.iter().enumerate() {
-            let id = self.ladder_decompose(
-                &mut net,
-                f,
-                &inputs,
-                &format!("o{o}"),
-                &mut stats,
-                encoder,
-                name,
-            )?;
+            let id =
+                self.ladder_decompose(&mut net, f, &inputs, &format!("o{o}"), encoder, name)?;
             net.mark_output(&format!("o{o}"), id);
         }
         if share {
@@ -241,27 +240,15 @@ impl MappingFlow<'_> {
     /// exactly one rung and is recorded as a [`DegradationEvent`]; the
     /// direct-cover floor cannot run out of budget, so every in-spec
     /// function still maps.
-    #[allow(clippy::too_many_arguments)]
     fn ladder_decompose(
-        &self,
+        &mut self,
         net: &mut Network,
         f: &TruthTable,
         signals: &[NodeId],
         prefix: &str,
-        stats: &mut DecomposeStats,
         encoder: &EncoderKind,
         ctx: &str,
     ) -> Result<NodeId, CoreError> {
-        let degrade = |from: Rung, resource: Resource, injected: bool| {
-            hyde_guard::record_degradation(DegradationEvent {
-                context: ctx.to_owned(),
-                stage: prefix.to_owned(),
-                from,
-                to: from.next_down().unwrap_or(Rung::DirectCover),
-                resource,
-                injected,
-            });
-        };
         // Rungs above `start_rung` are skipped silently: a retrying
         // supervisor already took (and recorded) those steps.
         // Rung 1: exact Roth–Karp decomposition.
@@ -270,9 +257,9 @@ impl MappingFlow<'_> {
                 .with_budget(self.budget)
                 .with_chaos(self.chaos, ctx)
                 .with_cache(Some(self.cache.clone()));
-            match dec.decompose_onto(net, f, signals, prefix, stats) {
+            match dec.decompose_onto(net, f, signals, prefix) {
                 Ok(id) => return Ok(id),
-                Err(CoreError::OutOfBudget(ob)) => degrade(Rung::Exact, ob.resource, ob.injected),
+                Err(CoreError::OutOfBudget(ob)) => self.degrade(ctx, prefix, Rung::Exact, ob),
                 Err(e) => return Err(e),
             }
         }
@@ -283,7 +270,7 @@ impl MappingFlow<'_> {
             match self.bdd_rung(f, ctx, prefix) {
                 Ok(sub) => return splice_subnetwork(net, &sub, signals, &format!("{prefix}_r2")),
                 Err(CoreError::OutOfBudget(ob)) => {
-                    degrade(Rung::BddThreshold, ob.resource, ob.injected);
+                    self.degrade(ctx, prefix, Rung::BddThreshold, ob);
                 }
                 Err(e) => return Err(e),
             }
@@ -296,16 +283,31 @@ impl MappingFlow<'_> {
                 .chaos
                 .is_some_and(|c| c.trips(&format!("shannon:{ctx}:{prefix}"), 4));
             if injected {
-                degrade(Rung::Shannon, Resource::Candidates, true);
+                let ob = OutOfBudget::injected(Resource::Candidates);
+                self.degrade(ctx, prefix, Rung::Shannon, ob);
             } else {
                 match self.budget.check_deadline() {
                     Ok(()) => return self.shannon_onto(net, f, signals, &format!("{prefix}_r3")),
-                    Err(ob) => degrade(Rung::Shannon, ob.resource, ob.injected),
+                    Err(ob) => self.degrade(ctx, prefix, Rung::Shannon, ob),
                 }
             }
         }
         // Rung 4: direct SOP cover — the floor of the ladder.
         self.direct_cover_onto(net, f, signals, &format!("{prefix}_r4"))
+    }
+
+    /// Records, in this attempt's log, that output `prefix` of circuit
+    /// `ctx` ran out of budget on rung `from` and steps down one rung.
+    fn degrade(&mut self, ctx: &str, prefix: &str, from: Rung, ob: OutOfBudget) {
+        let event = DegradationEvent {
+            context: ctx.to_owned(),
+            stage: prefix.to_owned(),
+            from,
+            to: from.next_down().unwrap_or(Rung::DirectCover),
+            resource: ob.resource,
+            injected: ob.injected,
+        };
+        hyde_guard::record_degradation(&mut self.degradations, event);
     }
 
     /// Rung 2 of the ladder: builds `f` as a BDD with the budget's node cap
@@ -482,7 +484,6 @@ impl MappingFlow<'_> {
         depth: usize,
     ) -> Result<Vec<NodeId>, CoreError> {
         let dec = Decomposer::new(self.k, encoder.clone()).with_cache(Some(self.cache.clone()));
-        let mut stats = DecomposeStats::default();
         // Union support.
         let mut in_support = vec![false; signals.len()];
         for f in &fs {
@@ -502,13 +503,7 @@ impl MappingFlow<'_> {
         if n <= self.k || depth > 3 * n {
             let mut out = Vec::with_capacity(fs.len());
             for (i, f) in fs.iter().enumerate() {
-                out.push(dec.decompose_onto(
-                    net,
-                    f,
-                    signals,
-                    &format!("{prefix}_f{i}"),
-                    &mut stats,
-                )?);
+                out.push(dec.decompose_onto(net, f, signals, &format!("{prefix}_f{i}"))?);
             }
             return Ok(out);
         }
@@ -540,13 +535,7 @@ impl MappingFlow<'_> {
             // Joint decomposition not gainful: fall back to per-output.
             let mut out = Vec::with_capacity(fs.len());
             for (i, f) in fs.iter().enumerate() {
-                out.push(dec.decompose_onto(
-                    net,
-                    f,
-                    signals,
-                    &format!("{prefix}_s{i}"),
-                    &mut stats,
-                )?);
+                out.push(dec.decompose_onto(net, f, signals, &format!("{prefix}_s{i}"))?);
             }
             return Ok(out);
         }
@@ -619,7 +608,7 @@ impl MappingFlow<'_> {
 
     /// The HYDE hyper-function flow.
     fn hyper_flow(
-        &self,
+        &mut self,
         name: &str,
         outputs: &[TruthTable],
         encoder: &EncoderKind,
@@ -633,7 +622,6 @@ impl MappingFlow<'_> {
         for cluster in &clusters {
             if cluster.len() == 1 {
                 let o = cluster[0];
-                let mut stats = DecomposeStats::default();
                 let n = outputs[o].vars();
                 let (mut net, inputs) = self.fresh_net(n);
                 let id = self.ladder_decompose(
@@ -641,7 +629,6 @@ impl MappingFlow<'_> {
                     &outputs[o],
                     &inputs,
                     &format!("o{o}"),
-                    &mut stats,
                     encoder,
                     name,
                 )?;
@@ -672,14 +659,12 @@ impl MappingFlow<'_> {
                 // paper's SIS-embedded tool does through its script loop.
                 let n = ingredients[0].vars();
                 let (mut solo_net, inputs) = self.fresh_net(n);
-                let mut stats = DecomposeStats::default();
                 for (i, f) in ingredients.iter().enumerate() {
                     let id = self.ladder_decompose(
                         &mut solo_net,
                         f,
                         &inputs,
                         &format!("f{i}"),
-                        &mut stats,
                         encoder,
                         name,
                     )?;
@@ -1087,6 +1072,7 @@ mod tests {
             chaos: None,
             panic_faults: false,
             cache: &cache,
+            degradations: Vec::new(),
         };
         match flow.verify(&net, std::slice::from_ref(&f)) {
             Err(CoreError::Verification(msg)) => assert!(msg.contains("HY005"), "{msg}"),

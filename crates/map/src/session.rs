@@ -9,9 +9,11 @@
 //!
 //! * each attempt runs under `catch_unwind`, so a panicking worker is
 //!   an [`AttemptOutcome::Panicked`] record, never a dead thread;
-//! * degradation events are captured per attempt with
-//!   [`hyde_guard::ScopedDegradations`], so concurrent sessions do not
-//!   interleave the process-global log;
+//! * each attempt returns its own degradation trail: the attempt's flow
+//!   records every step down the fallback ladder in a log it owns, and
+//!   the session takes that log back after `catch_unwind` (events
+//!   recorded before a panic included), so concurrent jobs never see
+//!   each other's events;
 //! * every retry steps the fallback ladder down one rung — a job that
 //!   failed at the exact rung re-runs capped — and sleeps the policy's
 //!   deterministic backoff;
@@ -419,9 +421,10 @@ impl Session {
         })
     }
 
-    /// One supervised attempt: scoped degradation capture around a
-    /// `catch_unwind` around the flow, with the chaos worker faults
-    /// injected inside the supervised region.
+    /// One supervised attempt: the flow under `catch_unwind`, with the
+    /// chaos worker faults injected inside the supervised region. The
+    /// attempt's degradation trail is taken from the flow afterwards, so
+    /// it survives a panic.
     fn attempt(
         &self,
         job: &Job,
@@ -429,7 +432,7 @@ impl Session {
         rung: Rung,
     ) -> (AttemptOutcome, Vec<DegradationEvent>, Option<MappingReport>) {
         assert!(self.k >= 3, "LUT size must be at least 3");
-        let flow = MappingFlow {
+        let mut flow = MappingFlow {
             k: self.k,
             kind: &self.kind,
             budget: job.budget.to_budget(),
@@ -437,6 +440,7 @@ impl Session {
             chaos: self.chaos.map(Chaos::new),
             panic_faults: self.panic_faults,
             cache: &self.cache,
+            degradations: Vec::new(),
         };
         let faults = match (self.worker_faults, self.chaos) {
             (true, Some(seed)) => Some(Chaos::new(seed)),
@@ -449,24 +453,23 @@ impl Session {
             .is_some_and(|c| c.trips(&format!("serve.kill:{}:{attempt}", job.id), KILL_DENOM));
         let stall = faults
             .is_some_and(|c| c.trips(&format!("serve.stall:{}:{attempt}", job.id), STALL_DENOM));
-        let (caught, events) = hyde_guard::scoped_degradations(|| {
-            catch_unwind(AssertUnwindSafe(|| {
-                if kill {
-                    panic!(
-                        "chaos: injected worker kill for job '{}' attempt {attempt}",
-                        job.id
-                    );
-                }
-                if stall {
-                    // A stall is what the deadline watchdog would turn a
-                    // hung worker into: a typed overrun, not a hang.
-                    return Err(CoreError::OutOfBudget(hyde_guard::OutOfBudget::injected(
-                        hyde_guard::Resource::Deadline,
-                    )));
-                }
-                flow.map_outputs(&job.name, &job.outputs)
-            }))
-        });
+        let caught = catch_unwind(AssertUnwindSafe(|| {
+            if kill {
+                panic!(
+                    "chaos: injected worker kill for job '{}' attempt {attempt}",
+                    job.id
+                );
+            }
+            if stall {
+                // A stall is what the deadline watchdog would turn a
+                // hung worker into: a typed overrun, not a hang.
+                return Err(CoreError::OutOfBudget(hyde_guard::OutOfBudget::injected(
+                    hyde_guard::Resource::Deadline,
+                )));
+            }
+            flow.map_outputs(&job.name, &job.outputs)
+        }));
+        let events = flow.degradations;
         match caught {
             Ok(Ok(report)) => (AttemptOutcome::Ok, events, Some(report)),
             Ok(Err(CoreError::OutOfBudget(ob))) if ob.injected && stall => {
@@ -570,39 +573,80 @@ mod tests {
         assert_eq!(result.attempts.len(), 1);
     }
 
-    #[test]
-    fn degradations_stay_out_of_the_global_log() {
-        // The 3-bit adder at k=4 needs real decomposition, and a
-        // candidate cap of 0 rejects any bound-set fan-out (same shape
-        // as the flow's own ladder tests).
-        let outputs: Vec<TruthTable> = (0..=3usize)
+    /// A job over `outputs` whose candidate cap of 0 rejects any
+    /// bound-set fan-out, so every output wider than `k` steps down the
+    /// ladder.
+    fn starved(id: &str, outputs: Vec<TruthTable>) -> Job {
+        Job::new(id, outputs).with_budget(BudgetSpec {
+            candidates: Some(0),
+            ..BudgetSpec::unlimited()
+        })
+    }
+
+    fn per_output_k4() -> Session {
+        Session::new(
+            4,
+            FlowKind::PerOutput {
+                encoder: hyde_core::encoding::EncoderKind::Lexicographic,
+            },
+        )
+    }
+
+    /// The four sum bits of a 3-bit adder.
+    fn adder() -> Vec<TruthTable> {
+        (0..=3usize)
             .map(|o| {
                 TruthTable::from_fn(6, |m| {
                     let (a, b) = (m & 0b111, m >> 3);
                     ((a + b) >> o) & 1 == 1
                 })
             })
-            .collect();
-        let job = Job::new("budgeted", outputs).with_budget(BudgetSpec {
-            candidates: Some(0),
-            ..BudgetSpec::unlimited()
-        });
-        let session = Session::new(
-            4,
-            FlowKind::PerOutput {
-                encoder: hyde_core::encoding::EncoderKind::Lexicographic,
-            },
-        );
-        let result = session.run(&job).expect("maps with degradation");
+            .collect()
+    }
+
+    /// A 6-bit parity, majority and 3-bit magnitude comparator.
+    fn mixed() -> Vec<TruthTable> {
+        vec![
+            TruthTable::from_fn(6, |m| m.count_ones() % 2 == 1),
+            TruthTable::from_fn(6, |m| m.count_ones() >= 3),
+            TruthTable::from_fn(6, |m| (m & 0b111) > (m >> 3)),
+        ]
+    }
+
+    #[test]
+    fn candidate_cap_degrades_down_the_ladder() {
+        let result = per_output_k4()
+            .run(&starved("budgeted", adder()))
+            .expect("maps with degradation");
         assert!(
             !result.degradations.is_empty(),
-            "candidate cap of 1 must trip the ladder"
+            "a candidate cap of 0 must trip the ladder"
         );
-        // Peek (don't drain — other tests own their global-log slices):
-        // nothing from this job may have leaked past the scoped capture.
-        assert!(
-            !hyde_guard::degradation_log_text().contains("budgeted"),
-            "scoped capture must divert events from the global log"
-        );
+        assert!(result
+            .degradations
+            .iter()
+            .all(|e| e.context == "budgeted" && e.from == Rung::Exact));
+    }
+
+    #[test]
+    fn concurrent_jobs_return_only_their_own_degradations() {
+        let jobs = [starved("adder", adder()), starved("mixed", mixed())];
+        let alone = jobs
+            .each_ref()
+            .map(|job| per_output_k4().run(job).expect("maps").degradations);
+        let session = per_output_k4();
+        let together = std::thread::scope(|scope| {
+            jobs.each_ref()
+                .map(|job| {
+                    let session = session.clone();
+                    scope.spawn(move || session.run(job).expect("maps").degradations)
+                })
+                .map(|handle| handle.join().expect("job thread"))
+        });
+        for (job, (together, alone)) in jobs.iter().zip(together.iter().zip(&alone)) {
+            assert!(!alone.is_empty(), "{} must degrade", job.id);
+            assert_eq!(together, alone, "{}", job.id);
+            assert!(together.iter().all(|e| e.context == job.id));
+        }
     }
 }

@@ -2,6 +2,8 @@
 //! malformed-request corpus, admission backpressure, and journal-based
 //! recovery after a mid-run shutdown.
 
+#![deny(clippy::let_underscore_must_use, clippy::unused_result_ok)]
+
 use hyde_guard::{AdmissionLimits, RetryPolicy};
 use hyde_serve::drill::{offline_job, run_supervised_drill, suite_spec};
 use hyde_serve::{JobState, MapService, ServeConfig, Server, SubmitError};
@@ -218,29 +220,36 @@ fn malformed_request_corpus_over_tcp() {
 /// mutations through `parse_request` under `catch_unwind`.
 #[test]
 fn parser_never_panics_on_corpus_mutations() {
+    // (request line, whether it is a well-formed request)
     let seeds = [
-        "{\"op\":\"submit\",\"id\":\"x\",\"kind\":\"suite\",\"circuit\":\"rd73\"}",
-        "{\"op\":\"submit\",\"id\":\"x\",\"kind\":\"pla\",\"pla\":\".i 1\\n.o 1\\n1 1\\n.e\"}",
-        "{\"op\":\"status\",\"id\":\"x\"}",
-        "{\"op\":\"cancel\",\"id\":\"x\"}",
-        "{\"op\":\"shutdown\"}",
-        "[1,2,3]",
-        "\"just a string\"",
-        "{\"op\":{\"nested\":true}}",
+        (
+            "{\"op\":\"submit\",\"id\":\"x\",\"kind\":\"suite\",\"circuit\":\"rd73\"}",
+            true,
+        ),
+        (
+            "{\"op\":\"submit\",\"id\":\"x\",\"kind\":\"pla\",\"pla\":\".i 1\\n.o 1\\n1 1\\n.e\"}",
+            true,
+        ),
+        ("{\"op\":\"status\",\"id\":\"x\"}", true),
+        ("{\"op\":\"cancel\",\"id\":\"x\"}", true),
+        ("{\"op\":\"shutdown\"}", true),
+        ("[1,2,3]", false),
+        ("\"just a string\"", false),
+        ("{\"op\":{\"nested\":true}}", false),
     ];
-    for seed in seeds {
-        for cut in 0..=seed.len() {
-            let truncated = &seed[..cut];
-            let r = std::panic::catch_unwind(|| {
-                let _ = hyde_serve::protocol::parse_request(truncated);
-            });
-            assert!(r.is_ok(), "parser panicked on {truncated:?}");
+    let parses = |line: &str| {
+        std::panic::catch_unwind(|| hyde_serve::protocol::parse_request(line).is_ok())
+            .unwrap_or_else(|_| panic!("parser panicked on {line:?}"))
+    };
+    for (seed, valid) in seeds {
+        assert_eq!(parses(seed), valid, "{seed:?}");
+        // A strict prefix of a JSON document is never a whole document.
+        for cut in 0..seed.len() {
+            assert!(!parses(&seed[..cut]), "accepted {:?}", &seed[..cut]);
         }
+        // Single quotes are not JSON string delimiters.
         let noisy = seed.replace('"', "'");
-        assert!(std::panic::catch_unwind(|| {
-            let _ = hyde_serve::protocol::parse_request(&noisy);
-        })
-        .is_ok());
+        assert!(!parses(&noisy), "accepted {noisy:?}");
     }
 }
 
@@ -385,7 +394,7 @@ fn journal_replay_recovers_a_mid_run_shutdown() {
         Err(SubmitError::Duplicate)
     ));
     service.shutdown(Duration::from_secs(5));
-    let _ = std::fs::remove_file(&journal);
+    std::fs::remove_file(&journal).expect("remove the test journal");
 }
 
 /// The in-process chaos drill holds on the small suite: every job

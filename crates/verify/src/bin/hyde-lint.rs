@@ -261,8 +261,8 @@ fn lint_suite_circuit(
     let mut diags = Vec::new();
     {
         let job = Job::new(&circuit.name, circuit.outputs.clone());
-        // The ladder's degradation trail (HY501–HY503/HY505) comes back
-        // attached to the job instead of drained from the global log.
+        // The ladder's degradation trail (HY501–HY503/HY505) is the one
+        // the job's attempts returned on its result or error.
         let degradations = match session.run(&job) {
             Ok(result) => {
                 let mut report = result.report;

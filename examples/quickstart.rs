@@ -37,12 +37,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 3. Decompose recursively into a 5-LUT network using the HYDE
     //    compatible class encoder.
     let dec = Decomposer::new(5, EncoderKind::Hyde { seed: 1 });
-    let (net, stats) = dec.decompose_to_network(&f, "sym9")?;
+    let net = dec.decompose_to_network(&f, "sym9")?;
     println!(
-        "mapped to {} LUTs, depth {}, {} decomposition steps",
+        "mapped to {} LUTs, depth {}",
         net.internal_count(),
-        net.depth(),
-        stats.steps
+        net.depth()
     );
 
     // 4. The network is functionally identical to f.

@@ -48,7 +48,7 @@ fn all_encoders_build_full_networks() {
     let f = hyde::circuits::rd84().outputs[1].clone();
     for (name, enc) in all_encoders() {
         let dec = Decomposer::new(5, enc);
-        let (net, _) = dec.decompose_to_network(&f, "rd84b1").unwrap();
+        let net = dec.decompose_to_network(&f, "rd84b1").unwrap();
         assert!(net.is_k_feasible(5), "{name}");
         for m in (0u32..256).step_by(13) {
             let bits: Vec<bool> = (0..8).map(|i| m >> i & 1 == 1).collect();

@@ -120,7 +120,7 @@ fn hyper_of_identical_supports_shares_heavily() {
     let solo_luts: usize = ing
         .iter()
         .map(|f| {
-            let (net, _) = dec.decompose_to_network(f, "solo").unwrap();
+            let net = dec.decompose_to_network(f, "solo").unwrap();
             net.internal_count()
         })
         .sum();

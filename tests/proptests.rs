@@ -118,7 +118,7 @@ fn decomposer_networks_are_correct() {
     for_cases(9, |rng| {
         let f = arb_table(7, rng);
         let dec = Decomposer::new(4, EncoderKind::Lexicographic);
-        let (net, _) = dec.decompose_to_network(&f, "p").unwrap();
+        let net = dec.decompose_to_network(&f, "p").unwrap();
         assert!(net.is_k_feasible(4));
         for m in (0u32..128).step_by(5) {
             let bits: Vec<bool> = (0..7).map(|i| m >> i & 1 == 1).collect();
