@@ -6,7 +6,7 @@
 
 use hyde_core::chart::DecompositionChart;
 use hyde_core::encoding::{
-    build_image, ceil_log2, combine_column_sets, combine_row_sets, CodeAssignment, EncoderKind,
+    build_image_on, ceil_log2, combine_column_sets, combine_row_sets, CodeAssignment, EncoderKind,
 };
 use hyde_core::hyper::HyperFunction;
 use hyde_core::partition::{example_3_2_partitions, shared_psc_sets};
@@ -76,7 +76,7 @@ fn figures_1_and_2() {
         .collect();
     for codes in &codes_pool {
         let ca = CodeAssignment::new(codes.to_vec(), 2).expect("codes fit");
-        let (g, _) = build_image(&classes, &ca);
+        let g = build_image_on(&classes, &ca);
         let cc = hyde_core::chart::class_count(&g, &[0, 2, 3]).expect("valid bound");
         best = best.min(cc);
         worst = worst.max(cc);

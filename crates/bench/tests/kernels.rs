@@ -1,14 +1,20 @@
 //! Manual timing of the algorithmic kernels (experiment P1): BDD build
 //! and cut-class counting, blossom and b-matching, clique partition, the
-//! encoding steps of Example 3.2, class counting, the λ-search and ISOP.
+//! encoding steps of Example 3.2, class counting, the λ-search, ISOP and
+//! the four table builders of a decomposition step (chart columns, image,
+//! support projection, recomposition check).
 //! Each kernel runs once to warm up, then a fixed number of iterations,
 //! and the median iteration time is printed. Run with:
 //! `cargo test --release -p hyde-bench --test kernels -- --ignored --nocapture`
 
-use hyde_core::chart::class_count;
-use hyde_core::encoding::{combine_column_sets, combine_row_sets};
+use hyde_core::chart::{class_count, DecompositionChart};
+use hyde_core::decompose::decompose_step;
+use hyde_core::encoding::{
+    build_image, ceil_log2, combine_column_sets, combine_row_sets, CodeAssignment, EncoderKind,
+};
 use hyde_core::partition::example_3_2_partitions;
 use hyde_core::varpart::VariablePartitioner;
+use hyde_logic::network::project_to_support;
 use hyde_logic::{SopCover, TruthTable};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -113,6 +119,34 @@ fn bench_chart_and_varpart() {
     bench("decomp/isop_8v", 50, || SopCover::isop(&f8).cube_count());
 }
 
+/// The table builders of one Roth–Karp step on a 14-variable function
+/// with a non-ascending 5-variable bound set (9 free variables, so
+/// whole-word chart columns and a 14-variable image).
+fn bench_step_tables() {
+    let mut rng = StdRng::seed_from_u64(5);
+    let f = TruthTable::random(14, &mut rng);
+    let bound = [9usize, 2, 5, 0, 12];
+    bench("step/chart_columns_14v_bound5", 50, || {
+        DecompositionChart::new(&f, &bound).expect("valid")
+    });
+    let chart = DecompositionChart::new(&f, &bound).expect("valid");
+    let classes = chart.classes();
+    let m = classes.len();
+    let codes = CodeAssignment::new((0..m as u32).collect(), ceil_log2(m)).expect("fits");
+    bench("step/build_image_14v", 50, || build_image(classes, &codes));
+    // A 16-variable table vacuous in two variables, projected away.
+    let wide = TruthTable::from_fn(16, |x| {
+        let y = (x & 0b111) | (x >> 4 & 0x7F) << 3 | (x >> 12) << 10;
+        f.eval(y)
+    });
+    let support: Vec<usize> = (0..16).filter(|&v| v != 3 && v != 11).collect();
+    bench("step/project_to_support_16v_to_14v", 50, || {
+        project_to_support(&wide, &support)
+    });
+    let d = decompose_step(&f, &bound, &EncoderKind::Lexicographic, 5).expect("valid");
+    bench("step/recomposition_check_14v", 50, || d.verify(&f));
+}
+
 #[test]
 #[ignore]
 fn kernels() {
@@ -121,4 +155,5 @@ fn kernels() {
     bench_clique_partition();
     bench_encoding_steps();
     bench_chart_and_varpart();
+    bench_step_tables();
 }

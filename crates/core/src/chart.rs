@@ -8,6 +8,7 @@
 
 use crate::classes::CompatibleClasses;
 use crate::CoreError;
+use hyde_logic::truthtable::promote_to_top;
 use hyde_logic::{Isf, TruthTable};
 
 /// A materialized decomposition chart for a completely specified function.
@@ -35,7 +36,7 @@ impl DecompositionChart {
     /// range, repeated, or the bound set is empty or covers all variables.
     pub fn new(f: &TruthTable, bound: &[usize]) -> Result<Self, CoreError> {
         let (bound, free) = split_bound_free(f.vars(), bound)?;
-        let columns = column_patterns(f, &bound, &free);
+        let columns = column_patterns(f, &bound);
         let classes = CompatibleClasses::from_columns(&columns);
         Ok(DecompositionChart {
             bound,
@@ -111,18 +112,13 @@ pub(crate) fn split_bound_free(
     Ok((bound.to_vec(), free))
 }
 
-/// Extracts the column patterns of `f` for an ordered bound set.
-pub(crate) fn column_patterns(f: &TruthTable, bound: &[usize], free: &[usize]) -> Vec<TruthTable> {
-    let n_cols = 1usize << bound.len();
-    let mut out = Vec::with_capacity(n_cols);
-    for c in 0..n_cols {
-        let mut col = f.clone();
-        for (i, &v) in bound.iter().enumerate() {
-            col = col.cofactor(v, c >> i & 1 == 1);
-        }
-        out.push(hyde_logic::network::project_to_support(&col, free));
-    }
-    out
+/// Extracts the column patterns of `f` for an ordered bound set: column
+/// `c` fixes `bound[i]` to bit `i` of `c` and is a function of the other
+/// variables in ascending order. One gather for all columns: the bound
+/// variables are promoted to the top of the table (one word-level pass
+/// each), after which column `c` is the `c`-th contiguous block.
+pub(crate) fn column_patterns(f: &TruthTable, bound: &[usize]) -> Vec<TruthTable> {
+    f.promote(bound).top_cofactors(bound.len())
 }
 
 /// A decomposition chart for an incompletely specified function.
@@ -146,8 +142,8 @@ impl IsfChart {
     /// Same conditions as [`DecompositionChart::new`].
     pub fn new(f: &Isf, bound: &[usize]) -> Result<Self, CoreError> {
         let (bound, free) = split_bound_free(f.vars(), bound)?;
-        let on_cols = column_patterns(f.on_set(), &bound, &free);
-        let dc_cols = column_patterns(f.dc_set(), &bound, &free);
+        let on_cols = column_patterns(f.on_set(), &bound);
+        let dc_cols = column_patterns(f.dc_set(), &bound);
         let columns: Vec<Isf> = on_cols
             .into_iter()
             .zip(dc_cols)
@@ -467,75 +463,6 @@ fn class_count_small(f: &TruthTable, bound: u32, limit: usize, keys: &mut Vec<u6
     }
 }
 
-/// Reorders `src` (a `2^n`-bit table, `n >= 7`) into `dst` so the
-/// variable at `pos` becomes the top (most significant) index bit, with
-/// all other variables keeping their relative order. One linear pass:
-/// block copies when `pos >= 6`, word-level perfect unshuffles below.
-pub(crate) fn promote_to_top(src: &[u64], dst: &mut [u64], pos: usize) {
-    let half = src.len() / 2;
-    if pos >= 6 {
-        let stride = 1usize << (pos - 6);
-        let mut out = 0;
-        let mut i = 0;
-        while i < src.len() {
-            dst[out..out + stride].copy_from_slice(&src[i..i + stride]);
-            dst[half + out..half + out + stride].copy_from_slice(&src[i + stride..i + 2 * stride]);
-            out += stride;
-            i += 2 * stride;
-        }
-    } else {
-        for j in 0..half {
-            let (l0, h0) = unshuffle64(src[2 * j], pos);
-            let (l1, h1) = unshuffle64(src[2 * j + 1], pos);
-            dst[j] = l0 | (l1 << 32);
-            dst[half + j] = h0 | (h1 << 32);
-        }
-    }
-}
-
-/// Delta-swap mask for the perfect-unshuffle step with shift `s`: bits
-/// `i` with `i mod 4s` in `[s, 2s)` (Hacker's Delight 7-2, generalized
-/// to 64 bits and arbitrary power-of-two group sizes).
-const fn unshuffle_mask(s: u32) -> u64 {
-    let mut m = 0u64;
-    let mut i = 0u32;
-    while i < 64 {
-        let r = i % (4 * s);
-        if r >= s && r < 2 * s {
-            m |= 1u64 << i;
-        }
-        i += 1;
-    }
-    m
-}
-
-const UNSHUFFLE_MASKS: [u64; 5] = [
-    unshuffle_mask(1),
-    unshuffle_mask(2),
-    unshuffle_mask(4),
-    unshuffle_mask(8),
-    unshuffle_mask(16),
-];
-
-/// Splits `w` into `(lo, hi)`: `lo` packs the bit groups of size
-/// `2^pos` at even group indices into the low 32 bits (order preserved),
-/// `hi` the odd group indices. `pos` must be in `0..6`.
-#[inline]
-fn unshuffle64(w: u64, pos: usize) -> (u64, u64) {
-    if pos >= 5 {
-        return (w & 0xFFFF_FFFF, w >> 32);
-    }
-    let mut x = w;
-    let mut s = 1u32 << pos;
-    while s < 32 {
-        let m = UNSHUFFLE_MASKS[s.trailing_zeros() as usize];
-        let t = (x ^ (x >> s)) & m;
-        x ^= t ^ (t << s);
-        s <<= 1;
-    }
-    (x & 0xFFFF_FFFF, x >> 32)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -628,15 +555,61 @@ mod tests {
         assert!(!chart.columns_compatible(0, 1));
     }
 
+    /// Scalar oracle of [`column_patterns`], the formulation it replaced:
+    /// each column is `f` cofactored on every bound variable in turn,
+    /// then gathered minterm by minterm onto the free variables.
+    fn column_patterns_scalar(f: &TruthTable, bound: &[usize]) -> Vec<TruthTable> {
+        let (bound, free) = split_bound_free(f.vars(), bound).unwrap();
+        (0..1usize << bound.len())
+            .map(|c| {
+                let mut col = f.clone();
+                for (i, &v) in bound.iter().enumerate() {
+                    col = col.cofactor(v, c >> i & 1 == 1);
+                }
+                TruthTable::from_fn(free.len(), |r| {
+                    let full = free
+                        .iter()
+                        .enumerate()
+                        .filter(|&(i, _)| r >> i & 1 == 1)
+                        .fold(0u32, |m, (_, &v)| m | 1 << v);
+                    col.eval(full)
+                })
+            })
+            .collect()
+    }
+
     /// Reference counter: the original materializing implementation.
     fn class_count_naive(f: &TruthTable, bound: &[usize]) -> usize {
-        let (bound, free) = split_bound_free(f.vars(), bound).unwrap();
-        let mut distinct: std::collections::HashMap<TruthTable, ()> =
-            std::collections::HashMap::new();
-        for col in column_patterns(f, &bound, &free) {
-            distinct.insert(col, ());
-        }
+        let distinct: std::collections::HashSet<TruthTable> =
+            column_patterns_scalar(f, bound).into_iter().collect();
         distinct.len()
+    }
+
+    #[test]
+    fn column_patterns_match_scalar_oracle_in_any_bound_order() {
+        use rand::seq::SliceRandom;
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0xC015);
+        // n up to 12 with k up to 5: row counts from 2^1 to 2^11, both
+        // sub-word (< 6 free variables) and whole-word columns.
+        for n in 2..=12usize {
+            for _ in 0..4 {
+                let f = TruthTable::random(n, &mut rng);
+                let mut vars: Vec<usize> = (0..n).collect();
+                vars.shuffle(&mut rng);
+                let k = rng.gen_range(1..n.min(6));
+                // Shuffled, so bound orders are mostly non-ascending.
+                let bound = &vars[..k];
+                let chart = DecompositionChart::new(&f, bound).unwrap();
+                let oracle = column_patterns_scalar(&f, bound);
+                assert_eq!(chart.columns(), oracle.as_slice(), "n {n} bound {bound:?}");
+                assert_eq!(
+                    chart.classes(),
+                    &CompatibleClasses::from_columns(&oracle),
+                    "n {n} bound {bound:?}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -702,32 +675,6 @@ mod tests {
             class_count_with(&f, &b2, &mut scratch).unwrap(),
             class_count_naive(&f, &b2)
         );
-    }
-
-    #[test]
-    fn unshuffle_matches_bitwise_reference() {
-        use rand::SeedableRng;
-        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-        for pos in 0..6usize {
-            let g = 1usize << pos;
-            for _ in 0..50 {
-                let w = TruthTable::random(6, &mut rng).as_words()[0];
-                let (lo, hi) = unshuffle64(w, pos);
-                let (mut rlo, mut rhi) = (0u64, 0u64);
-                let (mut nlo, mut nhi) = (0usize, 0usize);
-                for i in 0..64 {
-                    let bit = w >> i & 1;
-                    if (i / g).is_multiple_of(2) {
-                        rlo |= bit << nlo;
-                        nlo += 1;
-                    } else {
-                        rhi |= bit << nhi;
-                        nhi += 1;
-                    }
-                }
-                assert_eq!((lo, hi), (rlo, rhi), "pos {pos} word {w:#x}");
-            }
-        }
     }
 
     fn mask_of(bound: &[usize]) -> u32 {

@@ -8,6 +8,8 @@
 //! encoding), which is exactly the LUT saving of Example 4.2.
 
 use crate::chart::{column_patterns, split_bound_free};
+use crate::decompose::recomposition_mismatch;
+use crate::encoding::{scatter_image, CodeAssignment};
 use crate::partition::Partition;
 use crate::CoreError;
 use hyde_logic::diag::{any_deny, Code, Diagnostic, Location};
@@ -22,9 +24,9 @@ use std::collections::HashMap;
 ///
 /// Propagates bound-set validation errors.
 pub fn function_partition(f: &TruthTable, bound: &[usize]) -> Result<Partition, CoreError> {
-    let (bound, free) = split_bound_free(f.vars(), bound)?;
+    let (bound, _) = split_bound_free(f.vars(), bound)?;
     let mut alphabet: HashMap<TruthTable, u32> = HashMap::new();
-    let symbols = column_patterns(f, &bound, &free)
+    let symbols = column_patterns(f, &bound)
         .into_iter()
         .map(|pat| {
             let next = alphabet.len() as u32;
@@ -76,22 +78,24 @@ pub fn share_alphas(
         .collect();
     // Image of f_a: code -> the (unique, by containment) column pattern of
     // f_a among columns with that code.
-    let cols_a = column_patterns(f_a, &bound_v, &free_v);
-    let mut by_code: HashMap<u32, TruthTable> = HashMap::new();
-    for (c, pat) in cols_a.iter().enumerate() {
+    let mut codes: Vec<u32> = Vec::new();
+    let mut patterns: Vec<TruthTable> = Vec::new();
+    for (c, pat) in column_patterns(f_a, &bound_v).into_iter().enumerate() {
         let code = pb.symbol(c);
-        if let Some(prev) = by_code.get(&code) {
-            debug_assert_eq!(prev, pat, "containment guarantees uniqueness");
-        } else {
-            by_code.insert(code, pat.clone());
+        match codes.iter().position(|&seen| seen == code) {
+            Some(i) => debug_assert_eq!(
+                patterns.get(i),
+                Some(&pat),
+                "containment guarantees uniqueness"
+            ),
+            None => {
+                codes.push(code);
+                patterns.push(pat);
+            }
         }
     }
-    let mu = free_v.len();
-    let image = TruthTable::from_fn(t + mu, |m| {
-        let code = m & ((1u32 << t) - 1);
-        let y = m >> t;
-        by_code.get(&code).is_some_and(|pat| pat.eval(y))
-    });
+    let codes = CodeAssignment::new(codes, t)?;
+    let image = scatter_image(&patterns, &codes, free_v.len());
     Ok(Some(SharedAlphas { alphas, image }))
 }
 
@@ -106,7 +110,7 @@ pub fn verify_shared(f_a: &TruthTable, bound: &[usize], shared: &SharedAlphas) -
 /// Runs the structured invariant checks of a pliable α-sharing step.
 ///
 /// Emits `HY104` when the shared α functions plus the rebuilt image fail
-/// to recompose `f_a` (first mismatching minterm reported), or when the
+/// to recompose `f_a` (smallest mismatching minterm reported), or when the
 /// bound set itself is malformed.
 pub fn shared_diagnostics(
     f_a: &TruthTable,
@@ -124,35 +128,16 @@ pub fn shared_diagnostics(
         ));
         return out;
     };
-    let t = shared.alphas.len();
-    for m in 0..f_a.num_minterms() as u32 {
-        let mut x = 0u32;
-        for (i, &v) in bound_v.iter().enumerate() {
-            if m >> v & 1 == 1 {
-                x |= 1 << i;
-            }
-        }
-        let mut g_in = 0u32;
-        for (bit, alpha) in shared.alphas.iter().enumerate() {
-            if alpha.eval(x) {
-                g_in |= 1 << bit;
-            }
-        }
-        for (i, &v) in free_v.iter().enumerate() {
-            if m >> v & 1 == 1 {
-                g_in |= 1 << (t + i);
-            }
-        }
-        if shared.image.eval(g_in) != f_a.eval(m) {
-            out.push(
-                Diagnostic::new(
-                    Code::EncodingRecomposition,
-                    format!("shared α recomposition differs from f_a at minterm {m}"),
-                )
-                .at(Location::Minterm(m as usize)),
-            );
-            break;
-        }
+    match recomposition_mismatch(f_a, &bound_v, &free_v, &shared.alphas, &shared.image) {
+        Ok(None) => {}
+        Ok(Some(m)) => out.push(
+            Diagnostic::new(
+                Code::EncodingRecomposition,
+                format!("shared α recomposition differs from f_a at minterm {m}"),
+            )
+            .at(Location::Minterm(m as usize)),
+        ),
+        Err(shape) => out.push(Diagnostic::new(Code::EncodingRecomposition, shape)),
     }
     out
 }

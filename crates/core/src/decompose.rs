@@ -81,42 +81,113 @@ impl Decomposition {
     ///
     /// Emits `HY101` for non-injective codes, `HY102` (warn) for pliable
     /// code widths, and `HY104` for every recomposition mismatch between
-    /// `g(α(x), y)` and `f` (first mismatching minterm reported).
+    /// `g(α(x), y)` and `f` (smallest mismatching minterm reported) or a
+    /// step whose shape does not fit `f`. The check covers every minterm,
+    /// a chart column at a time: `f`'s column at each bound assignment `x`
+    /// is compared word by word with the image slice at code `α(x)`.
+    /// [`Self::recomposed_table`] is the scalar formulation.
     pub fn diagnostics(&self, f: &TruthTable) -> Vec<Diagnostic> {
         let mut out = Vec::new();
         crate::encoding::code_diagnostics(&self.codes, &mut out);
-        let t = self.alphas.len();
-        for m in 0..f.num_minterms() as u32 {
-            let mut x = 0u32;
-            for (i, &v) in self.bound.iter().enumerate() {
-                if m >> v & 1 == 1 {
-                    x |= 1 << i;
-                }
-            }
-            let mut g_in = 0u32;
-            for (bit, alpha) in self.alphas.iter().enumerate() {
-                if alpha.eval(x) {
-                    g_in |= 1 << bit;
-                }
-            }
-            for (i, &v) in self.free.iter().enumerate() {
-                if m >> v & 1 == 1 {
-                    g_in |= 1 << (t + i);
-                }
-            }
-            if self.image.eval(g_in) != f.eval(m) {
-                out.push(
-                    Diagnostic::new(
-                        Code::EncodingRecomposition,
-                        format!("g(α(x), y) differs from f at minterm {m}"),
-                    )
-                    .at(Location::Minterm(m as usize)),
-                );
-                break;
-            }
+        match recomposition_mismatch(f, &self.bound, &self.free, &self.alphas, &self.image) {
+            Ok(None) => {}
+            Ok(Some(m)) => out.push(
+                Diagnostic::new(
+                    Code::EncodingRecomposition,
+                    format!("g(α(x), y) differs from f at minterm {m}"),
+                )
+                .at(Location::Minterm(m as usize)),
+            ),
+            Err(shape) => out.push(Diagnostic::new(Code::EncodingRecomposition, shape)),
         }
         out
     }
+}
+
+/// The smallest minterm of `f` at which `image(α(x), y)` differs from
+/// `f`, for the step `(bound, free, alphas, image)`: `x` gathers the
+/// `bound` bits (bit `i` from `bound[i]`), `y` the `free` bits, and the
+/// image reads the α bits at variables `0..t` and `y` above them.
+///
+/// Checks every minterm, column by column: `f`'s chart column at bound
+/// assignment `x` (one promotion of the bound variables, as
+/// [`DecompositionChart`] builds it) is compared word by word with the
+/// image's slice at code `α(x)` (one promotion of the α variables), so
+/// `α(x)` is evaluated once per column rather than once per minterm.
+///
+/// # Errors
+///
+/// A message when `bound` and `free` do not partition `f`'s variables, or
+/// the α functions or image have the wrong arity.
+pub(crate) fn recomposition_mismatch(
+    f: &TruthTable,
+    bound: &[usize],
+    free: &[usize],
+    alphas: &[TruthTable],
+    image: &TruthTable,
+) -> Result<Option<u32>, String> {
+    let (n, k, t, mu) = (f.vars(), bound.len(), alphas.len(), free.len());
+    let mut seen = 0u32;
+    let partition = k + mu == n
+        && bound.iter().chain(free).all(|&v| {
+            v < n && {
+                let fresh = seen >> v & 1 == 0;
+                seen |= 1 << v;
+                fresh
+            }
+        });
+    if !partition || image.vars() != t + mu || alphas.iter().any(|a| a.vars() != k) {
+        return Err(format!(
+            "step shape does not fit a {n}-variable function: bound {bound:?}, free {free:?}, \
+             {t} α functions, {}-variable image",
+            image.vars()
+        ));
+    }
+    // Chart columns with rows in `free` order: an ascending `free` is
+    // already where promoting the bound variables leaves it.
+    let top: Vec<usize> = if free.windows(2).all(|w| w.first() < w.last()) {
+        bound.to_vec()
+    } else {
+        free.iter().chain(bound).copied().collect()
+    };
+    let columns = f.promote(&top).top_cofactors(k);
+    let slices = image.promote(&(0..t).collect::<Vec<_>>()).top_cofactors(t);
+    let deposit = |bits: usize, vars: &[usize]| -> u32 {
+        vars.iter()
+            .enumerate()
+            .filter(|&(i, _)| bits >> i & 1 == 1)
+            .fold(0, |m, (_, &v)| m | 1 << v)
+    };
+    let mut smallest: Option<u32> = None;
+    for (x, column) in columns.iter().enumerate() {
+        // α(x): bit `x` of each α, read off its packed words.
+        let code = alphas
+            .iter()
+            .enumerate()
+            .filter(|(_, alpha)| {
+                alpha
+                    .as_words()
+                    .get(x >> 6)
+                    .is_some_and(|w| w >> (x & 63) & 1 == 1)
+            })
+            .fold(0usize, |c, (bit, _)| c | 1 << bit);
+        let Some(slice) = slices.get(code) else {
+            continue;
+        };
+        for (base, (a, b)) in (0..)
+            .step_by(64)
+            .zip(column.as_words().iter().zip(slice.as_words()))
+        {
+            let mut diff = a ^ b;
+            while diff != 0 {
+                let y = base | diff.trailing_zeros() as usize;
+                let m = deposit(x, bound) | deposit(y, free);
+                smallest = Some(smallest.map_or(m, |best| best.min(m)));
+                diff &= diff - 1;
+            }
+        }
+    }
+    Ok(smallest)
 }
 
 /// Performs one decomposition step of `f` with the given bound set and
@@ -645,6 +716,109 @@ fn bdd_rec(
 mod tests {
     use super::*;
     use rand::SeedableRng;
+
+    /// Scalar oracle of [`Decomposition::diagnostics`], the formulation it
+    /// replaced: gather the bound, α and free bits of every minterm in
+    /// ascending order and stop at the first mismatch.
+    fn diagnostics_scalar(d: &Decomposition, f: &TruthTable) -> Vec<Diagnostic> {
+        let mut out = Vec::new();
+        crate::encoding::code_diagnostics(&d.codes, &mut out);
+        let t = d.alphas.len();
+        for m in 0..f.num_minterms() as u32 {
+            let mut x = 0u32;
+            for (i, &v) in d.bound.iter().enumerate() {
+                if m >> v & 1 == 1 {
+                    x |= 1 << i;
+                }
+            }
+            let mut g_in = 0u32;
+            for (bit, alpha) in d.alphas.iter().enumerate() {
+                if alpha.eval(x) {
+                    g_in |= 1 << bit;
+                }
+            }
+            for (i, &v) in d.free.iter().enumerate() {
+                if m >> v & 1 == 1 {
+                    g_in |= 1 << (t + i);
+                }
+            }
+            if d.image.eval(g_in) != f.eval(m) {
+                out.push(
+                    Diagnostic::new(
+                        Code::EncodingRecomposition,
+                        format!("g(α(x), y) differs from f at minterm {m}"),
+                    )
+                    .at(Location::Minterm(m as usize)),
+                );
+                break;
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn recomposition_check_matches_scalar_scan_on_corrupted_steps() {
+        use rand::seq::SliceRandom;
+        use rand::Rng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x104);
+        let mut mismatches = 0;
+        for n in 4..=11usize {
+            for trial in 0..4 {
+                let f = TruthTable::random(n, &mut rng);
+                let mut vars: Vec<usize> = (0..n).collect();
+                vars.shuffle(&mut rng);
+                let k = rng.gen_range(2..n.min(6));
+                let encoder = if trial % 2 == 0 {
+                    EncoderKind::Lexicographic
+                } else {
+                    EncoderKind::Random { seed: trial }
+                };
+                let d = decompose_step(&f, &vars[..k], &encoder, 5).unwrap();
+                assert!(d.diagnostics(&f).is_empty(), "clean step must lint clean");
+                assert_eq!(d.recomposed_table(), f);
+                // One flipped image bit (possibly at an unused code), one
+                // flipped α bit, and the free variables out of order.
+                let mut flipped_image = d.clone();
+                let g = rng.gen_range(0..d.image.num_minterms() as u32);
+                flipped_image.image.set(g, !d.image.eval(g));
+                let mut flipped_alpha = d.clone();
+                if !d.alphas.is_empty() {
+                    let bit = rng.gen_range(0..d.alphas.len());
+                    let x = rng.gen_range(0..1u32 << k);
+                    let alpha = &mut flipped_alpha.alphas[bit];
+                    alpha.set(x, !alpha.eval(x));
+                }
+                let mut shuffled_free = d.clone();
+                shuffled_free.free.reverse();
+                for bad in [flipped_image, flipped_alpha, shuffled_free] {
+                    let got = bad.diagnostics(&f);
+                    assert_eq!(
+                        got,
+                        diagnostics_scalar(&bad, &f),
+                        "n {n} bound {:?}",
+                        bad.bound
+                    );
+                    assert_eq!(bad.verify(&f), bad.recomposed_table() == f);
+                    mismatches += usize::from(!bad.verify(&f));
+                }
+            }
+        }
+        assert!(
+            mismatches > 40,
+            "corruptions must mostly be caught: {mismatches}"
+        );
+    }
+
+    #[test]
+    fn malformed_step_shape_is_a_diagnostic_not_a_panic() {
+        let f = TruthTable::var(3, 0) ^ TruthTable::var(3, 2);
+        let mut d = decompose_step(&f, &[0, 1], &EncoderKind::Lexicographic, 4).unwrap();
+        d.free.push(0);
+        let diags = d.diagnostics(&f);
+        assert_eq!(diags.len(), 1, "{diags:?}");
+        assert_eq!(diags[0].code, Code::EncodingRecomposition);
+        assert!(!d.verify(&f));
+    }
 
     #[test]
     fn single_step_verifies() {

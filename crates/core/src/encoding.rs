@@ -151,42 +151,90 @@ pub fn ceil_log2(n: usize) -> usize {
 ///
 /// Image variables: `0..t` are the α bits, `t..t+|μ|` the original free
 /// variables (in class-function variable order). Returns `(on, dc)` where
-/// the don't-care set covers code points no class uses.
+/// the don't-care set covers code points no class uses. Callers that
+/// discard the don't-care set use [`build_image_on`].
 ///
 /// # Panics
 ///
-/// Panics if `codes.len() != classes.len()` or codes are not strict.
+/// Panics if `codes.len() != classes.len()`, codes are not strict, or the
+/// class functions differ in arity.
 pub fn build_image(
     classes: &CompatibleClasses,
     codes: &CodeAssignment,
 ) -> (TruthTable, TruthTable) {
+    let on = build_image_on(classes, codes);
+    let dc = image_dc(codes, on.vars() - codes.bits());
+    (on, dc)
+}
+
+/// The on-set of [`build_image`] alone, with unused code points 0.
+///
+/// # Panics
+///
+/// Same conditions as [`build_image`].
+pub fn build_image_on(classes: &CompatibleClasses, codes: &CodeAssignment) -> TruthTable {
     assert_eq!(codes.len(), classes.len(), "one code per class required");
     assert!(
         codes.is_strict(),
         "image construction requires strict codes"
     );
+    let mu = classes.class_fns().first().map_or(0, TruthTable::vars);
+    scatter_image(classes.class_fns(), codes, mu)
+}
+
+/// Word-level image kernel: every set bit `y` of the `i`-th function
+/// (each over `mu` variables) lands on image minterm `(y << t) | code_i`,
+/// so the cost is one bit write per on-set minterm of the classes and
+/// unused codes stay 0. The functions pair with `codes` in order.
+///
+/// # Panics
+///
+/// Panics if a function's arity is not `mu`.
+pub(crate) fn scatter_image<'a>(
+    fns: impl IntoIterator<Item = &'a TruthTable>,
+    codes: &CodeAssignment,
+    mu: usize,
+) -> TruthTable {
     let t = codes.bits();
-    let mu = if classes.is_empty() {
-        0
-    } else {
-        classes.class_fn(0).vars()
-    };
-    let mut by_code: HashMap<u32, usize> = HashMap::new();
-    for (i, &c) in codes.codes().iter().enumerate() {
-        by_code.insert(c, i);
-    }
-    let vars = t + mu;
-    let code_mask = (1u32 << t) - 1;
-    let on = TruthTable::from_fn(vars, |m| {
-        let a = m & code_mask;
-        let y = m >> t;
-        match by_code.get(&a) {
-            Some(&cls) => classes.class_fn(cls).eval(y),
-            None => false,
+    let mut words = vec![0u64; 1 << (t + mu).saturating_sub(6)];
+    for (f, &code) in fns.into_iter().zip(codes.codes()) {
+        assert_eq!(f.vars(), mu, "class functions must share one arity");
+        for (base, &w) in (0..).step_by(64).zip(f.as_words()) {
+            let mut bits = w;
+            while bits != 0 {
+                let y = base | bits.trailing_zeros() as usize;
+                let m = y << t | code as usize;
+                if let Some(word) = words.get_mut(m >> 6) {
+                    *word |= 1 << (m & 63);
+                }
+                bits &= bits - 1;
+            }
         }
-    });
-    let dc = TruthTable::from_fn(vars, |m| !by_code.contains_key(&(m & code_mask)));
-    (on, dc)
+    }
+    TruthTable::from_words(t + mu, words)
+}
+
+/// The don't-care set of an image over `t = codes.bits()` α bits and `mu`
+/// free variables: the code points no class uses, one pattern of `2^t`
+/// bits repeated for every free assignment.
+fn image_dc(codes: &CodeAssignment, mu: usize) -> TruthTable {
+    let t = codes.bits();
+    let mut pattern = vec![!0u64; 1 << t.saturating_sub(6)];
+    for &code in codes.codes() {
+        if let Some(word) = pattern.get_mut(code as usize >> 6) {
+            *word &= !(1 << (code & 63));
+        }
+    }
+    let n_words = 1usize << (t + mu).saturating_sub(6);
+    let words = if t < 6 {
+        // Sub-word pattern: replicate it across the word.
+        let unit = pattern.first().map_or(0, |&w| w & ((1 << (1 << t)) - 1));
+        let word = (t..6).fold(unit, |w, s| w | w << (1 << s));
+        vec![word; n_words]
+    } else {
+        pattern.iter().copied().cycle().take(n_words).collect()
+    };
+    TruthTable::from_words(t + mu, words)
 }
 
 /// Derives the α (decomposition) functions over the bound variables from a
@@ -501,7 +549,7 @@ impl Encoder for HydeEncoder {
             return Ok(lex);
         }
         // Step 3: λ-set selection on the trial image.
-        let (g_on, _) = build_image(classes, &lex);
+        let g_on = build_image_on(classes, &lex);
         let g_support = g_on.support();
         if g_support.len() <= k {
             // The image is κ-feasible after vacuous-variable removal.
@@ -547,8 +595,7 @@ impl Encoder for HydeEncoder {
         let mut rng = StdRng::seed_from_u64(self.seed);
         let rand_codes = CodeAssignment::new(random_strict_codes(m, t, &mut rng), t)?;
         let cost = |codes: &CodeAssignment| -> usize {
-            let (on, _) = build_image(classes, codes);
-            class_count(&on, &lambda2).unwrap_or(usize::MAX)
+            class_count(&build_image_on(classes, codes), &lambda2).unwrap_or(usize::MAX)
         };
         let hyde_cost = cost(&hyde_codes);
         let rand_cost = cost(&rand_codes);
@@ -581,8 +628,8 @@ pub fn class_partitions(
             let id = *alphabet.entry(fc.clone()).or_insert(next);
             vec![id]
         } else {
-            let (bound, free) = split_bound_free(mu, y1)?;
-            column_patterns(fc, &bound, &free)
+            let (bound, _) = split_bound_free(mu, y1)?;
+            column_patterns(fc, &bound)
                 .into_iter()
                 .map(|pat| {
                     let next = alphabet.len() as u32;
@@ -959,6 +1006,58 @@ mod tests {
             let y = m >> 2; // free vars c,d
             let g_in = (u32::from(a_val)) | (y << 1);
             assert_eq!(g.eval(g_in), f.eval(m), "minterm {m}");
+        }
+    }
+
+    /// Scalar oracle of [`build_image`], the formulation it replaced: a
+    /// code → class map consulted once per image minterm.
+    fn build_image_scalar(
+        classes: &CompatibleClasses,
+        codes: &CodeAssignment,
+    ) -> (TruthTable, TruthTable) {
+        let t = codes.bits();
+        let mu = classes.class_fns().first().map_or(0, TruthTable::vars);
+        let by_code: HashMap<u32, usize> = codes
+            .codes()
+            .iter()
+            .enumerate()
+            .map(|(i, &c)| (c, i))
+            .collect();
+        let code_mask = (1u32 << t) - 1;
+        let on = TruthTable::from_fn(t + mu, |m| {
+            by_code
+                .get(&(m & code_mask))
+                .is_some_and(|&cls| classes.class_fn(cls).eval(m >> t))
+        });
+        let dc = TruthTable::from_fn(t + mu, |m| !by_code.contains_key(&(m & code_mask)));
+        (on, dc)
+    }
+
+    #[test]
+    fn build_image_matches_scalar_oracle() {
+        let mut rng = StdRng::seed_from_u64(0x1AA6E);
+        // Every code width up to one word of codes and every free-set
+        // size up to 10, sub-word images (t + mu < 6) included.
+        for t in 0..=6usize {
+            for mu in 0..=10usize {
+                // Empty, sparse, full and in-between code spaces.
+                let space = 1usize << t;
+                for m in [0, 1, space / 2 + 1, space, rng.gen_range(1..=space)] {
+                    if m > space {
+                        continue;
+                    }
+                    let fns: Vec<TruthTable> =
+                        (0..m).map(|_| TruthTable::random(mu, &mut rng)).collect();
+                    let classes = classes_from_fns(fns);
+                    let codes =
+                        CodeAssignment::new(random_strict_codes(m, t, &mut rng), t).unwrap();
+                    let (on, dc) = build_image(&classes, &codes);
+                    let (on_ref, dc_ref) = build_image_scalar(&classes, &codes);
+                    assert_eq!(on, on_ref, "t {t} mu {mu} classes {m}");
+                    assert_eq!(dc, dc_ref, "t {t} mu {mu} classes {m}");
+                    assert_eq!(build_image_on(&classes, &codes), on_ref);
+                }
+            }
         }
     }
 

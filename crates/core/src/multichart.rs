@@ -8,7 +8,8 @@
 //! and each output keeps its own image function.
 
 use crate::chart::{column_patterns, split_bound_free};
-use crate::encoding::{build_alphas, ceil_log2, code_diagnostics, CodeAssignment};
+use crate::decompose::recomposition_mismatch;
+use crate::encoding::{build_alphas, ceil_log2, code_diagnostics, scatter_image, CodeAssignment};
 use crate::CoreError;
 use hyde_logic::diag::{any_deny, Code, Diagnostic, Location};
 use hyde_logic::TruthTable;
@@ -46,10 +47,8 @@ impl MultiChart {
             ));
         }
         let (bound, free) = split_bound_free(vars, bound)?;
-        let columns: Vec<Vec<TruthTable>> = outputs
-            .iter()
-            .map(|f| column_patterns(f, &bound, &free))
-            .collect();
+        let columns: Vec<Vec<TruthTable>> =
+            outputs.iter().map(|f| column_patterns(f, &bound)).collect();
         let n_cols = 1usize << bound.len();
         let mut class_of = vec![0usize; n_cols];
         let mut representatives = Vec::new();
@@ -110,6 +109,12 @@ impl MultiChart {
         build_alphas(&self.class_of, codes, self.bound.len())
     }
 
+    /// Column patterns of output `o` in column order (functions of the
+    /// free variables); empty if `o` is out of range.
+    pub fn columns(&self, o: usize) -> &[TruthTable] {
+        self.columns.get(o).map_or(&[], Vec::as_slice)
+    }
+
     /// Image function of output `o` under the given codes: variables
     /// `0..t` are the α bits, then the free variables.
     ///
@@ -118,20 +123,10 @@ impl MultiChart {
     /// Panics if `o` is out of range or codes mismatch the classes.
     pub fn image(&self, o: usize, codes: &CodeAssignment) -> TruthTable {
         assert_eq!(codes.len(), self.class_count(), "one code per class");
-        let t = codes.bits();
-        let mu = self.free.len();
-        let mut by_code: HashMap<u32, usize> = HashMap::new();
-        for (cls, &code) in codes.codes().iter().enumerate() {
-            by_code.insert(code, cls);
-        }
-        TruthTable::from_fn(t + mu, |m| {
-            let a = m & ((1u32 << t) - 1);
-            let y = m >> t;
-            match by_code.get(&a) {
-                Some(&cls) => self.columns[o][self.representatives[cls]].eval(y),
-                None => false,
-            }
-        })
+        assert!(o < self.columns.len(), "output {o} out of range");
+        let columns = self.columns(o);
+        let reps = self.representatives.iter().filter_map(|&c| columns.get(c));
+        scatter_image(reps, codes, self.free.len())
     }
 
     /// Verifies that the shared α functions plus the per-output images
@@ -152,40 +147,17 @@ impl MultiChart {
         let mut out = Vec::new();
         code_diagnostics(codes, &mut out);
         let alphas = self.alphas(codes);
-        let t = alphas.len();
         for (o, f) in outputs.iter().enumerate() {
             let image = self.image(o, codes);
-            for m in 0..f.num_minterms() as u32 {
-                let mut x = 0u32;
-                for (i, &v) in self.bound.iter().enumerate() {
-                    if m >> v & 1 == 1 {
-                        x |= 1 << i;
-                    }
+            let message = match recomposition_mismatch(f, &self.bound, &self.free, &alphas, &image)
+            {
+                Ok(None) => continue,
+                Ok(Some(m)) => {
+                    format!("output {o} differs from its joint recomposition at minterm {m}")
                 }
-                let mut g_in = 0u32;
-                for (bit, alpha) in alphas.iter().enumerate() {
-                    if alpha.eval(x) {
-                        g_in |= 1 << bit;
-                    }
-                }
-                for (i, &v) in self.free.iter().enumerate() {
-                    if m >> v & 1 == 1 {
-                        g_in |= 1 << (t + i);
-                    }
-                }
-                if image.eval(g_in) != f.eval(m) {
-                    out.push(
-                        Diagnostic::new(
-                            Code::EncodingRecomposition,
-                            format!(
-                                "output {o} differs from its joint recomposition at minterm {m}"
-                            ),
-                        )
-                        .at(Location::Output(o)),
-                    );
-                    break;
-                }
-            }
+                Err(shape) => format!("output {o}: {shape}"),
+            };
+            out.push(Diagnostic::new(Code::EncodingRecomposition, message).at(Location::Output(o)));
         }
         out
     }

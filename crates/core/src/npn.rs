@@ -372,25 +372,11 @@ fn greedy_canonize(f: &TruthTable) -> NpnCanon {
     for (j, &v) in final_order.iter().enumerate() {
         perm[v] = j;
     }
-    // Apply the permutation with promotion passes: promoting in
-    // final_order leaves final_order[j] at position j.
-    let mut cur: Vec<usize> = (0..n).collect();
-    let mut scratch = vec![0u64; words.len()];
-    let mut src = &mut words;
-    let mut dst = &mut scratch;
-    for &v in &final_order {
-        let pos = cur[v];
-        crate::chart::promote_to_top(src, dst, pos);
-        std::mem::swap(&mut src, &mut dst);
-        for c in cur.iter_mut() {
-            if *c > pos {
-                *c -= 1;
-            }
-        }
-        cur[v] = n - 1;
-    }
+    // Promoting every variable in final_order leaves final_order[j] at
+    // position j.
+    let table = TruthTable::from_words(n, words).promote(&final_order);
     NpnCanon {
-        table: TruthTable::from_words(n, src.clone()),
+        table,
         transform: NpnTransform {
             perm,
             input_neg,

@@ -901,31 +901,46 @@ fn drop_fanin(function: &TruthTable, fanins: &[NodeId], pos: usize) -> (TruthTab
 }
 
 /// Projects a global table onto its `support` variables: result variable
-/// `i` corresponds to `support[i]`.
+/// `i` corresponds to `support[i]`, which may come in any order. Variables
+/// outside `support` are read at 0.
+///
+/// Word-level: every other variable is removed highest first (so lower
+/// positions stay valid), one halving pass each; a non-ascending
+/// `support` then costs one promotion pass per variable of the result.
 ///
 /// # Panics
 ///
-/// Panics if `support` omits a variable the table depends on.
+/// Panics if `support` repeats a variable or names one outside the
+/// table; in debug builds, also if it omits a variable the table depends
+/// on.
 pub fn project_to_support(global: &TruthTable, support: &[usize]) -> TruthTable {
-    let k = support.len();
-    let mut out = TruthTable::zero(k);
-    for m in 0u32..(1u32 << k) {
-        // Build one representative full minterm (non-support vars at 0).
-        let mut full = 0u32;
-        for (i, &v) in support.iter().enumerate() {
-            if m >> i & 1 == 1 {
-                full |= 1 << v;
-            }
+    let mut sorted = support.to_vec();
+    sorted.sort_unstable();
+    let mut table = global.clone();
+    for v in (0..global.vars()).rev() {
+        if sorted.binary_search(&v).is_err() {
+            table = table.remove_var(v);
         }
-        if global.eval(full) {
-            out.set(m, true);
-        }
+    }
+    assert_eq!(
+        table.vars(),
+        support.len(),
+        "support must name distinct variables of the table"
+    );
+    // Variable `j` of `table` is now `sorted[j]`; promoting the ranks in
+    // `support` order moves `support[i]` to variable `i`.
+    if sorted != support {
+        let ranks: Vec<usize> = support
+            .iter()
+            .filter_map(|v| sorted.binary_search(v).ok())
+            .collect();
+        table = table.promote(&ranks);
     }
     debug_assert!({
         let sup = global.support();
         sup.iter().all(|v| support.contains(v))
     });
-    out
+    table
 }
 
 /// Structurally merges several networks into one multi-output network,
@@ -993,6 +1008,60 @@ pub fn structural_merge(name: &str, nets: &[&Network]) -> Network {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Scalar oracle of [`project_to_support`], the formulation it
+    /// replaced: one representative full minterm per result minterm.
+    fn project_to_support_scalar(global: &TruthTable, support: &[usize]) -> TruthTable {
+        TruthTable::from_fn(support.len(), |m| {
+            let full = support
+                .iter()
+                .enumerate()
+                .filter(|&(i, _)| m >> i & 1 == 1)
+                .fold(0u32, |acc, (_, &v)| acc | 1 << v);
+            global.eval(full)
+        })
+    }
+
+    #[test]
+    fn project_to_support_matches_scalar_oracle() {
+        use rand::seq::SliceRandom;
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x5009);
+        for n in 0..=11usize {
+            for _ in 0..6 {
+                let mut vars: Vec<usize> = (0..n).collect();
+                vars.shuffle(&mut rng);
+                let mut support = vars[..rng.gen_range(0..=n)].to_vec();
+                // The table depends on its support only, as the contract
+                // requires (vacuous elsewhere).
+                let inner = TruthTable::random(support.len(), &mut rng);
+                let global = TruthTable::from_fn(n, |m| {
+                    let local = support
+                        .iter()
+                        .enumerate()
+                        .filter(|&(_, &v)| m >> v & 1 == 1)
+                        .fold(0u32, |acc, (i, _)| acc | 1 << i);
+                    inner.eval(local)
+                });
+                // Shuffled support, then the same set ascending.
+                let shuffled = project_to_support(&global, &support);
+                assert_eq!(shuffled, inner, "n {n} support {support:?}");
+                assert_eq!(shuffled, project_to_support_scalar(&global, &support));
+                support.sort_unstable();
+                assert_eq!(
+                    project_to_support(&global, &support),
+                    project_to_support_scalar(&global, &support),
+                    "n {n} support {support:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "distinct variables")]
+    fn project_to_support_rejects_repeated_variables() {
+        let _ = project_to_support(&TruthTable::var(3, 0), &[0, 0]);
+    }
 
     fn full_adder() -> Network {
         let mut net = Network::new("fa");

@@ -268,13 +268,148 @@ impl TruthTable {
     }
 
     /// Whether `var` actually influences the function.
+    ///
+    /// Compares the two cofactor halves in place, without building either
+    /// cofactor: an XOR-shift under the block mask inside each word below
+    /// variable 6, a comparison of adjacent word strides above it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `var >= vars`.
     pub fn depends_on(&self, var: usize) -> bool {
-        self.cofactor(var, false) != self.cofactor(var, true)
+        assert!(var < self.vars, "variable out of range");
+        if var < 6 {
+            let (shift, block) = (1usize << var, block_mask(var));
+            self.words.iter().any(|&w| (w ^ w >> shift) & block != 0)
+        } else {
+            let stride = 1usize << (var - 6);
+            self.words.chunks_exact(2 * stride).any(|pair| {
+                let (lo, hi) = pair.split_at(stride);
+                lo != hi
+            })
+        }
     }
 
     /// The set of variables the function depends on.
     pub fn support(&self) -> Vec<usize> {
         (0..self.vars).filter(|&v| self.depends_on(v)).collect()
+    }
+
+    /// The same function with the variables of `top` moved to the top of
+    /// the variable order: `top[i]` becomes variable
+    /// `vars - top.len() + i`, and the other variables keep their relative
+    /// order below. Block `c` of `2^(vars - top.len())` minterms then holds
+    /// the cofactor at `top[i] = bit i of c`, which
+    /// [`TruthTable::top_cofactors`] splits off. One word-level pass per
+    /// variable of `top` (see [`promote_to_top`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `top` repeats a variable or names one `>= vars`.
+    pub fn promote(&self, top: &[usize]) -> TruthTable {
+        let mut seen = 0u32;
+        for &v in top {
+            assert!(
+                v < self.vars && seen >> v & 1 == 0,
+                "promoted variables must be distinct variables of the table"
+            );
+            seen |= 1 << v;
+        }
+        let mut cur = self.words.clone();
+        let mut next = vec![0; cur.len()];
+        // Current positions of the variables still to promote: promoting
+        // the one at `p` shifts every variable above `p` down by one.
+        let mut pending = top.to_vec();
+        let mut rest = pending.as_mut_slice();
+        while let Some((&mut p, tail)) = rest.split_first_mut() {
+            if p + 1 < self.vars {
+                if let [w] = cur.as_mut_slice() {
+                    let (lo, hi) = unshuffle64(*w, p);
+                    *w = lo | hi << (1usize << (self.vars - 1));
+                } else {
+                    promote_to_top(&cur, &mut next, p);
+                    std::mem::swap(&mut cur, &mut next);
+                }
+            }
+            for q in tail.iter_mut().filter(|q| **q > p) {
+                *q -= 1;
+            }
+            rest = tail;
+        }
+        TruthTable {
+            vars: self.vars,
+            words: cur,
+        }
+    }
+
+    /// The `2^j` cofactors over the top `j` variables, in block order: entry
+    /// `c` fixes variable `vars - j + i` to bit `i` of `c` and is a function
+    /// of the low `vars - j` variables.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `j > vars`.
+    pub fn top_cofactors(&self, j: usize) -> Vec<TruthTable> {
+        assert!(
+            j <= self.vars,
+            "cannot split {j} of {} variables",
+            self.vars
+        );
+        let low = self.vars - j;
+        if low >= 6 {
+            return self
+                .words
+                .chunks_exact(1 << (low - 6))
+                .map(|block| TruthTable {
+                    vars: low,
+                    words: block.to_vec(),
+                })
+                .collect();
+        }
+        let (width, mask) = (1usize << low, small_mask(low));
+        self.words
+            .iter()
+            .flat_map(|&w| {
+                (0..WORD_BITS).step_by(width).map(move |s| TruthTable {
+                    vars: low,
+                    words: vec![w >> s & mask],
+                })
+            })
+            .take(1 << j)
+            .collect()
+    }
+
+    /// The cofactor at `var = 0` with `var` removed: variables above `var`
+    /// move down by one. Writes only the kept half, one word-level pass.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `var >= vars`.
+    pub(crate) fn remove_var(&self, var: usize) -> TruthTable {
+        assert!(var < self.vars, "variable out of range");
+        let words = if self.vars <= 6 {
+            self.words.iter().map(|&w| unshuffle64(w, var).0).collect()
+        } else if var >= 6 {
+            let stride = 1usize << (var - 6);
+            self.words
+                .chunks_exact(2 * stride)
+                .flat_map(|pair| pair.iter().take(stride))
+                .copied()
+                .collect()
+        } else {
+            self.words
+                .chunks_exact(2)
+                .map(|pair| {
+                    pair.iter()
+                        .zip([0, 32])
+                        .fold(0, |acc, (&w, s)| acc | unshuffle64(w, var).0 << s)
+                })
+                .collect()
+        };
+        TruthTable {
+            vars: self.vars - 1,
+            words,
+        }
     }
 
     /// Returns the same function re-expressed over a (possibly larger)
@@ -380,17 +515,76 @@ impl TruthTable {
 }
 
 /// Mask selecting, within a 64-bit word, the minterms whose bit `var` is 0
-/// (for `var < 6`).
+/// (for `var < 6`): `0x5555…` for variable 0 up to `0x0000_0000_FFFF_FFFF`
+/// for variable 5, i.e. `!0 / (2^(2^var) + 1)`.
 fn block_mask(var: usize) -> u64 {
-    match var {
-        0 => 0x5555_5555_5555_5555,
-        1 => 0x3333_3333_3333_3333,
-        2 => 0x0F0F_0F0F_0F0F_0F0F,
-        3 => 0x00FF_00FF_00FF_00FF,
-        4 => 0x0000_FFFF_0000_FFFF,
-        5 => 0x0000_0000_FFFF_FFFF,
-        _ => unreachable!("block_mask only defined for var < 6"),
+    !0 / ((1u64 << (1 << var)) + 1)
+}
+
+/// Reorders the packed table `src` (`2^n` bits in at least two words, so
+/// `n >= 7`) into `dst` so the variable at `pos` becomes the top (most
+/// significant) index bit, with all other variables keeping their
+/// relative order. One linear pass: block copies when `pos >= 6`,
+/// word-level perfect unshuffles below.
+pub fn promote_to_top(src: &[u64], dst: &mut [u64], pos: usize) {
+    let (lo, hi) = dst.split_at_mut(src.len() / 2);
+    if pos >= 6 {
+        let stride = 1usize << (pos - 6);
+        let halves = lo.chunks_exact_mut(stride).zip(hi.chunks_exact_mut(stride));
+        for (pair, (l, h)) in src.chunks_exact(2 * stride).zip(halves) {
+            let (p0, p1) = pair.split_at(stride);
+            l.copy_from_slice(p0);
+            h.copy_from_slice(p1);
+        }
+    } else {
+        for (pair, (l, h)) in src.chunks_exact(2).zip(lo.iter_mut().zip(hi.iter_mut())) {
+            if let &[w0, w1] = pair {
+                let (l0, h0) = unshuffle64(w0, pos);
+                let (l1, h1) = unshuffle64(w1, pos);
+                *l = l0 | l1 << 32;
+                *h = h0 | h1 << 32;
+            }
+        }
     }
+}
+
+/// Delta-swap mask for the perfect-unshuffle step with shift `s`: bits
+/// `i` with `i mod 4s` in `[s, 2s)` (Hacker's Delight 7-2, generalized
+/// to 64 bits and arbitrary power-of-two group sizes).
+const fn unshuffle_mask(s: u32) -> u64 {
+    let mut m = 0u64;
+    let mut i = 0u32;
+    while i < 64 {
+        let r = i % (4 * s);
+        if r >= s && r < 2 * s {
+            m |= 1u64 << i;
+        }
+        i += 1;
+    }
+    m
+}
+
+/// `UNSHUFFLE_MASKS[i]` is the delta-swap mask for shift `2^i`.
+const UNSHUFFLE_MASKS: [u64; 5] = [
+    unshuffle_mask(1),
+    unshuffle_mask(2),
+    unshuffle_mask(4),
+    unshuffle_mask(8),
+    unshuffle_mask(16),
+];
+
+/// Splits `w` into `(lo, hi)`: `lo` packs the bit groups of size
+/// `2^pos` at even group indices into the low 32 bits (order preserved),
+/// `hi` the odd group indices. `pos` must be in `0..6`.
+#[inline]
+fn unshuffle64(w: u64, pos: usize) -> (u64, u64) {
+    let mut x = w;
+    for (i, &m) in UNSHUFFLE_MASKS.iter().enumerate().skip(pos) {
+        let s = 1u32 << i;
+        let t = (x ^ (x >> s)) & m;
+        x ^= t ^ (t << s);
+    }
+    (x & 0xFFFF_FFFF, x >> 32)
 }
 
 impl fmt::Debug for TruthTable {
@@ -653,6 +847,104 @@ mod tests {
                     }
                     assert!(!c.depends_on(v));
                 }
+            }
+        }
+    }
+
+    /// Deposits the low bits of `bits` at the variable positions `vars`.
+    fn scatter(bits: usize, vars: &[usize]) -> u32 {
+        vars.iter()
+            .enumerate()
+            .filter(|&(i, _)| bits >> i & 1 == 1)
+            .fold(0, |m, (_, &v)| m | 1 << v)
+    }
+
+    #[test]
+    fn depends_on_matches_cofactor_oracle() {
+        use rand::Rng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0xDE9);
+        for vars in 1..=10 {
+            for _ in 0..8 {
+                // Random tables depend on everything; mask some variables
+                // out by cofactoring so both answers occur.
+                let mut t = TruthTable::random(vars, &mut rng);
+                for v in 0..vars {
+                    if rng.gen_bool(0.4) {
+                        t = t.cofactor(v, rng.gen_bool(0.5));
+                    }
+                }
+                for v in 0..vars {
+                    let oracle = t.cofactor(v, false) != t.cofactor(v, true);
+                    assert_eq!(t.depends_on(v), oracle, "vars {vars} var {v}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn promote_and_top_cofactors_match_scalar_gather() {
+        use rand::seq::SliceRandom;
+        use rand::Rng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x9A7);
+        for vars in 0..=10usize {
+            for _ in 0..6 {
+                let t = TruthTable::random(vars, &mut rng);
+                let mut order: Vec<usize> = (0..vars).collect();
+                order.shuffle(&mut rng);
+                let j = rng.gen_range(0..=vars);
+                let top = &order[..j];
+                let rest: Vec<usize> = (0..vars).filter(|v| !top.contains(v)).collect();
+                let blocks = t.promote(top).top_cofactors(j);
+                assert_eq!(blocks.len(), 1 << j);
+                for (c, block) in blocks.iter().enumerate() {
+                    assert_eq!(block.vars(), vars - j);
+                    for r in 0..1usize << (vars - j) {
+                        let m = scatter(c, top) | scatter(r, &rest);
+                        assert_eq!(block.eval(r as u32), t.eval(m), "top {top:?} c {c} r {r}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn remove_var_is_the_zero_cofactor_without_the_variable() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x7E3);
+        for vars in 1..=10usize {
+            let t = TruthTable::random(vars, &mut rng);
+            for v in 0..vars {
+                let r = t.remove_var(v);
+                assert_eq!(r.vars(), vars - 1);
+                for m in 0u32..1 << (vars - 1) {
+                    let low = m & ((1 << v) - 1);
+                    let full = low | (m >> v) << (v + 1);
+                    assert_eq!(r.eval(m), t.eval(full), "vars {vars} var {v} m {m}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn unshuffle_matches_bitwise_reference() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+        for pos in 0..6usize {
+            let g = 1usize << pos;
+            for _ in 0..50 {
+                let w = TruthTable::random(6, &mut rng).as_words()[0];
+                let (lo, hi) = unshuffle64(w, pos);
+                let (mut rlo, mut rhi) = (0u64, 0u64);
+                let (mut nlo, mut nhi) = (0usize, 0usize);
+                for i in 0..64 {
+                    let bit = w >> i & 1;
+                    if (i / g).is_multiple_of(2) {
+                        rlo |= bit << nlo;
+                        nlo += 1;
+                    } else {
+                        rhi |= bit << nhi;
+                        nhi += 1;
+                    }
+                }
+                assert_eq!((lo, hi), (rlo, rhi), "pos {pos} word {w:#x}");
             }
         }
     }

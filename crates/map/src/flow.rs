@@ -557,21 +557,13 @@ impl MappingFlow<'_> {
                     })
             })
             .collect::<Result<_, _>>()?;
-        let per_f: Vec<Vec<TruthTable>> = fs
-            .iter()
-            .map(|f| chart_columns(f, &bound, chart.free()))
-            .collect();
         let stacked: Vec<TruthTable> = reps
             .iter()
             .map(|&c| {
                 TruthTable::from_fn(mu + sel_bits, |m| {
                     let y = m & ((1u32 << mu) - 1);
                     let which = (m >> mu) as usize;
-                    if which < fs.len() {
-                        per_f[which][c].eval(y)
-                    } else {
-                        false
-                    }
+                    chart.columns(which).get(c).is_some_and(|col| col.eval(y))
                 })
             })
             .collect();
@@ -811,21 +803,6 @@ fn splice_subnetwork(
     map.get(out_id)
         .copied()
         .ok_or_else(|| CoreError::Verification("subnetwork output is unreachable".into()))
-}
-
-/// Column patterns of `f` for an explicit bound/free split (free variables
-/// in ascending order).
-fn chart_columns(f: &TruthTable, bound: &[usize], free: &[usize]) -> Vec<TruthTable> {
-    let n_cols = 1usize << bound.len();
-    let mut out = Vec::with_capacity(n_cols);
-    for c in 0..n_cols {
-        let mut col = f.clone();
-        for (i, &v) in bound.iter().enumerate() {
-            col = col.cofactor(v, c >> i & 1 == 1);
-        }
-        out.push(project_to_support(&col, free));
-    }
-    out
 }
 
 #[cfg(test)]
