@@ -57,6 +57,10 @@ pub const COUNTERS: &[&str] = &[
     "decompose.steps",
     "decompose.classes",
     "decompose.shannon",
+    "encoding.lex_shortcut",
+    "encoding.step8.fig3",
+    "encoding.step8.lex",
+    "encoding.step8.random",
     "hyper.ingredients",
     "map.output_functions",
     "sat.solves",

@@ -2,9 +2,13 @@
 //! and cut-class counting, blossom and b-matching, clique partition, the
 //! encoding steps of Example 3.2, class counting, the λ-search, ISOP and
 //! the four table builders of a decomposition step (chart columns, image,
-//! support projection, recomposition check).
+//! support projection, recomposition check) and NPN canonization, the
+//! key of the λ-search memo (exact at 6 variables on random, totally
+//! symmetric and multiplexer tables; greedy at 8, 12 and 16 variables on
+//! random and tied tables).
 //! Each kernel runs once to warm up, then a fixed number of iterations,
-//! and the median iteration time is printed. Run with:
+//! and the median iteration time is printed (per table for the NPN sets).
+//! Run with:
 //! `cargo test --release -p hyde-bench --test kernels -- --ignored --nocapture`
 
 use hyde_core::chart::{class_count, DecompositionChart};
@@ -12,15 +16,18 @@ use hyde_core::decompose::decompose_step;
 use hyde_core::encoding::{
     build_image, ceil_log2, combine_column_sets, combine_row_sets, CodeAssignment, EncoderKind,
 };
+use hyde_core::npn::{self, NpnTransform};
 use hyde_core::partition::example_3_2_partitions;
 use hyde_core::varpart::VariablePartitioner;
 use hyde_logic::network::project_to_support;
 use hyde_logic::{SopCover, TruthTable};
 use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use std::time::{Duration, Instant};
 
-fn bench<F: FnMut() -> R, R>(name: &str, iters: u32, mut f: F) {
+/// Runs `f` once to warm up, then `iters` times; the median time.
+fn median_time<F: FnMut() -> R, R>(iters: u32, mut f: F) -> Duration {
     std::hint::black_box(f());
     let mut times: Vec<Duration> = (0..iters)
         .map(|_| {
@@ -30,8 +37,19 @@ fn bench<F: FnMut() -> R, R>(name: &str, iters: u32, mut f: F) {
         })
         .collect();
     times.sort();
-    let median = times[times.len() / 2];
+    times[times.len() / 2]
+}
+
+fn bench<F: FnMut() -> R, R>(name: &str, iters: u32, f: F) {
+    let median = median_time(iters, f);
     println!("{name:<36} {median:>12.2?}/iter median  ({iters} iters)");
+}
+
+/// Like [`bench`] over a set of `items` inputs, printing the median
+/// iteration time divided by the set size.
+fn bench_each<F: FnMut() -> R, R>(name: &str, iters: u32, items: usize, f: F) {
+    let median = median_time(iters, f) / items as u32;
+    println!("{name:<36} {median:>12.2?}/table median  ({iters} iters of {items})");
 }
 
 fn bench_bdd_ops() {
@@ -147,6 +165,62 @@ fn bench_step_tables() {
     bench("step/recomposition_check_14v", 50, || d.verify(&f));
 }
 
+/// A random NPN transform of `f`.
+fn transformed(f: &TruthTable, rng: &mut StdRng) -> TruthTable {
+    let n = f.vars();
+    let mut perm: Vec<usize> = (0..n).collect();
+    perm.shuffle(rng);
+    let t = NpnTransform {
+        perm,
+        input_neg: rng.gen::<u32>() & ((1 << n) - 1),
+        output_neg: rng.gen(),
+    };
+    npn::apply(f, &t)
+}
+
+/// NPN canonization, the key of the λ-search memo: the exact canonizer
+/// on 6-variable sets (random; every fourth totally symmetric function;
+/// a 4:1 multiplexer under random transforms) and the greedy one on
+/// random and tied (symmetric, so every cofactor weight ties) tables.
+fn bench_npn() {
+    let mut rng = StdRng::seed_from_u64(6);
+    let random: Vec<TruthTable> = (0..32).map(|_| TruthTable::random(6, &mut rng)).collect();
+    let symmetric: Vec<TruthTable> = (0..128u32)
+        .step_by(4)
+        .map(|c| TruthTable::from_fn(6, |m| c >> m.count_ones() & 1 == 1))
+        .collect();
+    let mux = TruthTable::from_fn(6, |m| m >> (2 + (m & 3)) & 1 == 1);
+    let muxes: Vec<TruthTable> = (0..16).map(|_| transformed(&mux, &mut rng)).collect();
+    for (set, tables) in [
+        ("random", &random),
+        ("symmetric", &symmetric),
+        ("mux", &muxes),
+    ] {
+        bench_each(
+            &format!("npn/exact_canonize_6v/{set}"),
+            10,
+            tables.len(),
+            || tables.iter().map(npn::canonize).count(),
+        );
+    }
+    for n in [8usize, 12, 16] {
+        let mut tables: Vec<TruthTable> = (0..8).map(|_| TruthTable::random(n, &mut rng)).collect();
+        for f in [
+            TruthTable::from_fn(n, |m| m.count_ones() % 2 == 1),
+            TruthTable::from_fn(n, |m| m.count_ones() * 2 >= n as u32),
+            TruthTable::from_fn(n, |m| m.count_ones() % 3 == 0),
+        ] {
+            tables.push(transformed(&f, &mut rng));
+        }
+        bench_each(
+            &format!("npn/greedy_canonize_{n}v"),
+            20,
+            tables.len(),
+            || tables.iter().map(npn::canonize).count(),
+        );
+    }
+}
+
 #[test]
 #[ignore]
 fn kernels() {
@@ -156,4 +230,5 @@ fn kernels() {
     bench_encoding_steps();
     bench_chart_and_varpart();
     bench_step_tables();
+    bench_npn();
 }

@@ -22,6 +22,24 @@
 //! Failed searches (budget trips, invalid sizes) are never inserted, so an
 //! error path can never poison later successes.
 //!
+//! The witness is part of the answer: a table with symmetries reaches its
+//! canonical form under several transforms, and each maps the cached
+//! bound set back to a different (equally good) bound set of the caller.
+//! The canonizer therefore fixes which witness it records — for tables
+//! of up to 6 variables the first transform in its enumeration order
+//! (see [`crate::npn`]) — so a faster canonizer must return the same
+//! witness, not only the same table.
+//!
+//! # Key cost
+//!
+//! Every cached search canonizes first, hit or miss. In a single-thread
+//! `hyde-bench run` pass on a 2-vCPU host an exact 6-variable
+//! canonization takes 60–70 µs, still more than the k = 5 search it
+//! memoizes on such a table (a few µs), and a greedy one about 5 µs at 7
+//! variables and 200 µs at 16. [`DecompCache`] accumulates the time in
+//! nanoseconds and reports it as `canonize_us`, so the cache can be
+//! judged against its overhead.
+//!
 //! # Scoping & eviction
 //!
 //! The cache is opt-in and is not result-neutral: a partitioner built
@@ -99,7 +117,8 @@ pub struct DecompCacheStats {
     pub rejected: u64,
     /// Entries currently stored.
     pub entries: u64,
-    /// Total µs spent canonizing through [`DecompCache::canonize_timed`].
+    /// Total µs spent canonizing through [`DecompCache::canonize_timed`]
+    /// (whole µs of the nanosecond total).
     pub canonize_us: u64,
 }
 
@@ -108,6 +127,12 @@ pub struct DecompCacheStats {
 /// See the [module docs](self) for the determinism contract and scoping
 /// policy. Obs counters `hyde.npn.hits`, `hyde.npn.misses` and
 /// `hyde.npn.canonize_us` are recorded when tracing is enabled.
+///
+/// Canonization time accumulates in nanoseconds. The obs counter gets
+/// the whole µs that each call carries the running total across
+/// (`us_carried`), so its sum is the cache's total to within 1 µs
+/// however short the calls are (flooring each call to whole µs would
+/// drop most of a call that takes a few µs).
 #[derive(Debug)]
 pub struct DecompCache {
     map: Mutex<HashMap<CacheKey, CachedBound>>,
@@ -117,7 +142,7 @@ pub struct DecompCache {
     hits: AtomicU64,
     misses: AtomicU64,
     rejected: AtomicU64,
-    canonize_us: AtomicU64,
+    canonize_ns: AtomicU64,
 }
 
 impl Default for DecompCache {
@@ -144,7 +169,7 @@ impl DecompCache {
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
-            canonize_us: AtomicU64::new(0),
+            canonize_ns: AtomicU64::new(0),
         }
     }
 
@@ -154,17 +179,17 @@ impl DecompCache {
     }
 
     /// Canonizes `f`, charging the elapsed time to the cache's
-    /// `canonize_us` counter (and the `hyde.npn.canonize_us` obs counter
+    /// canonization total (and the `hyde.npn.canonize_us` obs counter
     /// when tracing).
     pub fn canonize_timed(&self, f: &TruthTable) -> NpnCanon {
-        // sa:allow(SA002): the clock feeds only the canonize_us counter;
+        // sa:allow(SA002): the clock feeds only the canonization total;
         // the canonical form itself is a pure function of `f`.
         let start = std::time::Instant::now();
         let canon = npn::canonize(f);
-        let us = start.elapsed().as_micros() as u64;
-        self.canonize_us.fetch_add(us, Ordering::Relaxed);
+        let ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        let before = self.canonize_ns.fetch_add(ns, Ordering::Relaxed);
         if hyde_obs::enabled() {
-            hyde_obs::counter("hyde.npn.canonize_us", us);
+            hyde_obs::counter("hyde.npn.canonize_us", us_carried(before, ns));
         }
         canon
     }
@@ -226,9 +251,17 @@ impl DecompCache {
                 .lock()
                 .unwrap_or_else(std::sync::PoisonError::into_inner)
                 .len() as u64,
-            canonize_us: self.canonize_us.load(Ordering::Relaxed),
+            canonize_us: self.canonize_ns.load(Ordering::Relaxed) / 1000,
         }
     }
+}
+
+/// The whole µs a running nanosecond total gains when `ns` is added to
+/// `before`: `⌊(before + ns) / 1000⌋ − ⌊before / 1000⌋`. Summed over the
+/// calls that built a total, in any order, this is the total's own
+/// whole µs, so concurrent callers never lose the sub-µs remainders.
+fn us_carried(before: u64, ns: u64) -> u64 {
+    before.saturating_add(ns) / 1000 - before / 1000
 }
 
 #[cfg(test)]
@@ -299,6 +332,26 @@ mod tests {
         let s = cache.stats();
         assert_eq!(s.entries, 1);
         assert_eq!(cache.lookup(&key), Some((vec![0, 1], 3)));
+    }
+
+    #[test]
+    fn carried_us_sum_to_the_total_whatever_the_call_lengths() {
+        assert_eq!(us_carried(0, 999), 0);
+        assert_eq!(us_carried(999, 1), 1);
+        assert_eq!(us_carried(1500, 2499), 2);
+        assert_eq!(us_carried(0, 1000), 1);
+        // Calls of a few µs: flooring each one drops its remainder.
+        let calls = [700u64, 300, 999, 1, 2500, 450, 50, 3333];
+        let mut total = 0u64;
+        let mut us = 0u64;
+        for ns in calls {
+            us += us_carried(total, ns);
+            total += ns;
+        }
+        assert_eq!(total, 8333);
+        assert_eq!(us, total / 1000);
+        // Flooring each call would have lost 3 of the 8 µs.
+        assert_eq!(calls.iter().map(|ns| ns / 1000).sum::<u64>(), 5);
     }
 
     #[test]

@@ -546,6 +546,7 @@ impl Encoder for HydeEncoder {
         // Step 2: if the trial image is κ-feasible, the encoding is
         // irrelevant (Theorem 3.1 corollary).
         if t + mu <= k {
+            hyde_obs::counter("encoding.lex_shortcut", 1);
             return Ok(lex);
         }
         // Step 3: λ-set selection on the trial image.
@@ -553,6 +554,7 @@ impl Encoder for HydeEncoder {
         let g_support = g_on.support();
         if g_support.len() <= k {
             // The image is κ-feasible after vacuous-variable removal.
+            hyde_obs::counter("encoding.lex_shortcut", 1);
             return Ok(lex);
         }
         let mut partitioner = VariablePartitioner::default().with_budget(&self.budget);
@@ -572,6 +574,7 @@ impl Encoder for HydeEncoder {
         if a_cols.is_empty() || a_rows.is_empty() {
             // All α variables on one side: Theorem 3.1 — encoding cannot
             // change the class count; keep the cheap encoding.
+            hyde_obs::counter("encoding.lex_shortcut", 1);
             return Ok(lex);
         }
         let n_cols = 1usize << a_cols.len();
@@ -600,14 +603,17 @@ impl Encoder for HydeEncoder {
         let hyde_cost = cost(&hyde_codes);
         let rand_cost = cost(&rand_codes);
         let lex_cost = cost(&lex);
-        let mut best = (hyde_cost, hyde_codes);
-        if rand_cost < best.0 {
-            best = (rand_cost, rand_codes);
+        // Cheapest wins; ties keep Fig. 3, then random.
+        if lex_cost < hyde_cost.min(rand_cost) {
+            hyde_obs::counter("encoding.step8.lex", 1);
+            Ok(lex)
+        } else if rand_cost < hyde_cost {
+            hyde_obs::counter("encoding.step8.random", 1);
+            Ok(rand_codes)
+        } else {
+            hyde_obs::counter("encoding.step8.fig3", 1);
+            Ok(hyde_codes)
         }
-        if lex_cost < best.0 {
-            best = (lex_cost, lex);
-        }
-        Ok(best.1)
     }
 }
 

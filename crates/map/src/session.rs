@@ -421,10 +421,9 @@ impl Session {
         })
     }
 
-    /// One supervised attempt: the flow under `catch_unwind`, with the
-    /// chaos worker faults injected inside the supervised region. The
-    /// attempt's degradation trail is taken from the flow afterwards, so
-    /// it survives a panic.
+    /// One supervised attempt: the flow under [`supervise`], with the
+    /// chaos worker faults injected inside the supervised region, so the
+    /// attempt's degradation trail survives a panic.
     fn attempt(
         &self,
         job: &Job,
@@ -432,7 +431,7 @@ impl Session {
         rung: Rung,
     ) -> (AttemptOutcome, Vec<DegradationEvent>, Option<MappingReport>) {
         assert!(self.k >= 3, "LUT size must be at least 3");
-        let mut flow = MappingFlow {
+        let flow = MappingFlow {
             k: self.k,
             kind: &self.kind,
             budget: job.budget.to_budget(),
@@ -453,7 +452,7 @@ impl Session {
             .is_some_and(|c| c.trips(&format!("serve.kill:{}:{attempt}", job.id), KILL_DENOM));
         let stall = faults
             .is_some_and(|c| c.trips(&format!("serve.stall:{}:{attempt}", job.id), STALL_DENOM));
-        let caught = catch_unwind(AssertUnwindSafe(|| {
+        supervise(flow, kill, stall, |flow| {
             if kill {
                 panic!(
                     "chaos: injected worker kill for job '{}' attempt {attempt}",
@@ -468,28 +467,78 @@ impl Session {
                 )));
             }
             flow.map_outputs(&job.name, &job.outputs)
-        }));
-        let events = flow.degradations;
-        match caught {
-            Ok(Ok(report)) => (AttemptOutcome::Ok, events, Some(report)),
-            Ok(Err(CoreError::OutOfBudget(ob))) if ob.injected && stall => {
-                (AttemptOutcome::InjectedStall, events, None)
-            }
-            Ok(Err(CoreError::OutOfBudget(ob))) => (AttemptOutcome::Exhausted(ob), events, None),
-            Ok(Err(e)) => (AttemptOutcome::Failed(e.to_string()), events, None),
-            Err(_payload) if kill => (AttemptOutcome::InjectedKill, events, None),
-            Err(payload) => (
-                AttemptOutcome::Panicked(panic_message(payload)),
-                events,
-                None,
-            ),
+        })
+    }
+}
+
+/// Runs `body` on `flow` under `catch_unwind` and classifies how it
+/// ended. The attempt's degradation trail is taken from the flow
+/// afterwards, so the events `body` recorded before a panic come back
+/// with the [`AttemptOutcome::Panicked`] outcome. `kill` and `stall` say
+/// which chaos worker fault `body` injects, so a panic reads as an
+/// injected kill and an injected deadline overrun as a stall.
+fn supervise<'a>(
+    mut flow: MappingFlow<'a>,
+    kill: bool,
+    stall: bool,
+    body: impl FnOnce(&mut MappingFlow<'a>) -> Result<MappingReport, CoreError>,
+) -> (AttemptOutcome, Vec<DegradationEvent>, Option<MappingReport>) {
+    let caught = catch_unwind(AssertUnwindSafe(|| body(&mut flow)));
+    let events = flow.degradations;
+    match caught {
+        Ok(Ok(report)) => (AttemptOutcome::Ok, events, Some(report)),
+        Ok(Err(CoreError::OutOfBudget(ob))) if ob.injected && stall => {
+            (AttemptOutcome::InjectedStall, events, None)
         }
+        Ok(Err(CoreError::OutOfBudget(ob))) => (AttemptOutcome::Exhausted(ob), events, None),
+        Ok(Err(e)) => (AttemptOutcome::Failed(e.to_string()), events, None),
+        Err(_payload) if kill => (AttemptOutcome::InjectedKill, events, None),
+        Err(payload) => (
+            AttemptOutcome::Panicked(panic_message(payload)),
+            events,
+            None,
+        ),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn events_recorded_before_a_panic_come_back() {
+        let kind = FlowKind::hyde(1);
+        let cache = Arc::new(DecompCache::new());
+        let flow = MappingFlow {
+            k: 5,
+            kind: &kind,
+            budget: Budget::unlimited(),
+            start_rung: Rung::Exact,
+            chaos: None,
+            panic_faults: false,
+            cache: &cache,
+            degradations: Vec::new(),
+        };
+        let event = DegradationEvent {
+            context: "boom".into(),
+            stage: "F0".into(),
+            from: Rung::Exact,
+            to: Rung::BddThreshold,
+            resource: hyde_guard::Resource::Candidates,
+            injected: false,
+        };
+        let recorded = event.clone();
+        let (outcome, events, report) = supervise(flow, false, false, move |flow| {
+            hyde_guard::record_degradation(&mut flow.degradations, recorded);
+            panic!("flow body failed after a ladder step");
+        });
+        assert_eq!(
+            outcome,
+            AttemptOutcome::Panicked("flow body failed after a ladder step".into())
+        );
+        assert_eq!(events, vec![event]);
+        assert!(report.is_none());
+    }
 
     fn xor_job(id: &str) -> Job {
         let f = TruthTable::from_fn(5, |m| m.count_ones() % 2 == 1);
