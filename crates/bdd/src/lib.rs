@@ -9,9 +9,7 @@
 //! * [`Bdd`] — a manager with a unique table, an operation cache, the usual
 //!   boolean connectives, `ite`, cofactors, composition and quantification;
 //! * [`Bdd::cut_subfunctions`] — the cut enumeration that counts compatible
-//!   classes without materializing decomposition charts;
-//! * [`Bdd::miter`] / [`Bdd::equiv_counterexample`] — BDD-based
-//!   combinational equivalence checking for small-support functions.
+//!   classes without materializing decomposition charts.
 //!
 //! Node references ([`Ref`]) are plain indices into the manager. Garbage
 //! collection runs only at explicit safe points ([`Bdd::gc`],
@@ -36,7 +34,6 @@
 #![deny(clippy::let_underscore_must_use, clippy::unused_result_ok)]
 #![warn(missing_docs)]
 
-mod cec;
 mod manager;
 
 pub use manager::{Bdd, BddStats, Ref};

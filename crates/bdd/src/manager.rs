@@ -1025,20 +1025,6 @@ impl Bdd {
         (n.var as usize, n.lo, n.hi)
     }
 
-    /// Conjoins `f` with a cube given as `(var, value)` literals.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a variable is out of range.
-    pub fn and_cube(&mut self, f: Ref, literals: &[(usize, bool)]) -> Ref {
-        let mut acc = f;
-        for &(v, val) in literals {
-            let lit = if val { self.var(v) } else { self.nvar(v) };
-            acc = self.and(acc, lit);
-        }
-        acc
-    }
-
     /// Restricts `f` by a cube: every listed variable is fixed to its value.
     ///
     /// # Panics
@@ -1067,45 +1053,6 @@ impl Bdd {
         (0..(1u32 << self.num_vars))
             .filter(|&m| self.eval(f, m))
             .collect()
-    }
-
-    /// Emits a Graphviz `dot` description of the BDD rooted at `f`
-    /// (terminals as boxes, else-edges dashed) — handy when debugging
-    /// decomposition cuts.
-    pub fn to_dot(&self, f: Ref, name: &str) -> String {
-        let mut s = String::new();
-        #[expect(
-            clippy::let_underscore_must_use,
-            reason = "fmt::Write into a String is infallible"
-        )]
-        let _ = self.to_dot_into(&mut s, f, name);
-        s
-    }
-
-    fn to_dot_into(&self, s: &mut String, f: Ref, name: &str) -> std::fmt::Result {
-        use std::fmt::Write as _;
-        writeln!(s, "digraph \"{name}\" {{")?;
-        writeln!(s, "  T [shape=box,label=\"1\"]; F [shape=box,label=\"0\"];")?;
-        let mut seen = std::collections::HashSet::new();
-        let mut stack = vec![f];
-        while let Some(r) = stack.pop() {
-            if r == Ref::TRUE || r == Ref::FALSE || !seen.insert(r) {
-                continue;
-            }
-            let n = self.node(r);
-            writeln!(s, "  n{} [label=\"x{}\"];", r.0, n.var)?;
-            let fmt_ref = |x: Ref| match x {
-                Ref::TRUE => "T".to_string(),
-                Ref::FALSE => "F".to_string(),
-                other => format!("n{}", other.0),
-            };
-            writeln!(s, "  n{} -> {} [style=dashed];", r.0, fmt_ref(n.lo))?;
-            writeln!(s, "  n{} -> {};", r.0, fmt_ref(n.hi))?;
-            stack.push(n.lo);
-            stack.push(n.hi);
-        }
-        s.push_str("}\n");
-        Ok(())
     }
 }
 
@@ -1468,11 +1415,6 @@ mod tests {
     fn cube_operations() {
         let mut bdd = Bdd::new(4);
         let f = bdd.from_fn(|m| m.count_ones() >= 2);
-        let g = bdd.and_cube(f, &[(0, true), (1, false)]);
-        for m in 0u32..16 {
-            let inside = m & 1 == 1 && m >> 1 & 1 == 0;
-            assert_eq!(bdd.eval(g, m), inside && m.count_ones() >= 2);
-        }
         let h = bdd.restrict_cube(f, &[(0, true), (1, true)]);
         // With two ones already fixed, h is the tautology.
         assert_eq!(h, Ref::TRUE);
@@ -1485,16 +1427,6 @@ mod tests {
         let c = bdd.var(2);
         let f = bdd.and(a, c);
         assert_eq!(bdd.minterms(f), vec![0b101, 0b111]);
-    }
-
-    #[test]
-    fn dot_export_mentions_every_node() {
-        let mut bdd = Bdd::new(3);
-        let f = bdd.from_fn(|m| m.count_ones() % 2 == 1);
-        let dot = bdd.to_dot(f, "parity3");
-        assert!(dot.starts_with("digraph"));
-        assert_eq!(dot.matches("label=\"x").count(), bdd.node_count(f));
-        assert!(dot.contains("style=dashed"));
     }
 
     #[test]

@@ -55,7 +55,6 @@ Options:
   --budget-ms <MS>          wall-clock deadline per circuit (per attempt)
   --budget-bdd-nodes <N>    cap live BDD nodes per manager
   --budget-candidates <N>   cap bound-set candidates per decomposition step
-  --budget-sat-conflicts <N> cap SAT conflicts per solve
                      (an exhausted budget degrades down the fallback ladder
                      instead of failing; chaos records the events)
   --trace <FILE>     write a Chrome trace to FILE and a .folded flamegraph
@@ -80,13 +79,12 @@ const COMMANDS: &[(&str, &str)] = &[
     ("dump", ""),
     (
         "run",
-        "--circuits --k --trace --budget-ms --budget-bdd-nodes \
-         --budget-candidates --budget-sat-conflicts",
+        "--circuits --k --trace --budget-ms --budget-bdd-nodes --budget-candidates",
     ),
     (
         "chaos",
         "--circuits --k --name --out --stdout --budget-ms --budget-bdd-nodes \
-         --budget-candidates --budget-sat-conflicts",
+         --budget-candidates",
     ),
 ];
 
@@ -162,7 +160,6 @@ fn parse_args(argv: &[String]) -> Result<Option<Args>, String> {
             "--budget-ms" => a.budget.deadline_ms = Some(num(value()?, arg)?),
             "--budget-bdd-nodes" => a.budget.bdd_nodes = Some(num(value()?, arg)?),
             "--budget-candidates" => a.budget.candidates = Some(num(value()?, arg)?),
-            "--budget-sat-conflicts" => a.budget.sat_conflicts = Some(num(value()?, arg)?),
             "--trace" => a.trace = Some(value()?.clone()),
             "--name" => a.name = value()?.clone(),
             "--out" => a.out = Some(value()?.clone()),

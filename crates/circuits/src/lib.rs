@@ -31,10 +31,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod extras;
 mod generators;
 mod suite;
 
-pub use extras::*;
 pub use generators::*;
 pub use suite::{suite, suite_small, Circuit, Origin};

@@ -186,106 +186,44 @@ impl IsfChart {
 
 /// Counts compatible classes of `f` under `bound` without keeping the chart.
 ///
-/// This is the hot path of λ-set selection. It never materializes column
-/// truth tables: the packed counter permutes the raw table words so each
-/// column becomes a contiguous bit run, then sorts and dedups the runs
-/// (see [`class_count_with`] for the allocation-free variant).
+/// This is the exact counter of λ-set selection. It never materializes
+/// column truth tables: the bound variables are promoted to the top of
+/// the table ([`TruthTable::promote`]), so each column becomes a
+/// contiguous bit run, and the runs are sorted and deduplicated. Only
+/// *distinctness* is compared, never column indices.
 ///
 /// # Errors
 ///
 /// Same conditions as [`DecompositionChart::new`].
 pub fn class_count(f: &TruthTable, bound: &[usize]) -> Result<usize, CoreError> {
-    class_count_with(f, bound, &mut ClassCountScratch::new())
-}
-
-/// Reusable buffers for [`class_count_with`]: two ping-pong word arrays
-/// for the in-place bit permutation and a key buffer for sub-word column
-/// dedup. One scratch per worker turns the candidate-scoring loop
-/// allocation-free.
-#[derive(Debug, Default)]
-pub struct ClassCountScratch {
-    a: Vec<u64>,
-    b: Vec<u64>,
-    keys: Vec<u64>,
-    order: Vec<u32>,
-}
-
-impl ClassCountScratch {
-    /// Empty scratch; buffers grow to the largest function scored.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-/// [`class_count`] with caller-provided scratch buffers.
-///
-/// The column multiset of a chart is invariant under any relabeling of
-/// columns and rows, so the counter is free to pick whatever bound-var
-/// order makes the word-level gather cheapest; only *distinctness* is
-/// compared, never column indices.
-///
-/// # Errors
-///
-/// Same conditions as [`DecompositionChart::new`].
-pub fn class_count_with(
-    f: &TruthTable,
-    bound: &[usize],
-    scratch: &mut ClassCountScratch,
-) -> Result<usize, CoreError> {
     let (bound, _free) = split_bound_free(f.vars(), bound)?;
     let n = f.vars();
     if n <= 6 {
         let mask = bound.iter().fold(0, |m, &v| m | 1 << v);
-        return Ok(class_count_small(f, mask, usize::MAX, &mut scratch.keys));
+        return Ok(class_count_small(f, mask, usize::MAX, &mut Vec::new()));
     }
-    let words = f.as_words();
-    scratch.a.clear();
-    scratch.a.extend_from_slice(words);
-    scratch.b.resize(words.len(), 0);
-    // Promote each bound variable to the top of the variable order,
-    // highest original position first (promotion only shifts positions
-    // *above* the promoted variable, so lower bound positions stay
-    // valid). Afterwards the table is 2^k contiguous blocks, one column
-    // per block, with the free variables in ascending row order.
-    let mut desc: Vec<usize> = bound.clone();
-    desc.sort_unstable_by(|x, y| y.cmp(x));
-    let mut src = &mut scratch.a;
-    let mut dst = &mut scratch.b;
-    for &pos in &desc {
-        promote_to_top(src, dst, pos);
-        std::mem::swap(&mut src, &mut dst);
-    }
+    let promoted = f.promote(&bound);
+    let cols = promoted.as_words();
     let k = bound.len();
     let row_bits = n - k;
     if row_bits >= 6 {
-        // Whole-word columns: sort column indices by their word run.
-        let cw = 1usize << (row_bits - 6);
-        scratch.order.clear();
-        scratch.order.extend(0..(1u32 << k));
-        let cols = &*src;
-        scratch.order.sort_unstable_by(|&x, &y| {
-            cols[x as usize * cw..][..cw].cmp(&cols[y as usize * cw..][..cw])
-        });
-        let mut distinct = 1usize;
-        for w in scratch.order.windows(2) {
-            if cols[w[0] as usize * cw..][..cw] != cols[w[1] as usize * cw..][..cw] {
-                distinct += 1;
-            }
-        }
-        Ok(distinct)
+        // Whole-word columns: sort and dedup the word runs.
+        let mut runs: Vec<&[u64]> = cols.chunks_exact(1 << (row_bits - 6)).collect();
+        runs.sort_unstable();
+        runs.dedup();
+        Ok(runs.len())
     } else {
         // Sub-word columns: extract each 2^row_bits-bit run into a key.
         let mask = (1u64 << (1usize << row_bits)) - 1;
-        scratch.keys.clear();
-        for c in 0..1usize << k {
-            let bitpos = c << row_bits;
-            scratch
-                .keys
-                .push((src[bitpos >> 6] >> (bitpos & 63)) & mask);
-        }
-        scratch.keys.sort_unstable();
-        scratch.keys.dedup();
-        Ok(scratch.keys.len())
+        let mut keys: Vec<u64> = (0..1usize << k)
+            .map(|c| {
+                let bitpos = c << row_bits;
+                (cols[bitpos >> 6] >> (bitpos & 63)) & mask
+            })
+            .collect();
+        keys.sort_unstable();
+        keys.dedup();
+        Ok(keys.len())
     }
 }
 
@@ -293,7 +231,7 @@ pub fn class_count_with(
 /// lexicographically ordered candidate stream and stops counting once a
 /// candidate cannot win.
 ///
-/// [`class_count_with`] promotes each bound variable with its own pass
+/// [`class_count`] promotes each bound variable with its own pass
 /// over the table, so scoring `C(n, k)` candidates re-derives the same
 /// partial permutations over and over. This scorer keeps a stack of
 /// intermediate tables, one per promoted prefix variable (ascending
@@ -616,7 +554,6 @@ mod tests {
     fn packed_counter_matches_naive_reference() {
         use rand::SeedableRng;
         let mut rng = rand::rngs::StdRng::seed_from_u64(0xC0DE);
-        let mut scratch = ClassCountScratch::new();
         let bounds: &[&[usize]] = &[
             &[0],
             &[0, 1],
@@ -636,7 +573,7 @@ mod tests {
                         continue;
                     }
                     assert_eq!(
-                        class_count_with(&f, bound, &mut scratch).unwrap(),
+                        class_count(&f, bound).unwrap(),
                         class_count_naive(&f, bound),
                         "n={n} bound {bound:?}"
                     );
@@ -645,14 +582,11 @@ mod tests {
         }
         // Structured functions too (naive-random charts are mostly full).
         let parity = TruthTable::from_fn(9, |m| m.count_ones() % 2 == 1);
-        assert_eq!(
-            class_count_with(&parity, &[0, 3, 8], &mut scratch).unwrap(),
-            2
-        );
+        assert_eq!(class_count(&parity, &[0, 3, 8]).unwrap(), 2);
         let f = (TruthTable::var(8, 0) & TruthTable::var(8, 1))
             | (TruthTable::var(8, 6) & TruthTable::var(8, 7));
         assert_eq!(
-            class_count_with(&f, &[0, 1], &mut scratch).unwrap(),
+            class_count(&f, &[0, 1]).unwrap(),
             class_count_naive(&f, &[0, 1])
         );
     }
@@ -661,20 +595,13 @@ mod tests {
     fn packed_counter_handles_subword_and_whole_word_rows() {
         use rand::SeedableRng;
         let mut rng = rand::rngs::StdRng::seed_from_u64(42);
-        let mut scratch = ClassCountScratch::new();
         let f = TruthTable::random(8, &mut rng);
         // 5 bound vars -> 8-bit rows (sub-word path).
         let b5 = [0usize, 2, 4, 5, 7];
-        assert_eq!(
-            class_count_with(&f, &b5, &mut scratch).unwrap(),
-            class_count_naive(&f, &b5)
-        );
+        assert_eq!(class_count(&f, &b5).unwrap(), class_count_naive(&f, &b5));
         // 2 bound vars -> 64-bit rows (whole-word path).
         let b2 = [3usize, 4];
-        assert_eq!(
-            class_count_with(&f, &b2, &mut scratch).unwrap(),
-            class_count_naive(&f, &b2)
-        );
+        assert_eq!(class_count(&f, &b2).unwrap(), class_count_naive(&f, &b2));
     }
 
     fn mask_of(bound: &[usize]) -> u32 {
@@ -689,7 +616,6 @@ mod tests {
         for n in [5usize, 7, 9, 11] {
             let f = TruthTable::random(n, &mut rng);
             let mut scorer = PrefixScorer::new(&f);
-            let mut scratch = ClassCountScratch::new();
             // Lexicographic stream (maximal prefix reuse), then a shuffled
             // stream (stack constantly invalidated) — both must agree.
             for k in [2usize, 3, 4] {
@@ -710,7 +636,7 @@ mod tests {
                 for c in lex.iter().chain(cands.iter()) {
                     assert_eq!(
                         scorer.score(mask_of(c), usize::MAX),
-                        class_count_with(&f, c, &mut scratch).unwrap(),
+                        class_count(&f, c).unwrap(),
                         "n {n} bound {c:?}"
                     );
                 }
@@ -720,7 +646,6 @@ mod tests {
         // digests land in equal runs.
         let g = (TruthTable::var(9, 0) & TruthTable::var(9, 7)) ^ TruthTable::var(9, 3);
         let mut scorer = PrefixScorer::new(&g);
-        let mut scratch = ClassCountScratch::new();
         for bound in [
             vec![0, 7],
             vec![1, 2, 4],
@@ -730,7 +655,7 @@ mod tests {
         ] {
             assert_eq!(
                 scorer.score(mask_of(&bound), usize::MAX),
-                class_count_with(&g, &bound, &mut scratch).unwrap(),
+                class_count(&g, &bound).unwrap(),
                 "structured bound {bound:?}"
             );
         }

@@ -458,16 +458,8 @@ impl Decomposer {
                 self.decompose_onto_avoiding(net, &f0, signals, avoid, &format!("{prefix}_lo"))?;
             let n1 =
                 self.decompose_onto_avoiding(net, &f1, signals, avoid, &format!("{prefix}_hi"))?;
-            // mux(s, a, b) = s ? b : a over vars (s, a, b).
-            let mux = TruthTable::from_fn(3, |m| {
-                if m & 1 == 1 {
-                    m >> 2 & 1 == 1
-                } else {
-                    m >> 1 & 1 == 1
-                }
-            });
             return net
-                .add_node(prefix, vec![signals[var], n0, n1], mux)
+                .add_node(prefix, vec![signals[var], n0, n1], TruthTable::mux())
                 .map_err(CoreError::from);
         }
         let d = step(
@@ -660,15 +652,8 @@ fn bdd_rec(
             depth + 1,
             keep,
         )?;
-        let mux = TruthTable::from_fn(3, |m| {
-            if m & 1 == 1 {
-                m >> 2 & 1 == 1
-            } else {
-                m >> 1 & 1 == 1
-            }
-        });
         return net
-            .add_node(prefix, vec![signals[var], n0, n1], mux)
+            .add_node(prefix, vec![signals[var], n0, n1], TruthTable::mux())
             .map_err(CoreError::from);
     }
     let (d, gman) = crate::bdd_decompose::bdd_decompose(bdd, f, &bound, None)?;

@@ -8,7 +8,7 @@
 //! most candidates after it). It then compares the exact class counter
 //! with the prefix-reuse scorer on a lexicographic mask stream.
 
-use hyde_core::chart::{class_count_with, ClassCountScratch, PrefixScorer};
+use hyde_core::chart::{class_count, PrefixScorer};
 use hyde_core::varpart::VariablePartitioner;
 use hyde_logic::TruthTable;
 use rand::seq::SliceRandom;
@@ -78,11 +78,10 @@ fn score_bench() {
             .iter()
             .map(|c| c.iter().map(|&v| 1u32 << v).sum())
             .collect();
-        let mut scratch = ClassCountScratch::new();
         let t0 = Instant::now();
         let mut acc = 0usize;
         for c in &cands {
-            acc += class_count_with(&f, c, &mut scratch).unwrap();
+            acc += class_count(&f, c).unwrap();
         }
         let exact_us = t0.elapsed().as_micros();
         let mut scorer = PrefixScorer::new(&f);

@@ -6,7 +6,7 @@
 //! for degrading gracefully when a bound is hit:
 //!
 //! * [`Budget`] — per-run resource limits (wall-clock deadline, BDD node
-//!   cap, SAT conflict cap, bound-set candidate cap). A `Budget` is plain
+//!   cap, bound-set candidate cap). A `Budget` is plain
 //!   data; each consumer checks the limit it understands and returns a
 //!   typed [`OutOfBudget`] instead of growing without bound.
 //! * [`Rung`] — the documented fallback ladder. When a rung exhausts its
@@ -42,8 +42,6 @@ pub enum Resource {
     /// The BDD manager hit its unique-table node cap (or a simulated
     /// allocation failure was injected).
     BddNodes,
-    /// The SAT solver exceeded its conflict budget.
-    SatConflicts,
     /// The bound-set candidate search exceeded its candidate cap.
     Candidates,
 }
@@ -54,7 +52,6 @@ impl Resource {
         match self {
             Resource::Deadline => "deadline",
             Resource::BddNodes => "bdd-nodes",
-            Resource::SatConflicts => "sat-conflicts",
             Resource::Candidates => "candidates",
         }
     }
@@ -121,8 +118,6 @@ pub struct Budget {
     pub deadline: Option<Instant>,
     /// Maximum number of live nodes a BDD manager may allocate.
     pub bdd_nodes: Option<usize>,
-    /// Maximum SAT conflicts per solve.
-    pub sat_conflicts: Option<u64>,
     /// Maximum bound-set candidates evaluated per decomposition step.
     pub candidates: Option<usize>,
 }
@@ -133,32 +128,9 @@ impl Budget {
         Budget::default()
     }
 
-    /// Production-oriented defaults: generous caps that real circuits in
-    /// the 25-circuit suite never hit, but pathological inputs do.
-    pub fn standard() -> Self {
-        Budget {
-            deadline: None,
-            bdd_nodes: Some(1 << 22),
-            sat_conflicts: Some(200_000),
-            candidates: Some(1 << 16),
-        }
-    }
-
     /// Replaces the wall-clock deadline with `now + d`.
     pub fn with_deadline(mut self, d: Duration) -> Self {
         self.deadline = Instant::now().checked_add(d);
-        self
-    }
-
-    /// Replaces the BDD node cap.
-    pub fn with_bdd_nodes(mut self, cap: usize) -> Self {
-        self.bdd_nodes = Some(cap);
-        self
-    }
-
-    /// Replaces the SAT conflict cap.
-    pub fn with_sat_conflicts(mut self, cap: u64) -> Self {
-        self.sat_conflicts = Some(cap);
         self
     }
 

@@ -747,45 +747,6 @@ impl Network {
         Ok(())
     }
 
-    /// Collapses every internal node with a single fanout and a small
-    /// resulting support into its consumer (the SIS `eliminate` sweep used
-    /// to prepare circuits for decomposition). Returns how many nodes were
-    /// eliminated.
-    pub fn eliminate_single_fanout(&mut self, max_support: usize) -> usize {
-        let mut eliminated = 0;
-        loop {
-            let candidate = self.node_ids().into_iter().find(|&id| {
-                self.role(id) == NodeRole::Internal
-                    && self.fanout_count(id) == 1
-                    && !self.outputs.iter().any(|(_, o)| *o == id)
-                    && {
-                        // Estimate the consumer's support after collapse.
-                        let consumer = self.node_ids().into_iter().find(|&c| {
-                            self.role(c) == NodeRole::Internal && self.fanins(c).contains(&id)
-                        });
-                        match consumer {
-                            Some(c) => {
-                                let mut union: std::collections::HashSet<NodeId> =
-                                    self.fanins(c).iter().copied().collect();
-                                union.remove(&id);
-                                union.extend(self.fanins(id).iter().copied());
-                                union.len() <= max_support
-                            }
-                            None => false,
-                        }
-                    }
-            });
-            match candidate {
-                Some(id) => {
-                    self.eliminate(id).expect("candidate is internal");
-                    eliminated += 1;
-                }
-                None => break,
-            }
-        }
-        eliminated
-    }
-
     /// Summary statistics of the network.
     pub fn stats(&self) -> NetworkStats {
         NetworkStats {
@@ -1276,22 +1237,6 @@ mod tests {
         let mut net = Network::new("pi");
         let a = net.add_input("a");
         assert!(net.eliminate(a).is_err());
-    }
-
-    #[test]
-    fn eliminate_single_fanout_sweep() {
-        // Chain of three inverters collapses into the final node.
-        let mut net = Network::new("chain");
-        let a = net.add_input("a");
-        let inv = !TruthTable::var(1, 0);
-        let n1 = net.add_node("n1", vec![a], inv.clone()).unwrap();
-        let n2 = net.add_node("n2", vec![n1], inv.clone()).unwrap();
-        let n3 = net.add_node("n3", vec![n2], inv).unwrap();
-        net.mark_output("o", n3);
-        let removed = net.eliminate_single_fanout(8);
-        assert_eq!(removed, 2);
-        assert_eq!(net.internal_count(), 1);
-        assert_eq!(net.eval(&[true]), vec![false]);
     }
 
     #[test]

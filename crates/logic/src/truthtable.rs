@@ -70,6 +70,18 @@ impl TruthTable {
         t
     }
 
+    /// The 2:1 multiplexer `s ? b : a` over the variables `(s, a, b)`,
+    /// the join of a Shannon split on `s` with cofactors `a` and `b`.
+    pub fn mux() -> Self {
+        Self::from_fn(3, |m| {
+            if m & 1 == 1 {
+                m >> 2 & 1 == 1
+            } else {
+                m >> 1 & 1 == 1
+            }
+        })
+    }
+
     /// The projection function returning variable `var`.
     ///
     /// # Panics
@@ -804,6 +816,16 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn mux_selects_b_when_s_is_set() {
+        let (s, a, b) = (
+            TruthTable::var(3, 0),
+            TruthTable::var(3, 1),
+            TruthTable::var(3, 2),
+        );
+        assert_eq!(TruthTable::mux(), (&s & &b) | (&!&s & &a));
     }
 
     #[test]

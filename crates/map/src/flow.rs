@@ -367,14 +367,7 @@ impl MappingFlow<'_> {
         let var = support[support.len() - 1];
         let lo = self.shannon_onto(net, &f.cofactor(var, false), signals, &format!("{prefix}l"))?;
         let hi = self.shannon_onto(net, &f.cofactor(var, true), signals, &format!("{prefix}h"))?;
-        let mux = TruthTable::from_fn(3, |m| {
-            if m & 1 == 1 {
-                m >> 2 & 1 == 1
-            } else {
-                m >> 1 & 1 == 1
-            }
-        });
-        net.add_node(prefix, vec![signals[var], lo, hi], mux)
+        net.add_node(prefix, vec![signals[var], lo, hi], TruthTable::mux())
             .map_err(CoreError::from)
     }
 

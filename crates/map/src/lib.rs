@@ -36,7 +36,6 @@
 
 pub mod cluster;
 pub mod cover;
-pub mod delay;
 pub mod flow;
 pub mod report;
 pub mod session;

@@ -50,8 +50,6 @@ pub struct BudgetSpec {
     pub deadline_ms: Option<u64>,
     /// Cap on live BDD nodes per manager.
     pub bdd_nodes: Option<usize>,
-    /// Cap on SAT conflicts per encoding call.
-    pub sat_conflicts: Option<u64>,
     /// Cap on candidate bound sets examined per output.
     pub candidates: Option<usize>,
 }
@@ -60,18 +58,6 @@ impl BudgetSpec {
     /// No limits at all.
     pub fn unlimited() -> Self {
         BudgetSpec::default()
-    }
-
-    /// Mirrors [`Budget::standard`] (without the deadline, which a
-    /// service sets per job class).
-    pub fn standard() -> Self {
-        let b = Budget::standard();
-        BudgetSpec {
-            deadline_ms: None,
-            bdd_nodes: b.bdd_nodes,
-            sat_conflicts: b.sat_conflicts,
-            candidates: b.candidates,
-        }
     }
 
     /// Sets the per-attempt deadline in milliseconds.
@@ -86,7 +72,6 @@ impl BudgetSpec {
         let mut b = Budget {
             deadline: None,
             bdd_nodes: self.bdd_nodes,
-            sat_conflicts: self.sat_conflicts,
             candidates: self.candidates,
         };
         if let Some(ms) = self.deadline_ms {

@@ -10,8 +10,7 @@
 //! line (the signature of a mid-write `SIGKILL`) is dropped, which is
 //! sound because its ack can never have been sent.
 
-use crate::protocol::{budget_json, JobKind, JobSpec};
-use hyde_map::session::BudgetSpec;
+use crate::protocol::{budget_json, parse_submit, JobKind, JobSpec};
 use hyde_obs::json::{self, Json};
 use std::fs::{File, OpenOptions};
 use std::io::{BufRead as _, BufReader, Write as _};
@@ -153,13 +152,6 @@ fn req_num(doc: &Json, key: &str) -> Result<u64, String> {
         .ok_or_else(|| format!("journal event lacks number '{key}'"))
 }
 
-fn opt_num(doc: &Json, key: &str) -> Option<u64> {
-    doc.get(key)
-        .and_then(Json::as_num)
-        .filter(|n| n.is_finite() && *n >= 0.0)
-        .map(|n| n as u64)
-}
-
 /// Decodes one journal line.
 ///
 /// # Errors
@@ -169,34 +161,10 @@ fn opt_num(doc: &Json, key: &str) -> Option<u64> {
 pub fn decode(line: &str) -> Result<JournalEvent, String> {
     let doc = json::parse(line.trim_end()).map_err(|e| e.to_string())?;
     match doc.get("ev").and_then(Json::as_str) {
-        Some("submitted") => {
-            let kind = match doc.get("kind").and_then(Json::as_str) {
-                Some("suite") => JobKind::Suite {
-                    circuit: req_str(&doc, "circuit")?,
-                },
-                Some("pla") => JobKind::Pla {
-                    text: req_str(&doc, "pla")?,
-                },
-                other => return Err(format!("bad submitted kind {other:?}")),
-            };
-            let budget = match doc.get("budget") {
-                Some(b) => BudgetSpec {
-                    deadline_ms: opt_num(b, "deadline_ms"),
-                    bdd_nodes: opt_num(b, "bdd_nodes").map(|n| n as usize),
-                    sat_conflicts: opt_num(b, "sat_conflicts"),
-                    candidates: opt_num(b, "candidates").map(|n| n as usize),
-                },
-                None => BudgetSpec::unlimited(),
-            };
-            Ok(JournalEvent::Submitted {
-                spec: JobSpec {
-                    id: req_str(&doc, "id")?,
-                    name: req_str(&doc, "name")?,
-                    kind,
-                    budget,
-                },
-            })
-        }
+        // A `submitted` line carries exactly a submit request's fields.
+        Some("submitted") => Ok(JournalEvent::Submitted {
+            spec: parse_submit(&doc).map_err(|e| e.to_string())?,
+        }),
         Some("started") => Ok(JournalEvent::Started {
             id: req_str(&doc, "id")?,
             attempt: req_num(&doc, "attempt")? as u32,
@@ -338,6 +306,7 @@ impl Journal {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hyde_map::session::BudgetSpec;
 
     fn spec(id: &str) -> JobSpec {
         JobSpec {
@@ -380,6 +349,21 @@ mod tests {
                 },
             },
             JournalEvent::Cancelled { id: "j3".into() },
+            // Every budget field set, on the other job kind.
+            JournalEvent::Submitted {
+                spec: JobSpec {
+                    id: "j4".into(),
+                    name: "and2".into(),
+                    kind: JobKind::Pla {
+                        text: ".i 2\n.o 1\n11 1\n.e\n".into(),
+                    },
+                    budget: BudgetSpec {
+                        deadline_ms: Some(500),
+                        bdd_nodes: Some(65_536),
+                        candidates: Some(64),
+                    },
+                },
+            },
         ];
         for ev in &evs {
             let line = encode(ev);

@@ -197,7 +197,6 @@ fn budget_field(doc: &Json) -> Result<BudgetSpec, ProtoError> {
     Ok(BudgetSpec {
         deadline_ms: num_field(b, "deadline_ms")?,
         bdd_nodes: num_field(b, "bdd_nodes")?.map(|n| n as usize),
-        sat_conflicts: num_field(b, "sat_conflicts")?,
         candidates: num_field(b, "candidates")?.map(|n| n as usize),
     })
 }
@@ -281,9 +280,6 @@ pub fn budget_json(b: &BudgetSpec) -> String {
     }
     if let Some(v) = b.bdd_nodes {
         parts.push(format!("\"bdd_nodes\":{v}"));
-    }
-    if let Some(v) = b.sat_conflicts {
-        parts.push(format!("\"sat_conflicts\":{v}"));
     }
     if let Some(v) = b.candidates {
         parts.push(format!("\"candidates\":{v}"));

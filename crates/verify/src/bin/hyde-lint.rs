@@ -378,8 +378,8 @@ fn json_line(artifact: &str, d: &Diagnostic) -> String {
 
 fn proof_line(r: &ProofRecord) -> String {
     let mut line = format!(
-        "  proof {} {}: {} [{}] vars={} clauses={} conflicts={} time={:.3}ms",
-        r.pass, r.subject, r.verdict, r.engine, r.vars, r.clauses, r.conflicts, r.time_ms
+        "  proof {} {}: {} vars={} clauses={} conflicts={} time={:.3}ms",
+        r.pass, r.subject, r.verdict, r.vars, r.clauses, r.conflicts, r.time_ms
     );
     if let Some(rate) = r.bdd_cache_hit_rate {
         line.push_str(&format!(" bdd_cache_hit={:.0}%", rate * 100.0));
@@ -398,13 +398,12 @@ fn proof_json_line(artifact: &str, r: &ProofRecord) -> String {
         .map_or("null".to_owned(), |v| v.to_string());
     format!(
         "{{\"artifact\":\"{}\",\"proof\":\"{}\",\"subject\":\"{}\",\"verdict\":\"{}\",\
-         \"engine\":\"{}\",\"vars\":{},\"clauses\":{},\"conflicts\":{},\"time_ms\":{},\
+         \"vars\":{},\"clauses\":{},\"conflicts\":{},\"time_ms\":{},\
          \"bdd_cache_hit_rate\":{},\"bdd_unique_probes\":{}}}",
         escape(artifact),
         r.pass,
         escape(&r.subject),
         r.verdict,
-        r.engine,
         r.vars,
         r.clauses,
         r.conflicts,

@@ -7,9 +7,8 @@
 //! * [`DeepCecLint`] — `HY401`: combinational equivalence of a network
 //!   against its specification tables (mapped LUT networks against the
 //!   original outputs, decomposed hyper networks against the
-//!   hyper-function table). Small-support instances go through BDD CEC
-//!   ([`hyde_bdd::Bdd::equiv_counterexample`]); larger ones build a
-//!   Tseitin miter and run the CDCL solver ([`hyde_sat`]).
+//!   hyper-function table), at every width through a Tseitin miter and
+//!   the CDCL solver ([`hyde_sat::cec_network_vs_tables`]).
 //! * [`DeepEncodingLint`] — `HY402`: SAT-proved semantic injectivity of
 //!   a compatible-class encoding: UNSAT of
 //!   `∃ x₁ x₂ y. α(x₁) = α(x₂) ∧ f(x₁, y) ≠ f(x₂, y)`.
@@ -25,11 +24,11 @@
 //!
 //! Every proof is budgeted; a blown budget reports `HY406` so CI fails
 //! closed instead of silently skipping an inconclusive proof. Proof
-//! effort (engine, variables, clauses, conflicts, time) is appended to a
+//! effort (variables, clauses, conflicts, time) is appended to a
 //! shared [`ProofLog`] that `hyde-lint --deep` prints per artifact.
 
 use crate::registry::{Artifact, Lint, Registry};
-use hyde_bdd::{Bdd, Ref};
+use hyde_bdd::Bdd;
 use hyde_core::decompose::Decomposition;
 use hyde_core::hyper::{HyperFunction, HyperNetwork};
 use hyde_logic::diag::{Code, Diagnostic, Location};
@@ -44,16 +43,13 @@ use std::time::{Duration, Instant};
 /// is capped at 28 variables by the manager.
 const MAX_SPEC_VARS: usize = 28;
 
-/// Effort limits and engine thresholds for the deep passes.
+/// Effort limits for the deep passes.
 #[derive(Debug, Clone, Copy)]
 pub struct DeepConfig {
     /// Conflict budget per individual proof (`HY406` when exceeded).
     pub max_conflicts: u64,
     /// Wall-clock budget per individual proof (`HY406` when exceeded).
     pub max_time: Duration,
-    /// Equivalence checks with at most this many inputs use BDD CEC;
-    /// wider ones go through the SAT miter.
-    pub bdd_max_inputs: usize,
 }
 
 impl Default for DeepConfig {
@@ -61,7 +57,6 @@ impl Default for DeepConfig {
         DeepConfig {
             max_conflicts: 200_000,
             max_time: Duration::from_secs(10),
-            bdd_max_inputs: 8,
         }
     }
 }
@@ -82,13 +77,11 @@ pub struct ProofRecord {
     pub pass: &'static str,
     /// What was proved, e.g. `output 3` or `ingredient 1`.
     pub subject: String,
-    /// `sat` or `bdd`.
-    pub engine: &'static str,
-    /// Solver variables (SAT) or input variables (BDD).
+    /// Solver variables.
     pub vars: usize,
-    /// Problem + learned clauses (SAT) or miter BDD nodes (BDD).
+    /// Problem + learned clauses.
     pub clauses: usize,
-    /// Conflicts spent (SAT; zero for BDD proofs).
+    /// Conflicts spent.
     pub conflicts: u64,
     /// Wall-clock milliseconds (fractional: sub-millisecond proofs keep
     /// their real duration instead of truncating to zero).
@@ -155,37 +148,6 @@ fn budget_diag(pass: &str, subject: &str) -> Diagnostic {
     )
 }
 
-/// Builds per-node BDDs of an acyclic network over `bdd`'s variables
-/// (primary input `i` becomes variable `i`).
-fn network_bdds(bdd: &mut Bdd, net: &Network) -> HashMap<NodeId, Ref> {
-    let mut map: HashMap<NodeId, Ref> = HashMap::new();
-    for (i, &id) in net.inputs().iter().enumerate() {
-        map.insert(id, bdd.var(i));
-    }
-    let order = net.topo_order().expect("caller checked acyclicity");
-    for id in order {
-        if map.contains_key(&id) {
-            continue;
-        }
-        let fanin_refs: Vec<Ref> = net.fanins(id).iter().map(|f| map[f]).collect();
-        let t = net.function(id);
-        let mut acc = Ref::FALSE;
-        for m in 0..t.num_minterms() as u32 {
-            if !t.eval(m) {
-                continue;
-            }
-            let mut cube = Ref::TRUE;
-            for (i, &r) in fanin_refs.iter().enumerate() {
-                let l = if m >> i & 1 == 1 { r } else { bdd.not(r) };
-                cube = bdd.and(cube, l);
-            }
-            acc = bdd.or(acc, cube);
-        }
-        map.insert(id, acc);
-    }
-    map
-}
-
 /// `HY401`: proves every network output equivalent to its specification.
 pub struct DeepCecLint {
     config: DeepConfig,
@@ -210,69 +172,6 @@ impl DeepCecLint {
             // Arity/structure problems are HY001/HY005 territory.
             return;
         }
-        if n <= self.config.bdd_max_inputs {
-            self.check_net_bdd(net, specs, label, out);
-        } else {
-            self.check_net_sat(net, specs, label, out);
-        }
-    }
-
-    fn check_net_bdd(
-        &self,
-        net: &Network,
-        specs: &[TruthTable],
-        label: &str,
-        out: &mut Vec<Diagnostic>,
-    ) {
-        let n = specs[0].vars();
-        let mut bdd = Bdd::new(n);
-        let refs = network_bdds(&mut bdd, net);
-        for (o, spec) in specs.iter().enumerate() {
-            let start = Instant::now();
-            let spec_ref = bdd.from_fn(|m| spec.eval(m));
-            let out_ref = refs[&net.outputs()[o].1];
-            let miter = bdd.miter(out_ref, spec_ref);
-            let witness = bdd.any_sat(miter);
-            if let Some(m) = witness {
-                out.push(
-                    Diagnostic::new(
-                        Code::DeepCecMismatch,
-                        format!(
-                            "{label}output {o} ('{}') differs from its specification at \
-                             minterm {m} (BDD CEC)",
-                            net.outputs()[o].0
-                        ),
-                    )
-                    .at(Location::Output(o)),
-                );
-            }
-            let (rate, probes) = bdd_proof_stats(&[bdd.stats()]);
-            self.log.borrow_mut().push(ProofRecord {
-                pass: "cec",
-                subject: format!("{label}output {o}"),
-                engine: "bdd",
-                vars: n,
-                clauses: bdd.node_count(miter),
-                conflicts: 0,
-                time_ms: start.elapsed().as_secs_f64() * 1e3,
-                verdict: if witness.is_some() {
-                    "refuted"
-                } else {
-                    "proved"
-                },
-                bdd_cache_hit_rate: rate,
-                bdd_unique_probes: probes,
-            });
-        }
-    }
-
-    fn check_net_sat(
-        &self,
-        net: &Network,
-        specs: &[TruthTable],
-        label: &str,
-        out: &mut Vec<Diagnostic>,
-    ) {
         let proofs = hyde_sat::cec_network_vs_tables(net, specs, &self.config.budget());
         for p in proofs {
             let verdict = match p.outcome {
@@ -300,7 +199,6 @@ impl DeepCecLint {
             self.log.borrow_mut().push(ProofRecord {
                 pass: "cec",
                 subject: format!("{label}output {}", p.output),
-                engine: "sat",
                 vars: p.vars,
                 clauses: p.clauses,
                 conflicts: p.conflicts,
@@ -416,7 +314,6 @@ impl DeepEncodingLint {
         self.log.borrow_mut().push(ProofRecord {
             pass: "inject",
             subject: format!("alpha separation (t={}, |bound|={nb})", d.alpha_count()),
-            engine: "sat",
             vars: stats.vars,
             clauses: stats.clauses + stats.learned,
             conflicts: stats.conflicts,
@@ -580,7 +477,6 @@ impl Lint for DeepCollapseLint {
             self.log.borrow_mut().push(ProofRecord {
                 pass: "collapse",
                 subject,
-                engine: "sat",
                 vars: after.vars,
                 clauses: after.clauses + after.learned,
                 conflicts: after.conflicts - before.conflicts,
@@ -673,7 +569,6 @@ impl Lint for DeepRecoveryLint {
             self.log.borrow_mut().push(ProofRecord {
                 pass: "recover",
                 subject: format!("ingredient {i}"),
-                engine: "sat",
                 vars: after.vars,
                 clauses: after.clauses + after.learned,
                 conflicts: after.conflicts - before.conflicts,
@@ -764,7 +659,6 @@ impl Lint for DeepStuckLint {
         self.log.borrow_mut().push(ProofRecord {
             pass: "stuck",
             subject: format!("sweep ({} nodes)", net.internal_count()),
-            engine: "sat",
             vars: after.vars,
             clauses: after.clauses + after.learned,
             conflicts: after.conflicts - before.conflicts,

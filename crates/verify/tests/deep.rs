@@ -33,13 +33,6 @@ fn deep_registry(config: DeepConfig) -> (Registry, ProofLog) {
     (r, log)
 }
 
-fn sat_only() -> DeepConfig {
-    DeepConfig {
-        bdd_max_inputs: 0,
-        ..DeepConfig::default()
-    }
-}
-
 fn flip_one_lut_bit(net: &mut Network, minterm: u32) {
     let id = net
         .node_ids()
@@ -70,7 +63,7 @@ fn simulates(net: &Network, specs: &[TruthTable]) -> bool {
 
 #[test]
 fn sat_cec_agrees_with_exhaustive_simulation_on_small_suite() {
-    let (registry, _log) = deep_registry(sat_only());
+    let (registry, _log) = deep_registry(DeepConfig::default());
     let mut checked = 0;
     for circuit in hyde_circuits::suite_small() {
         if circuit.outputs[0].vars() > 12 {
@@ -98,30 +91,25 @@ fn sat_cec_agrees_with_exhaustive_simulation_on_small_suite() {
 }
 
 #[test]
-fn hy401_mutated_network_is_refuted_by_both_engines() {
+fn hy401_mutated_small_network_is_refuted_by_sat() {
+    // A width the BDD miter used to take: the SAT miter proves every width.
     let circuit = &hyde_circuits::suite_small()[0];
+    assert!(circuit.outputs[0].vars() <= 8);
     let mut report = map(circuit);
     flip_one_lut_bit(&mut report.network, 0);
     assert!(!simulates(&report.network, &circuit.outputs));
-    let artifact = Artifact::Network {
+    let (registry, log) = deep_registry(DeepConfig::default());
+    let diags = registry.run(&Artifact::Network {
         net: &report.network,
         k: Some(5),
         spec: Some(&circuit.outputs),
-    };
-    // SAT miter path.
-    let (registry, log) = deep_registry(sat_only());
-    let diags = registry.run(&artifact);
+    });
     assert!(has(&diags, Code::DeepCecMismatch), "{diags:?}");
     assert!(any_deny(&diags));
-    assert!(log.borrow().iter().any(|r| r.verdict == "refuted"));
-    // BDD CEC path (raise the threshold so the spec width fits).
-    let (registry, log) = deep_registry(DeepConfig {
-        bdd_max_inputs: 28,
-        ..DeepConfig::default()
-    });
-    let diags = registry.run(&artifact);
-    assert!(has(&diags, Code::DeepCecMismatch), "{diags:?}");
-    assert!(log.borrow().iter().any(|r| r.engine == "bdd"));
+    assert!(log
+        .borrow()
+        .iter()
+        .any(|r| r.pass == "cec" && r.verdict == "refuted"));
 }
 
 #[test]
@@ -129,7 +117,7 @@ fn hy401_counterexample_minterm_is_real() {
     let circuit = &hyde_circuits::suite_small()[0];
     let mut report = map(circuit);
     flip_one_lut_bit(&mut report.network, 3);
-    let (registry, _log) = deep_registry(sat_only());
+    let (registry, _log) = deep_registry(DeepConfig::default());
     let diags = registry.run(&Artifact::Network {
         net: &report.network,
         k: Some(5),
@@ -168,7 +156,7 @@ fn hy402_non_separating_alpha_is_refuted() {
         image_dc: TruthTable::zero(2),
         codes: CodeAssignment::new(vec![0, 1], 1).unwrap(),
     };
-    let (registry, log) = deep_registry(sat_only());
+    let (registry, log) = deep_registry(DeepConfig::default());
     let diags = registry.run(&Artifact::Decomposition {
         decomposition: &d,
         function: &f,
@@ -183,7 +171,7 @@ fn hy402_non_separating_alpha_is_refuted() {
 fn hy402_real_decomposition_is_proved_injective() {
     let f = TruthTable::from_fn(7, |m| m.count_ones() % 2 == 1);
     let d = decompose_step(&f, &[0, 1, 2, 3, 4], &EncoderKind::Hyde { seed: 7 }, 5).unwrap();
-    let (registry, log) = deep_registry(sat_only());
+    let (registry, log) = deep_registry(DeepConfig::default());
     let diags = registry.run(&Artifact::Decomposition {
         decomposition: &d,
         function: &f,
@@ -206,7 +194,7 @@ fn hy403_corrupted_implementation_is_refuted() {
         .unwrap();
     let mut merged = hn.implement_ingredients().unwrap();
     flip_one_lut_bit(&mut merged, 0);
-    let (registry, _log) = deep_registry(sat_only());
+    let (registry, _log) = deep_registry(DeepConfig::default());
     let diags = registry.run(&Artifact::Recovery {
         hyper: &hn,
         implemented: &merged,
@@ -219,7 +207,7 @@ fn hy403_corrupted_implementation_is_refuted() {
 fn hy404_corrupted_hyper_table_is_refuted() {
     let mut h = small_hyper();
     h.corrupt_table_bit(0);
-    let (registry, _log) = deep_registry(sat_only());
+    let (registry, _log) = deep_registry(DeepConfig::default());
     let diags = registry.run(&Artifact::HyperFn(&h));
     assert!(has(&diags, Code::DeepRecoveryMismatch), "{diags:?}");
     assert!(any_deny(&diags));
@@ -236,7 +224,7 @@ fn hy405_semantically_stuck_node_warns() {
     let and = TruthTable::var(2, 0) & TruthTable::var(2, 1);
     let g = net.add_node("g", vec![n1, n2], and).unwrap();
     net.mark_output("g", g);
-    let (registry, _log) = deep_registry(sat_only());
+    let (registry, _log) = deep_registry(DeepConfig::default());
     let diags = registry.run(&Artifact::network(&net));
     let stuck = diags
         .iter()
@@ -254,7 +242,6 @@ fn hy406_exhausted_budget_is_reported() {
     let (registry, log) = deep_registry(DeepConfig {
         max_conflicts: 0,
         max_time: Duration::ZERO,
-        bdd_max_inputs: 0,
     });
     let diags = registry.run(&Artifact::Decomposition {
         decomposition: &d,
