@@ -205,18 +205,12 @@ fn parse_args(argv: &[String]) -> Result<Option<Args>, String> {
 /// The suite circuits `names` picks, in the given order (all 25 when
 /// `None`).
 fn select(names: Option<Vec<&str>>) -> Result<Vec<Circuit>, String> {
-    let all = hyde_circuits::suite();
     let Some(names) = names else {
-        return Ok(all);
+        return Ok(hyde_circuits::suite());
     };
     names
         .iter()
-        .map(|want| {
-            all.iter()
-                .find(|c| c.name == *want)
-                .cloned()
-                .ok_or_else(|| format!("unknown circuit '{want}'"))
-        })
+        .map(|want| hyde_circuits::by_name(want).ok_or_else(|| format!("unknown circuit '{want}'")))
         .collect()
 }
 

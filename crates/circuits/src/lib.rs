@@ -35,4 +35,4 @@ mod generators;
 mod suite;
 
 pub use generators::*;
-pub use suite::{suite, suite_small, Circuit, Origin};
+pub use suite::{by_name, suite, suite_small, Circuit, Origin};

@@ -75,36 +75,52 @@ impl Circuit {
     }
 }
 
+/// Builds one suite circuit.
+type Generator = fn() -> Circuit;
+
+/// Every suite circuit's name and generator, in the row order of the
+/// paper's Table 1/2 union.
+const SUITE: [(&str, Generator); 25] = [
+    ("5xp1", generators::x5p1),
+    ("9sym", generators::sym9),
+    ("alu2", generators::alu2),
+    ("alu4", generators::alu4),
+    ("apex4", generators::apex4),
+    ("apex6", generators::apex6),
+    ("apex7", generators::apex7),
+    ("b9", generators::b9),
+    ("clip", generators::clip),
+    ("count", generators::count),
+    ("des", generators::des),
+    ("duke2", generators::duke2),
+    ("e64", generators::e64),
+    ("f51m", generators::f51m),
+    ("misex1", generators::misex1),
+    ("misex2", generators::misex2),
+    ("misex3", generators::misex3),
+    ("rd73", generators::rd73),
+    ("rd84", generators::rd84),
+    ("rot", generators::rot),
+    ("sao2", generators::sao2),
+    ("vg2", generators::vg2),
+    ("z4ml", generators::z4ml),
+    ("C499", generators::c499),
+    ("C880", generators::c880),
+];
+
 /// The full evaluation suite, in the row order of the paper's Table 1/2
 /// union.
 pub fn suite() -> Vec<Circuit> {
-    vec![
-        generators::x5p1(),
-        generators::sym9(),
-        generators::alu2(),
-        generators::alu4(),
-        generators::apex4(),
-        generators::apex6(),
-        generators::apex7(),
-        generators::b9(),
-        generators::clip(),
-        generators::count(),
-        generators::des(),
-        generators::duke2(),
-        generators::e64(),
-        generators::f51m(),
-        generators::misex1(),
-        generators::misex2(),
-        generators::misex3(),
-        generators::rd73(),
-        generators::rd84(),
-        generators::rot(),
-        generators::sao2(),
-        generators::vg2(),
-        generators::z4ml(),
-        generators::c499(),
-        generators::c880(),
-    ]
+    SUITE.iter().map(|(_, generate)| generate()).collect()
+}
+
+/// The suite circuit called `name`, built alone (without the other 24),
+/// or `None` if the suite has no such circuit.
+pub fn by_name(name: &str) -> Option<Circuit> {
+    SUITE
+        .iter()
+        .find(|(n, _)| *n == name)
+        .map(|(_, generate)| generate())
 }
 
 /// A fast subset for smoke tests and ablations (small input counts).
@@ -143,6 +159,18 @@ mod tests {
         for expect in ["9sym", "alu4", "des", "rd84", "C880"] {
             assert!(names.contains(&expect), "missing {expect}");
         }
+    }
+
+    #[test]
+    fn by_name_builds_the_suite_circuit_of_that_name() {
+        for c in suite() {
+            let one = by_name(&c.name).unwrap_or_else(|| panic!("{} not found", c.name));
+            assert_eq!(one.name, c.name);
+            assert_eq!(one.inputs, c.inputs);
+            assert_eq!(one.outputs, c.outputs);
+        }
+        assert!(by_name("no-such-circuit").is_none());
+        assert!(by_name("parity").is_none());
     }
 
     #[test]

@@ -23,8 +23,6 @@ pub struct BddDecomposition {
     /// The image function `g` as a BDD over the original manager extended
     /// with `alphas.len()` fresh α variables (see [`bdd_decompose`]).
     pub image: Ref,
-    /// Index of the first α variable in the image manager.
-    pub alpha_base: usize,
     /// Codes assigned to the compatible classes.
     pub codes: CodeAssignment,
     /// Compatible class of each bound-set assignment.
@@ -47,7 +45,6 @@ pub fn bdd_decompose(
     bdd: &mut Bdd,
     f: Ref,
     bound: &[usize],
-    codes: Option<&CodeAssignment>,
 ) -> Result<(BddDecomposition, Bdd), CoreError> {
     let n = bdd.num_vars();
     if bound.is_empty() || bound.len() >= n {
@@ -78,20 +75,8 @@ pub fn bdd_decompose(
         class_of.push(id);
     }
     let m = reps.len();
-    let t = ceil_log2(m);
-    let codes = match codes {
-        Some(c) => {
-            if c.len() != m {
-                return Err(CoreError::CodeSpaceTooSmall {
-                    classes: m,
-                    bits: c.bits(),
-                });
-            }
-            c.clone()
-        }
-        None => CodeAssignment::new((0..m as u32).collect(), t.max(1))?,
-    };
-    let t = codes.bits();
+    let t = ceil_log2(m).max(1);
+    let codes = CodeAssignment::new((0..m as u32).collect(), t)?;
 
     // α functions over the bound variables, built directly in `bdd`.
     let mut alphas = Vec::with_capacity(t);
@@ -145,7 +130,6 @@ pub fn bdd_decompose(
             bound: bound.to_vec(),
             alphas,
             image: g,
-            alpha_base: n,
             codes,
             class_of,
         },
@@ -213,45 +197,43 @@ pub fn compact_to_support(src: &Bdd, f: Ref) -> (Bdd, Ref, Vec<usize>) {
     (dst, g, support)
 }
 
-/// Verifies a BDD decomposition by sampling (or exhausting) the input
-/// space: `g(x, α(x_bound)) == f(x)`.
-pub fn verify_bdd_decomposition(
-    bdd: &Bdd,
-    f: Ref,
-    d: &BddDecomposition,
-    gman: &Bdd,
-    max_exhaustive_vars: usize,
-) -> bool {
-    let n = bdd.num_vars();
-    let t = d.alphas.len();
-    let check = |m: u32| -> bool {
-        let mut g_in = u64::from(m);
-        for (bit, &alpha) in d.alphas.iter().enumerate() {
-            if bdd.eval(alpha, m) {
-                g_in |= 1 << (n + bit);
-            }
-        }
-        let _ = t;
-        gman.eval(d.image, g_in as u32) == bdd.eval(f, m)
-    };
-    if n <= max_exhaustive_vars {
-        (0..(1u32 << n)).all(check)
-    } else {
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(0xBDD);
-        (0..4096).all(|_| check(rng.gen_range(0..(1u64 << n)) as u32))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Verifies a BDD decomposition by sampling (or exhausting) the input
+    /// space: `g(x, α(x_bound)) == f(x)`.
+    fn verify_bdd_decomposition(
+        bdd: &Bdd,
+        f: Ref,
+        d: &BddDecomposition,
+        gman: &Bdd,
+        max_exhaustive_vars: usize,
+    ) -> bool {
+        let n = bdd.num_vars();
+        let check = |m: u32| -> bool {
+            let mut g_in = u64::from(m);
+            for (bit, &alpha) in d.alphas.iter().enumerate() {
+                if bdd.eval(alpha, m) {
+                    g_in |= 1 << (n + bit);
+                }
+            }
+            gman.eval(d.image, g_in as u32) == bdd.eval(f, m)
+        };
+        if n <= max_exhaustive_vars {
+            (0..(1u32 << n)).all(check)
+        } else {
+            use rand::{Rng, SeedableRng};
+            let mut rng = rand::rngs::StdRng::seed_from_u64(0xBDD);
+            (0..4096).all(|_| check(rng.gen_range(0..(1u64 << n)) as u32))
+        }
+    }
 
     #[test]
     fn decomposes_and_verifies_small_function() {
         let mut bdd = Bdd::new(6);
         let f = bdd.from_fn(|m| (m & 0b111).count_ones() >= 2 || m >> 3 == 0b101);
-        let (d, gman) = bdd_decompose(&mut bdd, f, &[0, 1, 2], None).unwrap();
+        let (d, gman) = bdd_decompose(&mut bdd, f, &[0, 1, 2]).unwrap();
         assert!(verify_bdd_decomposition(&bdd, f, &d, &gman, 20));
         assert!(d.codes.is_strict());
     }
@@ -264,7 +246,7 @@ mod tests {
         let tt = TruthTable::random(7, &mut rng);
         let mut bdd = Bdd::new(7);
         let f = bdd.from_fn(|m| tt.eval(m));
-        let (d, _) = bdd_decompose(&mut bdd, f, &[1, 3, 5], None).unwrap();
+        let (d, _) = bdd_decompose(&mut bdd, f, &[1, 3, 5]).unwrap();
         let chart_classes = crate::chart::class_count(&tt, &[1, 3, 5]).unwrap();
         let bdd_classes = d
             .class_of
@@ -272,25 +254,6 @@ mod tests {
             .collect::<std::collections::HashSet<_>>()
             .len();
         assert_eq!(chart_classes, bdd_classes);
-    }
-
-    #[test]
-    fn custom_codes_accepted() {
-        let mut bdd = Bdd::new(5);
-        let f = bdd.from_fn(|m| m.count_ones() % 2 == 1);
-        // Parity has 2 classes under any bound.
-        let codes = CodeAssignment::new(vec![1, 0], 1).unwrap();
-        let (d, gman) = bdd_decompose(&mut bdd, f, &[0, 1], Some(&codes)).unwrap();
-        assert_eq!(d.codes.codes(), &[1, 0]);
-        assert!(verify_bdd_decomposition(&bdd, f, &d, &gman, 20));
-    }
-
-    #[test]
-    fn wrong_code_count_rejected() {
-        let mut bdd = Bdd::new(5);
-        let f = bdd.from_fn(|m| m.count_ones() % 2 == 1);
-        let codes = CodeAssignment::new(vec![0, 1, 2], 2).unwrap();
-        assert!(bdd_decompose(&mut bdd, f, &[0, 1], Some(&codes)).is_err());
     }
 
     #[test]
@@ -306,7 +269,7 @@ mod tests {
             let ab = bdd.and(a, b);
             f = bdd.or(f, ab);
         }
-        let (d, gman) = bdd_decompose(&mut bdd, f, &[0, 1, 2, 3], None).unwrap();
+        let (d, gman) = bdd_decompose(&mut bdd, f, &[0, 1, 2, 3]).unwrap();
         // Classes: pairs (x0&x1)|(x2&x3) has 2 classes: "already true" and
         // "not yet true".
         let classes = d
@@ -333,9 +296,9 @@ mod tests {
     fn invalid_bounds_rejected() {
         let mut bdd = Bdd::new(4);
         let f = bdd.from_fn(|m| m == 3);
-        assert!(bdd_decompose(&mut bdd, f, &[], None).is_err());
-        assert!(bdd_decompose(&mut bdd, f, &[0, 0], None).is_err());
-        assert!(bdd_decompose(&mut bdd, f, &[0, 1, 2, 3], None).is_err());
-        assert!(bdd_decompose(&mut bdd, f, &[9], None).is_err());
+        assert!(bdd_decompose(&mut bdd, f, &[]).is_err());
+        assert!(bdd_decompose(&mut bdd, f, &[0, 0]).is_err());
+        assert!(bdd_decompose(&mut bdd, f, &[0, 1, 2, 3]).is_err());
+        assert!(bdd_decompose(&mut bdd, f, &[9]).is_err());
     }
 }

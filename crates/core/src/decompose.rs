@@ -228,7 +228,7 @@ fn step(
     hyde_obs::counter("decompose.classes", classes.len() as u64);
     let codes = {
         let _obs = hyde_obs::span!("encoding.encode");
-        encoder.build(budget, cache).encode(classes, k)?
+        encoder.encode(classes, k, budget, cache)?
     };
     let alphas = build_alphas(classes.class_map(), &codes, bound.len());
     let (image, image_dc) = build_image(classes, &codes);
@@ -501,15 +501,17 @@ impl Decomposer {
 /// Decomposes a wide function held as a BDD into a κ-feasible network,
 /// without ever materializing a full truth table of the function.
 ///
-/// Bound sets are chosen greedily over the BDD (sampled candidates scored
-/// by [`hyde_bdd::Bdd::compatible_class_count`]); each step emits the α
-/// LUTs (κ-input truth tables enumerated from the α BDDs) and recurses on
-/// the image BDD. A Shannon fallback on the topmost support variable
-/// guarantees termination.
+/// Bound sets are chosen greedily over the BDD (64 sampled candidates
+/// scored by [`hyde_bdd::Bdd::compatible_class_count`]); each step emits
+/// the α LUTs (κ-input truth tables enumerated from the α BDDs) and
+/// recurses on the image BDD. A Shannon fallback on the topmost support
+/// variable guarantees termination. A node cap on `bdd` also caps every
+/// image manager the recursion builds.
 ///
 /// # Errors
 ///
-/// Propagates decomposition errors.
+/// Propagates decomposition errors, and returns
+/// [`CoreError::OutOfBudget`] when an image manager reaches the node cap.
 ///
 /// # Example
 ///
@@ -527,7 +529,7 @@ impl Decomposer {
 ///     let ab = bdd.and(a, b);
 ///     f = bdd.or(f, ab);
 /// }
-/// let net = decompose_bdd_to_network(&mut bdd, f, 5, "wide", 64)?;
+/// let net = decompose_bdd_to_network(&mut bdd, f, 5, "wide")?;
 /// assert!(net.is_k_feasible(5));
 /// # Ok(())
 /// # }
@@ -537,28 +539,21 @@ pub fn decompose_bdd_to_network(
     f: hyde_bdd::Ref,
     k: usize,
     name: &str,
-    candidate_budget: usize,
 ) -> Result<Network, CoreError> {
     assert!(k >= 3, "LUT size must be at least 3");
     let _obs = hyde_obs::span!("decompose.bdd");
     let n = bdd.num_vars();
     let mut net = Network::new(name);
     let signals: Vec<NodeId> = (0..n).map(|i| net.add_input(&format!("x{i}"))).collect();
-    let out = bdd_rec(
-        bdd,
-        f,
-        k,
-        &mut net,
-        &signals,
-        name,
-        candidate_budget,
-        0,
-        &[],
-    )?;
+    let out = bdd_rec(bdd, f, k, &mut net, &signals, name, 0, &[])?;
     net.mark_output(name, out);
     net.sweep();
     Ok(net)
 }
+
+/// Seeded random bound-set candidates [`decompose_bdd_to_network`] scores
+/// at each step of the BDD rung.
+const BDD_CANDIDATES: usize = 64;
 
 #[allow(clippy::too_many_arguments)]
 fn bdd_rec(
@@ -568,7 +563,6 @@ fn bdd_rec(
     net: &mut Network,
     signals: &[NodeId],
     prefix: &str,
-    budget: usize,
     depth: usize,
     keep: &[hyde_bdd::Ref],
 ) -> Result<NodeId, CoreError> {
@@ -603,7 +597,7 @@ fn bdd_rec(
     // Candidate bound sets: seeded random k-subsets of the support.
     let mut rng = rand::rngs::StdRng::seed_from_u64(0xB0_0D + depth as u64);
     let mut best: Option<(Vec<usize>, usize)> = None;
-    for _ in 0..budget {
+    for _ in 0..BDD_CANDIDATES {
         let mut cand = support.clone();
         cand.shuffle(&mut rng);
         cand.truncate(k);
@@ -616,7 +610,7 @@ fn bdd_rec(
     let (bound, classes) = best.ok_or_else(|| {
         CoreError::OutOfBudget(hyde_guard::OutOfBudget::new(
             hyde_guard::Resource::Candidates,
-            budget as u64,
+            BDD_CANDIDATES as u64,
         ))
     })?;
     let t = crate::encoding::ceil_log2(classes);
@@ -637,7 +631,6 @@ fn bdd_rec(
             net,
             signals,
             &format!("{prefix}_lo"),
-            budget,
             depth + 1,
             &keep_lo,
         )?;
@@ -648,7 +641,6 @@ fn bdd_rec(
             net,
             signals,
             &format!("{prefix}_hi"),
-            budget,
             depth + 1,
             keep,
         )?;
@@ -656,7 +648,7 @@ fn bdd_rec(
             .add_node(prefix, vec![signals[var], n0, n1], TruthTable::mux())
             .map_err(CoreError::from);
     }
-    let (d, gman) = crate::bdd_decompose::bdd_decompose(bdd, f, &bound, None)?;
+    let (d, gman) = crate::bdd_decompose::bdd_decompose(bdd, f, &bound)?;
     // α LUTs: enumerate over the k bound variables.
     let bound_sigs: Vec<NodeId> = d.bound.iter().map(|&v| signals[v]).collect();
     let mut g_signals = signals.to_vec();
@@ -682,19 +674,14 @@ fn bdd_rec(
     drop(gman);
     // Fresh manager for the image: caller-held roots live in the old
     // manager, so the recursion starts with no extra keeps (but inherits
-    // the old manager's GC arming so deep recursions stay bounded).
+    // the old manager's GC arming so deep recursions stay bounded, and
+    // its node cap, which `guarded` turns into a typed error here).
     compacted.set_gc_threshold(bdd.gc_threshold());
-    bdd_rec(
-        &mut compacted,
-        g,
-        k,
-        net,
-        &compact_signals,
-        &format!("{prefix}_g"),
-        budget,
-        depth + 1,
-        &[],
-    )
+    compacted.set_node_cap(bdd.node_cap());
+    let prefix = format!("{prefix}_g");
+    compacted
+        .guarded(|c| bdd_rec(c, g, k, net, &compact_signals, &prefix, depth + 1, &[]))
+        .map_err(CoreError::OutOfBudget)?
 }
 
 #[cfg(test)]
@@ -915,7 +902,7 @@ mod tests {
             let ab = bdd.and(a, b);
             f = bdd.or(f, ab);
         }
-        let net = decompose_bdd_to_network(&mut bdd, f, 5, "wide20", 32).unwrap();
+        let net = decompose_bdd_to_network(&mut bdd, f, 5, "wide20").unwrap();
         assert!(net.is_k_feasible(5));
         // Spot-check correctness via network eval against the BDD.
         use rand::Rng;
@@ -938,12 +925,43 @@ mod tests {
     }
 
     #[test]
+    fn bdd_path_caps_the_image_managers_too() {
+        // (h1(x0..x4) & h2(x5..x9)) ^ h3(x10..x14): the top manager
+        // stays under 15000 nodes, the recursion on an image does not.
+        let mut rng = rand::rngs::StdRng::seed_from_u64(3);
+        let h: Vec<TruthTable> = (0..3).map(|_| TruthTable::random(5, &mut rng)).collect();
+        let tt = TruthTable::from_fn(15, |m| {
+            (h[0].eval(m & 31) & h[1].eval(m >> 5 & 31)) ^ h[2].eval(m >> 10)
+        });
+        let run = |cap: Option<usize>| {
+            let mut bdd = hyde_bdd::Bdd::new(15);
+            bdd.set_node_cap(cap);
+            bdd.guarded(|b| {
+                let root = b.from_fn(|m| tt.eval(m));
+                decompose_bdd_to_network(b, root, 5, "capped")
+            })
+        };
+        match run(Some(15_000)) {
+            Ok(Err(CoreError::OutOfBudget(e))) => {
+                assert_eq!(e.resource, hyde_guard::Resource::BddNodes);
+                assert_eq!(e.limit, 15_000);
+            }
+            Ok(other) => panic!(
+                "expected an image manager to run out, got {:?}",
+                other.map(|net| net.internal_count())
+            ),
+            Err(e) => panic!("the top manager ran out instead: {e}"),
+        }
+        assert!(run(None).is_ok_and(|net| net.is_ok()));
+    }
+
+    #[test]
     fn bdd_path_agrees_with_table_path_on_small_functions() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(55);
         let tt = TruthTable::random(8, &mut rng);
         let mut bdd = hyde_bdd::Bdd::new(8);
         let f = bdd.from_fn(|m| tt.eval(m));
-        let net = decompose_bdd_to_network(&mut bdd, f, 5, "cmp", 64).unwrap();
+        let net = decompose_bdd_to_network(&mut bdd, f, 5, "cmp").unwrap();
         assert!(net.is_k_feasible(5));
         let positions: Vec<usize> = net
             .inputs()

@@ -83,9 +83,7 @@ impl HyperFunction {
         let classes =
             CompatibleClasses::from_parts((0..ingredients.len()).collect(), ingredients.clone());
         // Unbudgeted and uncached on purpose: budgeting the fold changes mapped output.
-        let codes = encoder
-            .build(&hyde_guard::Budget::unlimited(), None)
-            .encode(&classes, k)?;
+        let codes = encoder.encode(&classes, k, &hyde_guard::Budget::unlimited(), None)?;
         let (table, dc) = build_image(&classes, &codes);
         let h = HyperFunction {
             ingredients,

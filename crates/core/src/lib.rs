@@ -61,7 +61,7 @@ pub mod varpart;
 pub use chart::DecompositionChart;
 pub use classes::CompatibleClasses;
 pub use decompose::{Decomposer, Decomposition};
-pub use encoding::{CodeAssignment, Encoder, EncoderKind};
+pub use encoding::{CodeAssignment, EncoderKind};
 pub use hyper::HyperFunction;
 pub use partition::Partition;
 pub use varpart::VariablePartitioner;

@@ -54,8 +54,7 @@ fn shortcuts_and_step8_winners_sum_to_the_nontrivial_encodes() {
             nontrivial += 1;
         }
         EncoderKind::Hyde { seed: i as u64 }
-            .build(&Budget::unlimited(), None)
-            .encode(chart.classes(), k)
+            .encode(chart.classes(), k, &Budget::unlimited(), None)
             .expect("unbudgeted encode");
     }
     hyde_obs::disable();

@@ -147,15 +147,6 @@ impl Budget {
             _ => Ok(()),
         }
     }
-
-    /// Errors with [`Resource::Candidates`] if a step would evaluate
-    /// more than the candidate cap.
-    pub fn check_candidates(&self, needed: usize) -> Result<(), OutOfBudget> {
-        match self.candidates {
-            Some(cap) if needed > cap => Err(OutOfBudget::new(Resource::Candidates, cap as u64)),
-            _ => Ok(()),
-        }
-    }
 }
 
 /// One rung of the fallback ladder, ordered from most to least exact.
@@ -312,17 +303,6 @@ mod tests {
     fn unlimited_budget_never_trips() {
         let b = Budget::unlimited();
         assert!(b.check_deadline().is_ok());
-        assert!(b.check_candidates(usize::MAX).is_ok());
-    }
-
-    #[test]
-    fn candidate_cap_trips_and_reports_limit() {
-        let b = Budget::unlimited().with_candidates(10);
-        assert!(b.check_candidates(10).is_ok());
-        let err = b.check_candidates(11).unwrap_err();
-        assert_eq!(err.resource, Resource::Candidates);
-        assert_eq!(err.limit, 10);
-        assert!(!err.injected);
     }
 
     #[test]

@@ -54,12 +54,6 @@ impl RetryPolicy {
         }
     }
 
-    /// Replaces the attempt bound (clamped up to 1).
-    pub fn with_attempts(mut self, attempts: u32) -> Self {
-        self.max_attempts = attempts.max(1);
-        self
-    }
-
     /// Replaces the base backoff delay.
     pub fn with_base_delay(mut self, d: Duration) -> Self {
         self.base_delay = d;

@@ -652,15 +652,6 @@ impl Network {
         before - self.node_ids().len()
     }
 
-    /// Number of live nodes consuming `id` as a fanin.
-    pub fn fanout_count(&self, id: NodeId) -> usize {
-        self.nodes
-            .iter()
-            .filter(|n| !n.dead)
-            .map(|n| n.fanins.iter().filter(|&&f| f == id).count())
-            .sum()
-    }
-
     /// Collapses (eliminates, in SIS terms) an internal node into every
     /// fanout: each consumer's function is composed with the node's
     /// function and the node is removed. Outputs driven by the node keep a
@@ -1249,13 +1240,6 @@ mod tests {
         assert_eq!(s.max_fanin, 3);
         assert_eq!(s.depth, 1);
         assert!(s.to_string().contains("2 nodes"));
-    }
-
-    #[test]
-    fn fanout_counts() {
-        let net = full_adder();
-        let a = net.inputs()[0];
-        assert_eq!(net.fanout_count(a), 2);
     }
 
     #[test]

@@ -339,7 +339,7 @@ impl MappingFlow<'_> {
         let k = self.k;
         match bdd.guarded(|b| {
             let root = b.from_fn(|m| f.eval(m));
-            decompose_bdd_to_network(b, root, k, "r2", 64)
+            decompose_bdd_to_network(b, root, k, "r2")
         }) {
             Ok(res) => res,
             Err(ob) => Err(CoreError::OutOfBudget(ob)),
@@ -563,9 +563,7 @@ impl MappingFlow<'_> {
         let classes =
             hyde_core::classes::CompatibleClasses::from_parts(chart.class_map().to_vec(), stacked);
         // Unbudgeted and uncached, as this joint-class encode has always run.
-        let codes: CodeAssignment = encoder
-            .build(&Budget::unlimited(), None)
-            .encode(&classes, self.k)?;
+        let codes: CodeAssignment = encoder.encode(&classes, self.k, &Budget::unlimited(), None)?;
         let alphas = chart.alphas(&codes);
         let bound_sigs: Vec<NodeId> = bound.iter().map(|&v| signals[v]).collect();
         let mut g_sigs: Vec<NodeId> = Vec::new();

@@ -37,6 +37,6 @@ pub mod solver;
 pub mod tseitin;
 
 pub use cnf::Lit;
-pub use miter::{cec_network_vs_tables, cec_tables, CecOutcome, CecProof};
+pub use miter::{cec_network_vs_tables, CecOutcome, CecProof};
 pub use solver::{Budget, Outcome, Solver, Stats};
 pub use tseitin::Encoder;

@@ -176,26 +176,6 @@ pub fn cec_network_vs_tables(
     proofs
 }
 
-/// Proves two truth tables equal through the SAT path (both sides are
-/// encoded as BDD gates over shared inputs, then a miter is solved).
-/// Mostly useful for cross-checking the engine against simulation.
-///
-/// # Panics
-///
-/// Panics if arities differ or exceed 28.
-pub fn cec_tables(a: &TruthTable, b: &TruthTable, budget: &Budget) -> CecProof {
-    assert_eq!(a.vars(), b.vars(), "arity mismatch");
-    let mut enc = Encoder::new();
-    let pi = enc.fresh_inputs(a.vars());
-    let mut bdd = Bdd::new(a.vars());
-    let ra = bdd.from_fn(|m| a.eval(m));
-    let rb = bdd.from_fn(|m| b.eval(m));
-    let la = enc.encode_bdd(&bdd, ra, &pi);
-    let lb = enc.encode_bdd(&bdd, rb, &pi);
-    let m = enc.xor(la, lb);
-    prove(&mut enc, m, &pi, 0, budget)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -322,20 +302,5 @@ mod tests {
         net.replace_node_unchecked(n1, vec![a, n2], and2.clone());
         net.mark_output("y", n2);
         cec_network_vs_tables(&net, &[and2], &Budget::default());
-    }
-
-    #[test]
-    fn table_cec_finds_the_single_difference() {
-        let a = TruthTable::from_fn(6, |m| m % 3 == 0);
-        let mut b = a.clone();
-        b.set(44, !b.eval(44));
-        match cec_tables(&a, &b, &Budget::default()).outcome {
-            CecOutcome::Differ(m) => assert_eq!(m, 44),
-            other => panic!("expected a counterexample, got {other:?}"),
-        }
-        assert_eq!(
-            cec_tables(&a, &a, &Budget::default()).outcome,
-            CecOutcome::Equivalent
-        );
     }
 }

@@ -94,11 +94,6 @@ impl Encoder {
         &self.solver
     }
 
-    /// Asserts a literal as a unit clause.
-    pub fn assert_lit(&mut self, l: Lit) {
-        self.solver.add_clause(&[l]);
-    }
-
     /// Asserts `a <-> b`.
     pub fn assert_equiv(&mut self, a: Lit, b: Lit) {
         self.solver.add_clause(&[!a, b]);

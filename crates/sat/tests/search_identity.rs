@@ -114,8 +114,8 @@ fn activity_rescale_and_restarts() {
 #[test]
 fn incremental_table_miters() {
     // Two fixed 10-input tables and a one-bit mutant of the first, on one
-    // shared solver the way `cec_tables` builds its miters: BDD gates over
-    // shared inputs. Each table is also encoded a second way (ISOP covers)
+    // shared solver, each side encoded as BDD gates over shared inputs.
+    // Each table is also encoded a second way (ISOP covers)
     // so the equivalence miters need real search, and learned clauses
     // carry from one query to the next.
     let n = 10;

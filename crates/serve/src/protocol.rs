@@ -111,9 +111,7 @@ impl JobSpec {
     /// that does not exist, `bad-field` for an unparsable PLA).
     pub fn resolve(&self) -> Result<hyde_map::Job, ProtoError> {
         let outputs = match &self.kind {
-            JobKind::Suite { circuit } => hyde_circuits::suite()
-                .into_iter()
-                .find(|c| c.name == *circuit)
+            JobKind::Suite { circuit } => hyde_circuits::by_name(circuit)
                 .map(|c| c.outputs)
                 .ok_or_else(|| {
                     ProtoError::new(

@@ -377,29 +377,18 @@ fn json_line(artifact: &str, d: &Diagnostic) -> String {
 }
 
 fn proof_line(r: &ProofRecord) -> String {
-    let mut line = format!(
+    format!(
         "  proof {} {}: {} vars={} clauses={} conflicts={} time={:.3}ms",
         r.pass, r.subject, r.verdict, r.vars, r.clauses, r.conflicts, r.time_ms
-    );
-    if let Some(rate) = r.bdd_cache_hit_rate {
-        line.push_str(&format!(" bdd_cache_hit={:.0}%", rate * 100.0));
-    }
-    line
+    )
 }
 
 /// Machine-readable proof record, emitted under `--json --deep` so CI can
-/// track proof effort (and BDD cache behaviour) alongside diagnostics.
+/// track proof effort alongside diagnostics.
 fn proof_json_line(artifact: &str, r: &ProofRecord) -> String {
-    let rate = r
-        .bdd_cache_hit_rate
-        .map_or("null".to_owned(), |v| format!("{v:.3}"));
-    let probes = r
-        .bdd_unique_probes
-        .map_or("null".to_owned(), |v| v.to_string());
     format!(
         "{{\"artifact\":\"{}\",\"proof\":\"{}\",\"subject\":\"{}\",\"verdict\":\"{}\",\
-         \"vars\":{},\"clauses\":{},\"conflicts\":{},\"time_ms\":{},\
-         \"bdd_cache_hit_rate\":{},\"bdd_unique_probes\":{}}}",
+         \"vars\":{},\"clauses\":{},\"conflicts\":{},\"time_ms\":{}}}",
         escape(artifact),
         r.pass,
         escape(&r.subject),
@@ -408,8 +397,6 @@ fn proof_json_line(artifact: &str, r: &ProofRecord) -> String {
         r.clauses,
         r.conflicts,
         format_args!("{:.3}", r.time_ms),
-        rate,
-        probes,
     )
 }
 

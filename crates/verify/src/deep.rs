@@ -88,25 +88,6 @@ pub struct ProofRecord {
     pub time_ms: f64,
     /// `proved`, `refuted` or `unknown`.
     pub verdict: &'static str,
-    /// Operation-cache hit rate of the BDD manager(s) backing the proof
-    /// (`None` for pure-SAT proofs that never touched a BDD).
-    pub bdd_cache_hit_rate: Option<f64>,
-    /// Total unique-table probes of those managers (`None` likewise).
-    pub bdd_unique_probes: Option<u64>,
-}
-
-/// Combines manager statistics from every BDD a proof consulted into the
-/// pair recorded on its [`ProofRecord`].
-fn bdd_proof_stats(stats: &[hyde_bdd::BddStats]) -> (Option<f64>, Option<u64>) {
-    let lookups: u64 = stats.iter().map(|s| s.cache_lookups).sum();
-    let hits: u64 = stats.iter().map(|s| s.cache_hits).sum();
-    let probes: u64 = stats.iter().map(|s| s.unique_probes).sum();
-    let rate = if lookups == 0 {
-        0.0
-    } else {
-        hits as f64 / lookups as f64
-    };
-    (Some(rate), Some(probes))
 }
 
 /// Shared, append-only log of proof statistics. The deep lints hold one
@@ -204,8 +185,6 @@ impl DeepCecLint {
                 conflicts: p.conflicts,
                 time_ms: p.elapsed.as_secs_f64() * 1e3,
                 verdict,
-                bdd_cache_hit_rate: None,
-                bdd_unique_probes: None,
             });
         }
     }
@@ -310,7 +289,6 @@ impl DeepEncodingLint {
             }
         };
         let stats = enc.solver().stats();
-        let (rate, probes) = bdd_proof_stats(&[bdd.stats()]);
         self.log.borrow_mut().push(ProofRecord {
             pass: "inject",
             subject: format!("alpha separation (t={}, |bound|={nb})", d.alpha_count()),
@@ -319,8 +297,6 @@ impl DeepEncodingLint {
             conflicts: stats.conflicts,
             time_ms: start.elapsed().as_secs_f64() * 1e3,
             verdict,
-            bdd_cache_hit_rate: rate,
-            bdd_unique_probes: probes,
         });
     }
 }
@@ -482,8 +458,6 @@ impl Lint for DeepCollapseLint {
                 conflicts: after.conflicts - before.conflicts,
                 time_ms: start.elapsed().as_secs_f64() * 1e3,
                 verdict,
-                bdd_cache_hit_rate: None,
-                bdd_unique_probes: None,
             });
         }
     }
@@ -565,7 +539,6 @@ impl Lint for DeepRecoveryLint {
                 }
             };
             let after = enc.solver().stats();
-            let (rate, probes) = bdd_proof_stats(&[bdd.stats(), ing_bdd.stats()]);
             self.log.borrow_mut().push(ProofRecord {
                 pass: "recover",
                 subject: format!("ingredient {i}"),
@@ -574,8 +547,6 @@ impl Lint for DeepRecoveryLint {
                 conflicts: after.conflicts - before.conflicts,
                 time_ms: start.elapsed().as_secs_f64() * 1e3,
                 verdict,
-                bdd_cache_hit_rate: rate,
-                bdd_unique_probes: probes,
             });
         }
     }
@@ -670,8 +641,6 @@ impl Lint for DeepStuckLint {
             } else {
                 "proved"
             },
-            bdd_cache_hit_rate: None,
-            bdd_unique_probes: None,
         });
     }
 }

@@ -40,7 +40,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     ];
     let vp = VariablePartitioner::default();
     for (name, enc) in encoders {
-        let codes = enc.build(&Budget::unlimited(), None).encode(&classes, 5)?;
+        let codes = enc.encode(&classes, 5, &Budget::unlimited(), None)?;
         let (g, dc) = build_image(&classes, &codes);
         let (_, next_classes) = vp.best_bound_set(&g, 5.min(g.vars() - 1))?;
         let cubes = SopCover::isop_between(&g, &(&g | &dc)).cube_count();

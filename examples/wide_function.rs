@@ -34,7 +34,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("f over 20 inputs: {} BDD nodes", bdd.node_count(f));
 
     // Symbolic decomposition to 5-LUTs — no 2^20-bit truth table involved.
-    let net = decompose_bdd_to_network(&mut bdd, f, 5, "wide", 48)?;
+    let net = decompose_bdd_to_network(&mut bdd, f, 5, "wide")?;
     println!(
         "mapped to {} LUTs, depth {} ({} primary inputs used)",
         net.internal_count(),

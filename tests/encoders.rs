@@ -13,10 +13,6 @@ fn all_encoders() -> Vec<(&'static str, EncoderKind)> {
         ("lex", EncoderKind::Lexicographic),
         ("random", EncoderKind::Random { seed: 7 }),
         ("cube-min", EncoderKind::CubeMin { seed: 7, iters: 25 }),
-        (
-            "support-min",
-            EncoderKind::SupportMin { seed: 7, iters: 25 },
-        ),
         ("hyde", EncoderKind::Hyde { seed: 7 }),
     ]
 }
@@ -66,7 +62,7 @@ fn image_dc_semantics_shared_by_all_encoders() {
     let classes = chart.classes().clone();
     let budget = Budget::unlimited();
     for (name, enc) in all_encoders() {
-        let codes = enc.build(&budget, None).encode(&classes, 5).unwrap();
+        let codes = enc.encode(&classes, 5, &budget, None).unwrap();
         let (on, dc) = build_image(&classes, &codes);
         assert!((&on & &dc).is_zero(), "{name}");
         let used: std::collections::HashSet<u32> = codes.codes().iter().copied().collect();
@@ -83,8 +79,8 @@ fn encoders_are_deterministic() {
     let classes = chart.classes().clone();
     let budget = Budget::unlimited();
     for (name, enc) in all_encoders() {
-        let a = enc.build(&budget, None).encode(&classes, 5).unwrap();
-        let b = enc.build(&budget, None).encode(&classes, 5).unwrap();
+        let a = enc.encode(&classes, 5, &budget, None).unwrap();
+        let b = enc.encode(&classes, 5, &budget, None).unwrap();
         assert_eq!(a, b, "{name} must be deterministic");
     }
 }
