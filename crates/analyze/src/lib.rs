@@ -6,8 +6,7 @@
 //! ([`ast`]), a workspace symbol table with over-approximating call
 //! resolution ([`resolve`]), a cross-crate call graph with
 //! reachability queries ([`callgraph`]), and a [`registry::Pass`]
-//! registry mirroring hyde-verify's `Lint`/`Registry` design — over
-//! source files instead of pipeline artifacts. It enforces the
+//! registry over the workspace's source files. It enforces the
 //! invariants the test suite cannot see from outputs alone:
 //!
 //! | pass | codes | invariant |

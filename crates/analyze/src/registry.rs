@@ -1,7 +1,5 @@
 //! The pass registry: the [`Pass`] trait and the [`Registry`] that fans
-//! the workspace out to every pass — the same shape as hyde-verify's
-//! `Lint`/`Registry` pair, over source files instead of pipeline
-//! artifacts.
+//! the workspace's source files out to every pass.
 //!
 //! v2 additions: passes receive a [`Cx`] carrying the workspace *and*
 //! the call graph (built once per run), findings carry a severity, and

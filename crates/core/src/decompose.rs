@@ -327,9 +327,9 @@ impl Decomposer {
 
     /// Attaches a shared NPN-keyed search memo: λ-set searches at every
     /// recursion level (and inside the HYDE encoder) are answered from
-    /// the cache when possible. `None` disables memoization.
-    pub fn with_cache(mut self, cache: Option<std::sync::Arc<crate::dcache::DecompCache>>) -> Self {
-        self.cache = cache;
+    /// the cache when possible. Without one, nothing is memoized.
+    pub fn with_cache(mut self, cache: std::sync::Arc<crate::dcache::DecompCache>) -> Self {
+        self.cache = Some(cache);
         self
     }
 

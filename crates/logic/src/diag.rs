@@ -17,7 +17,7 @@
 //!
 //! The model lives here, at the bottom of the crate stack, so that
 //! `hyde-core` and `hyde-map` can emit diagnostics without depending on
-//! the lint registry in `hyde-verify`.
+//! `hyde-verify`.
 
 use std::fmt;
 

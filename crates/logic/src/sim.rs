@@ -2,10 +2,13 @@
 //!
 //! Every mapping flow in this reproduction verifies its output; this module
 //! provides the shared machinery: the batched network-vs-specification
-//! sampler [`check_against_tables`] that both the mapping flow and the
-//! `HY005` lint run, reporting the first mismatching minterm and output.
+//! sampler [`check_against_tables`], reporting the first mismatching
+//! minterm and output, and the two diagnostics both the mapping flow and
+//! `hyde-verify` emit from it: [`fanin_diagnostics`] (`HY002`) and
+//! [`spec_diagnostic`] (`HY005`).
 
-use crate::network::Network;
+use crate::diag::{Code, Diagnostic, Location};
+use crate::network::{Network, NodeRole};
 use crate::truthtable::TruthTable;
 
 /// How many minterms [`check_against_tables`] simulates: every minterm of
@@ -67,6 +70,44 @@ pub fn check_against_tables(
         }
     }
     None
+}
+
+/// `HY002`: appends one diagnostic for every LUT of `net` with more than
+/// `k` fanins.
+pub fn fanin_diagnostics(net: &Network, k: usize, out: &mut Vec<Diagnostic>) {
+    for id in net.node_ids() {
+        let fanin = net.fanins(id).len();
+        if net.role(id) == NodeRole::Internal && fanin > k {
+            out.push(
+                Diagnostic::new(
+                    Code::NetworkFaninExceedsK,
+                    format!("LUT '{}' has {fanin} fanins but k = {k}", net.node_name(id)),
+                )
+                .at(Location::Node(id.index())),
+            );
+        }
+    }
+}
+
+/// `HY005`: the first mismatch [`check_against_tables`] finds, as a
+/// diagnostic located at the differing output.
+///
+/// # Panics
+///
+/// As [`check_against_tables`].
+pub fn spec_diagnostic(
+    net: &Network,
+    spec: &[TruthTable],
+    positions: &[usize],
+) -> Option<Diagnostic> {
+    let (m, o) = check_against_tables(net, spec, positions)?;
+    Some(
+        Diagnostic::new(
+            Code::NetworkSpecMismatch,
+            format!("output {o} differs from its specification at minterm {m}"),
+        )
+        .at(Location::Output(o)),
+    )
 }
 
 #[cfg(test)]

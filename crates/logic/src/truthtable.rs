@@ -736,11 +736,6 @@ impl Isf {
         &self.dc
     }
 
-    /// Off-set (`!(on | dc)`).
-    pub fn off_set(&self) -> TruthTable {
-        !&(&self.on | &self.dc)
-    }
-
     /// Whether minterm `m` is a don't care.
     ///
     /// # Panics
@@ -770,11 +765,6 @@ impl Isf {
         }
         let care = !&self.dc;
         (&(other ^ &self.on) & &care).is_zero()
-    }
-
-    /// Whether the ISF has any don't-care minterm.
-    pub fn has_dc(&self) -> bool {
-        !self.dc.is_zero()
     }
 
     /// Cofactor on `var` (both sets cofactored).
@@ -1059,7 +1049,7 @@ mod tests {
         assert_eq!(f.value(0), None);
         assert_eq!(f.value(3), Some(true));
         assert_eq!(f.value(1), Some(false));
-        assert!(f.has_dc());
+        assert!(!f.dc_set().is_zero());
     }
 
     #[test]
@@ -1071,16 +1061,6 @@ mod tests {
         assert!(f.admits(&TruthTable::from_minterms(2, &[0, 3])));
         assert!(!f.admits(&TruthTable::from_minterms(2, &[1, 3])));
         assert!(!f.admits(&TruthTable::from_minterms(3, &[3])));
-    }
-
-    #[test]
-    fn isf_off_set_partition() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(2);
-        let on = TruthTable::random(4, &mut rng);
-        let dc = TruthTable::random(4, &mut rng);
-        let f = Isf::new(on, dc).unwrap();
-        let total = f.on_set().count_ones() + f.dc_set().count_ones() + f.off_set().count_ones();
-        assert_eq!(total, 16);
     }
 
     #[test]

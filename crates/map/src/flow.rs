@@ -28,7 +28,7 @@ use hyde_core::multichart::{joint_class_count, MultiChart};
 use hyde_core::varpart::VariablePartitioner;
 use hyde_core::CoreError;
 use hyde_guard::{Budget, Chaos, DegradationEvent, OutOfBudget, Resource, Rung};
-use hyde_logic::diag::{any_deny, Code, Diagnostic, Location};
+use hyde_logic::diag::{any_deny, Code, Diagnostic};
 use hyde_logic::network::{project_to_support, structural_merge};
 use hyde_logic::{Literal, Network, NodeId, NodeRole, SopCover, TruthTable};
 use std::collections::HashMap;
@@ -49,11 +49,8 @@ pub enum FlowKind {
         encoder: EncoderKind,
     },
     /// FGSyn-style column encoding: joint multi-output charts with shared
-    /// α functions.
-    ColumnEncoding {
-        /// Encoder for the joint classes.
-        encoder: EncoderKind,
-    },
+    /// α functions, classes encoded lexicographically.
+    ColumnEncoding,
     /// The HYDE hyper-function flow: at most [`MAX_CLUSTER`] outputs per
     /// hyper-function, at most [`MAX_UNION`] variables in a cluster's
     /// union support.
@@ -85,9 +82,7 @@ impl FlowKind {
 
     /// FGSyn-like baseline: column encoding.
     pub fn fgsyn_like() -> Self {
-        FlowKind::ColumnEncoding {
-            encoder: EncoderKind::Lexicographic,
-        }
+        FlowKind::ColumnEncoding
     }
 
     /// Short label for table printing.
@@ -95,7 +90,7 @@ impl FlowKind {
         match self {
             FlowKind::PerOutput { .. } => "per-output",
             FlowKind::SharedAlpha { .. } => "shared-alpha",
-            FlowKind::ColumnEncoding { .. } => "column-enc",
+            FlowKind::ColumnEncoding => "column-enc",
             FlowKind::Hyper { .. } => "hyde",
         }
     }
@@ -174,7 +169,7 @@ impl MappingFlow<'_> {
         let mut net = match self.kind {
             FlowKind::PerOutput { encoder } => self.per_output(name, outputs, encoder, false)?,
             FlowKind::SharedAlpha { encoder } => self.per_output(name, outputs, encoder, true)?,
-            FlowKind::ColumnEncoding { encoder } => self.column_encoding(outputs, encoder)?,
+            FlowKind::ColumnEncoding => self.column_encoding(outputs)?,
             FlowKind::Hyper { seed } => {
                 self.hyper_flow(name, outputs, &EncoderKind::Hyde { seed: *seed })?
             }
@@ -256,7 +251,7 @@ impl MappingFlow<'_> {
             let dec = Decomposer::new(self.k, encoder.clone())
                 .with_budget(self.budget)
                 .with_chaos(self.chaos, ctx)
-                .with_cache(Some(self.cache.clone()));
+                .with_cache(self.cache.clone());
             match dec.decompose_onto(net, f, signals, prefix) {
                 Ok(id) => return Ok(id),
                 Err(CoreError::OutOfBudget(ob)) => self.degrade(ctx, prefix, Rung::Exact, ob),
@@ -451,16 +446,12 @@ impl MappingFlow<'_> {
         Ok(level[0])
     }
 
-    /// FGSyn-style multi-output decomposition: one joint chart, shared α.
-    fn column_encoding(
-        &self,
-        outputs: &[TruthTable],
-        encoder: &EncoderKind,
-    ) -> Result<Network, CoreError> {
+    /// FGSyn-style multi-output decomposition: one joint chart, shared α,
+    /// every class encoded lexicographically.
+    fn column_encoding(&self, outputs: &[TruthTable]) -> Result<Network, CoreError> {
         let n = outputs[0].vars();
         let (mut net, inputs) = self.fresh_net(n);
-        let out_ids =
-            self.column_decompose(&mut net, outputs.to_vec(), &inputs, "m", encoder, 0)?;
+        let out_ids = self.column_decompose(&mut net, outputs.to_vec(), &inputs, "m", 0)?;
         for (o, id) in out_ids.into_iter().enumerate() {
             net.mark_output(&format!("o{o}"), id);
         }
@@ -473,10 +464,10 @@ impl MappingFlow<'_> {
         fs: Vec<TruthTable>,
         signals: &[NodeId],
         prefix: &str,
-        encoder: &EncoderKind,
         depth: usize,
     ) -> Result<Vec<NodeId>, CoreError> {
-        let dec = Decomposer::new(self.k, encoder.clone()).with_cache(Some(self.cache.clone()));
+        let dec =
+            Decomposer::new(self.k, EncoderKind::Lexicographic).with_cache(self.cache.clone());
         // Union support.
         let mut in_support = vec![false; signals.len()];
         for f in &fs {
@@ -489,7 +480,7 @@ impl MappingFlow<'_> {
             let reduced: Vec<TruthTable> =
                 fs.iter().map(|f| project_to_support(f, &support)).collect();
             let sigs: Vec<NodeId> = support.iter().map(|&v| signals[v]).collect();
-            return self.column_decompose(net, reduced, &sigs, prefix, encoder, depth);
+            return self.column_decompose(net, reduced, &sigs, prefix, depth);
         }
         let n = signals.len();
         // Base case: everything fits in single LUTs.
@@ -563,7 +554,8 @@ impl MappingFlow<'_> {
         let classes =
             hyde_core::classes::CompatibleClasses::from_parts(chart.class_map().to_vec(), stacked);
         // Unbudgeted and uncached, as this joint-class encode has always run.
-        let codes: CodeAssignment = encoder.encode(&classes, self.k, &Budget::unlimited(), None)?;
+        let codes: CodeAssignment =
+            EncoderKind::Lexicographic.encode(&classes, self.k, &Budget::unlimited(), None)?;
         let alphas = chart.alphas(&codes);
         let bound_sigs: Vec<NodeId> = bound.iter().map(|&v| signals[v]).collect();
         let mut g_sigs: Vec<NodeId> = Vec::new();
@@ -579,14 +571,7 @@ impl MappingFlow<'_> {
         }
         // Per-output images over (α bits, free vars).
         let images: Vec<TruthTable> = (0..fs.len()).map(|fi| chart.image(fi, &codes)).collect();
-        self.column_decompose(
-            net,
-            images,
-            &g_sigs,
-            &format!("{prefix}_g"),
-            encoder,
-            depth + 1,
-        )
+        self.column_decompose(net, images, &g_sigs, &format!("{prefix}_g"), depth + 1)
     }
 
     /// The HYDE hyper-function flow.
@@ -600,7 +585,7 @@ impl MappingFlow<'_> {
         let dec = Decomposer::new(self.k, encoder.clone())
             .with_budget(self.budget)
             .with_chaos(self.chaos, name)
-            .with_cache(Some(self.cache.clone()));
+            .with_cache(self.cache.clone());
         let mut parts: Vec<Network> = Vec::new();
         for cluster in &clusters {
             if cluster.len() == 1 {
@@ -690,27 +675,13 @@ impl MappingFlow<'_> {
 
     /// Checks the mapped network against the specification and fails on
     /// the first deny-level diagnostic: `HY002` when a LUT exceeds the
-    /// fanin bound `k`, `HY005` when simulation differs from the
-    /// specification tables ([`hyde_logic::sim::check_against_tables`],
-    /// inputs placed by their `x<i>` names).
+    /// fanin bound `k` ([`hyde_logic::sim::fanin_diagnostics`]), `HY005`
+    /// when simulation differs from the specification tables
+    /// ([`hyde_logic::sim::spec_diagnostic`], inputs placed by their
+    /// `x<i>` names).
     fn verify(&self, net: &Network, outputs: &[TruthTable]) -> Result<(), CoreError> {
         let mut diags = Vec::new();
-        for id in net.node_ids() {
-            let fanin = net.fanins(id).len();
-            if net.role(id) == NodeRole::Internal && fanin > self.k {
-                diags.push(
-                    Diagnostic::new(
-                        Code::NetworkFaninExceedsK,
-                        format!(
-                            "LUT '{}' has {fanin} fanins but k = {}",
-                            net.node_name(id),
-                            self.k
-                        ),
-                    )
-                    .at(Location::Node(id.index())),
-                );
-            }
-        }
+        hyde_logic::sim::fanin_diagnostics(net, self.k, &mut diags);
         let positions: Option<Vec<usize>> = net
             .inputs()
             .iter()
@@ -722,17 +693,7 @@ impl MappingFlow<'_> {
                 "cannot simulate: a mapped input is not named x<i>",
             )),
             Some(positions) => {
-                if let Some((m, o)) =
-                    hyde_logic::sim::check_against_tables(net, outputs, &positions)
-                {
-                    diags.push(
-                        Diagnostic::new(
-                            Code::NetworkSpecMismatch,
-                            format!("output {o} differs from its specification at minterm {m}"),
-                        )
-                        .at(Location::Output(o)),
-                    );
-                }
+                diags.extend(hyde_logic::sim::spec_diagnostic(net, outputs, &positions));
             }
         }
         if any_deny(&diags) {

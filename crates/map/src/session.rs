@@ -60,12 +60,6 @@ impl BudgetSpec {
         BudgetSpec::default()
     }
 
-    /// Sets the per-attempt deadline in milliseconds.
-    pub fn with_deadline_ms(mut self, ms: u64) -> Self {
-        self.deadline_ms = Some(ms);
-        self
-    }
-
     /// Materializes the spec into a [`Budget`], starting the deadline
     /// clock *now* — call this at attempt start, not submit time.
     pub fn to_budget(&self) -> Budget {

@@ -315,7 +315,10 @@ mod tests {
             kind: JobKind::Suite {
                 circuit: "misex1".into(),
             },
-            budget: BudgetSpec::unlimited().with_deadline_ms(500),
+            budget: BudgetSpec {
+                deadline_ms: Some(500),
+                ..BudgetSpec::unlimited()
+            },
         }
     }
 

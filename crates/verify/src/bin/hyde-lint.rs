@@ -1,4 +1,4 @@
-//! `hyde-lint`: run the `hyde-verify` registry over BLIF/PLA files or the
+//! `hyde-lint`: run the `hyde-verify` checks over BLIF/PLA files or the
 //! bundled circuit suite, print diagnostics, and exit non-zero when any
 //! deny-level finding fires. `--deep` additionally runs the `HY4xx`
 //! SAT/BDD semantic proofs and prints per-proof effort statistics.
@@ -15,8 +15,8 @@ use hyde_logic::{blif, pla::Pla, Network, NodeRole, TruthTable};
 use hyde_map::flow::FlowKind;
 use hyde_map::session::{panic_message, Job, JobErrorKind, Session};
 use hyde_obs::json::escape;
-use hyde_verify::deep::{register_deep, DeepConfig, ProofLog, ProofRecord};
-use hyde_verify::{Artifact, Registry};
+use hyde_verify::deep::{Deep, DeepConfig, ProofRecord};
+use hyde_verify::Artifact;
 use std::collections::HashSet;
 use std::process::ExitCode;
 use std::time::Duration;
@@ -183,7 +183,25 @@ fn corrupt_one_lut_bit(net: &mut Network, seed: u64) -> Option<String> {
     Some(format!("node '{name}' minterm {m}"))
 }
 
-fn lint_file(path: &str, opts: &Options, registry: &Registry) -> Result<Vec<Diagnostic>, String> {
+/// One linted circuit or file: its name, its diagnostics and the records
+/// of the deep proofs run on it.
+type Group = (String, Vec<Diagnostic>, Vec<ProofRecord>);
+
+/// The structural findings on `artifact`, followed by the deep ones when
+/// `deep` is given.
+fn lint(artifact: &Artifact<'_>, deep: Option<&mut Deep>) -> Vec<Diagnostic> {
+    let mut diags = artifact.lint();
+    if let Some(deep) = deep {
+        diags.extend(deep.check(artifact));
+    }
+    diags
+}
+
+fn lint_file(
+    path: &str,
+    opts: &Options,
+    deep: Option<&mut Deep>,
+) -> Result<Vec<Diagnostic>, String> {
     let _obs = hyde_obs::span!("lint.file");
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
     let is_pla = path.ends_with(".pla")
@@ -198,32 +216,40 @@ fn lint_file(path: &str, opts: &Options, registry: &Registry) -> Result<Vec<Diag
         }
         let tables = pla.output_tables();
         let net = network_from_tables(path, &tables);
-        Ok(registry.run(&Artifact::Network {
-            net: &net,
-            k: opts.k,
-            spec: Some(&tables),
-        }))
+        Ok(lint(
+            &Artifact::Network {
+                net: &net,
+                k: opts.k,
+                spec: Some(&tables),
+            },
+            deep,
+        ))
     } else {
         let net = blif::parse(&text).map_err(|e| format!("{path}: {e}"))?;
-        Ok(registry.run(&Artifact::Network {
-            net: &net,
-            k: opts.k,
-            spec: None,
-        }))
+        Ok(lint(
+            &Artifact::Network {
+                net: &net,
+                k: opts.k,
+                spec: None,
+            },
+            deep,
+        ))
     }
 }
 
-/// Lints the bundled circuit suite end-to-end: every circuit is mapped
-/// with the HYDE flow and the result linted against its specification;
-/// multi-output circuits additionally go through explicit hyper-function
+/// Lints `circuits` end-to-end: every circuit is mapped with the HYDE
+/// flow and the result linted against its specification; multi-output
+/// circuits additionally go through explicit hyper-function
 /// decomposition and ingredient recovery. With `--deep` the first output
 /// wide enough to decompose also exercises the encoding-injectivity
-/// proof on a single Roth–Karp step.
+/// proof on a single Roth–Karp step. Each circuit's group carries the
+/// proofs `deep` recorded while that circuit was linted.
 fn lint_suite(
+    circuits: &[hyde_circuits::Circuit],
     opts: &Options,
-    registry: &Registry,
+    mut deep: Option<&mut Deep>,
     chaos: Option<Chaos>,
-) -> Vec<(String, Vec<Diagnostic>)> {
+) -> Vec<Group> {
     let k = opts.k.unwrap_or(5);
     // Mapping runs through the same single-attempt Session the bench
     // drivers and hyde-serve share; the outer catch_unwind only guards
@@ -234,10 +260,10 @@ fn lint_suite(
         session = session.with_chaos(chaos.seed);
     }
     let mut results = Vec::new();
-    for circuit in hyde_circuits::suite() {
+    for circuit in circuits {
         let _obs = hyde_obs::span!("lint.circuit");
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            lint_suite_circuit(&circuit, opts, registry, &session, k)
+            lint_suite_circuit(circuit, opts, deep.as_deref_mut(), &session, k)
         }));
         let diags = outcome.unwrap_or_else(|payload| {
             vec![Diagnostic::new(
@@ -245,7 +271,11 @@ fn lint_suite(
                 format!("circuit aborted by panic: {}", panic_message(payload)),
             )]
         });
-        results.push((circuit.name.clone(), diags));
+        let proofs = deep
+            .as_deref_mut()
+            .map(Deep::take_proofs)
+            .unwrap_or_default();
+        results.push((circuit.name.clone(), diags, proofs));
     }
     results
 }
@@ -254,7 +284,7 @@ fn lint_suite(
 fn lint_suite_circuit(
     circuit: &hyde_circuits::Circuit,
     opts: &Options,
-    registry: &Registry,
+    mut deep: Option<&mut Deep>,
     session: &Session,
     k: usize,
 ) -> Vec<Diagnostic> {
@@ -271,11 +301,14 @@ fn lint_suite_circuit(
                         eprintln!("{}: mutated {what}", circuit.name);
                     }
                 }
-                diags.extend(registry.run(&Artifact::Network {
-                    net: &report.network,
-                    k: Some(k),
-                    spec: Some(&circuit.outputs),
-                }));
+                diags.extend(lint(
+                    &Artifact::Network {
+                        net: &report.network,
+                        k: Some(k),
+                        spec: Some(&circuit.outputs),
+                    },
+                    deep.as_deref_mut(),
+                ));
                 result.degradations
             }
             Err(e) => {
@@ -297,16 +330,22 @@ fn lint_suite_circuit(
             }
         };
         if !degradations.is_empty() {
-            diags.extend(registry.run(&Artifact::Degradations(&degradations)));
+            diags.extend(lint(
+                &Artifact::Degradations(&degradations),
+                deep.as_deref_mut(),
+            ));
         }
         if opts.deep {
             if let Some(t) = circuit.outputs.iter().find(|t| t.vars() > k) {
                 let bound: Vec<usize> = (0..k).collect();
                 match decompose_step(t, &bound, &EncoderKind::Hyde { seed: 0xDA98 }, k) {
-                    Ok(d) => diags.extend(registry.run(&Artifact::Decomposition {
-                        decomposition: &d,
-                        function: t,
-                    })),
+                    Ok(d) => diags.extend(lint(
+                        &Artifact::Decomposition {
+                            decomposition: &d,
+                            function: t,
+                        },
+                        deep.as_deref_mut(),
+                    )),
                     Err(e) => diags.push(Diagnostic::new(
                         Code::EncodingRecomposition,
                         format!("decomposition step failed: {e}"),
@@ -328,16 +367,19 @@ fn lint_suite_circuit(
         if distinct.len() >= 2 {
             match HyperFunction::new(distinct, &EncoderKind::Hyde { seed: 0xDA98 }, k) {
                 Ok(h) => {
-                    diags.extend(registry.run(&Artifact::HyperFn(&h)));
+                    diags.extend(lint(&Artifact::HyperFn(&h), deep.as_deref_mut()));
                     let dec = Decomposer::new(k, EncoderKind::Hyde { seed: 0xDA98 });
                     match h.decompose(&dec) {
                         Ok(hn) => {
-                            diags.extend(registry.run(&Artifact::Hyper(&hn)));
+                            diags.extend(lint(&Artifact::Hyper(&hn), deep.as_deref_mut()));
                             match hn.implement_ingredients() {
-                                Ok(merged) => diags.extend(registry.run(&Artifact::Recovery {
-                                    hyper: &hn,
-                                    implemented: &merged,
-                                })),
+                                Ok(merged) => diags.extend(lint(
+                                    &Artifact::Recovery {
+                                        hyper: &hn,
+                                        implemented: &merged,
+                                    },
+                                    deep,
+                                )),
                                 Err(e) => diags.push(Diagnostic::new(
                                     Code::HyperRecoveryMismatch,
                                     format!("ingredient implementation failed: {e}"),
@@ -416,38 +458,27 @@ fn main() -> ExitCode {
         hyde_obs::reset();
         hyde_obs::enable();
     }
-    let mut registry = Registry::with_defaults();
-    let log: Option<ProofLog> = if opts.deep {
+    let mut deep = opts.deep.then(|| {
         let mut config = DeepConfig::default();
         if let Some(b) = opts.proof_budget {
             config.max_conflicts = b;
             config.max_time = Duration::from_secs(60);
         }
-        Some(register_deep(&mut registry, config))
-    } else {
-        None
-    };
-    let drain = |log: &Option<ProofLog>| -> Vec<ProofRecord> {
-        log.as_ref()
-            .map(|l| l.borrow_mut().drain(..).collect())
-            .unwrap_or_default()
-    };
-    let mut groups: Vec<(String, Vec<Diagnostic>, Vec<ProofRecord>)> = Vec::new();
+        Deep::new(config)
+    });
+    let mut groups: Vec<Group> = Vec::new();
     if opts.suite {
         // The one place the chaos seed comes from the environment:
         // `cargo xtask chaos` drives the lint suite this way.
         let chaos = std::env::var("HYDE_CHAOS")
             .ok()
             .and_then(|v| Chaos::from_env_value(&v));
-        for (name, diags) in lint_suite(&opts, &registry, chaos) {
-            let proofs = drain(&log);
-            groups.push((name, diags, proofs));
-        }
+        groups = lint_suite(&hyde_circuits::suite(), &opts, deep.as_mut(), chaos);
     }
     for path in &opts.files {
-        match lint_file(path, &opts, &registry) {
+        match lint_file(path, &opts, deep.as_mut()) {
             Ok(diags) => {
-                let proofs = drain(&log);
+                let proofs = deep.as_mut().map(Deep::take_proofs).unwrap_or_default();
                 groups.push((path.clone(), diags, proofs));
             }
             Err(e) => {
@@ -544,5 +575,36 @@ fn main() -> ExitCode {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `(pass, subject, verdict)` of each record, in order.
+    fn proof_keys(records: &[ProofRecord]) -> Vec<(&'static str, String, &'static str)> {
+        records
+            .iter()
+            .map(|r| (r.pass, r.subject.clone(), r.verdict))
+            .collect()
+    }
+
+    #[test]
+    fn each_circuit_reports_its_own_proofs() {
+        let args = ["--suite".to_owned(), "--deep".to_owned()];
+        let opts = parse_args(&args).unwrap().unwrap();
+        let circuits = [hyde_circuits::rd73(), hyde_circuits::misex1()];
+        let mut deep = Deep::new(DeepConfig::default());
+        let groups = lint_suite(&circuits, &opts, Some(&mut deep), None);
+        assert_eq!(groups.len(), circuits.len());
+        for ((name, _, proofs), circuit) in groups.iter().zip(&circuits) {
+            assert_eq!(name, &circuit.name);
+            assert!(!proofs.is_empty(), "{name}: no proofs");
+            let mut alone = Deep::new(DeepConfig::default());
+            let single = lint_suite(std::slice::from_ref(circuit), &opts, Some(&mut alone), None);
+            assert_eq!(proof_keys(proofs), proof_keys(&single[0].2), "{name}");
+        }
+        assert!(deep.take_proofs().is_empty(), "every proof went to a group");
     }
 }

@@ -4,39 +4,40 @@
 //! passes here *prove* functional properties with an oracle independent
 //! of the BDD recomposition path that built the artifacts:
 //!
-//! * [`DeepCecLint`] — `HY401`: combinational equivalence of a network
+//! [`Deep::check`] runs, by artifact variant:
+//!
+//! * `HY401` (`Network` with a specification, `Hyper`): combinational equivalence of a network
 //!   against its specification tables (mapped LUT networks against the
 //!   original outputs, decomposed hyper networks against the
 //!   hyper-function table), at every width through a Tseitin miter and
 //!   the CDCL solver ([`hyde_sat::cec_network_vs_tables`]).
-//! * [`DeepEncodingLint`] — `HY402`: SAT-proved semantic injectivity of
+//! * `HY402` (`Decomposition`): SAT-proved semantic injectivity of
 //!   a compatible-class encoding: UNSAT of
 //!   `∃ x₁ x₂ y. α(x₁) = α(x₂) ∧ f(x₁, y) ≠ f(x₂, y)`.
-//! * [`DeepCollapseLint`] — `HY403`: constant-collapse correctness of
+//! * `HY403` (`Recovery`): constant-collapse correctness of
 //!   the duplication cone — asserting an ingredient's code on the pseudo
 //!   primary inputs of the decomposed hyper network must reproduce the
 //!   implemented ingredient output.
-//! * [`DeepRecoveryLint`] — `HY404`: the hyper-function table
+//! * `HY404` (`HyperFn`): the hyper-function table
 //!   cofactored at an ingredient's code equals the ingredient
 //!   (independent oracle for the structural `HY203` check).
-//! * [`DeepStuckLint`] — `HY405` (warn): internal nodes that are
+//! * `HY405` (warn, `Network`): internal nodes that are
 //!   provably constant over all inputs (stuck-at / dead logic).
 //!
 //! Every proof is budgeted; a blown budget reports `HY406` so CI fails
 //! closed instead of silently skipping an inconclusive proof. Proof
-//! effort (variables, clauses, conflicts, time) is appended to a
-//! shared [`ProofLog`] that `hyde-lint --deep` prints per artifact.
+//! effort (variables, clauses, conflicts, time) is kept as a
+//! [`ProofRecord`] in the [`Deep`] value until [`Deep::take_proofs`];
+//! `hyde-lint --deep` takes them after each circuit or file.
 
-use crate::registry::{Artifact, Lint, Registry};
+use crate::Artifact;
 use hyde_bdd::Bdd;
 use hyde_core::decompose::Decomposition;
 use hyde_core::hyper::{HyperFunction, HyperNetwork};
 use hyde_logic::diag::{Code, Diagnostic, Location};
 use hyde_logic::{Network, NodeId, NodeRole, TruthTable};
 use hyde_sat::{Budget, CecOutcome, Encoder, Lit, Outcome};
-use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
-use std::rc::Rc;
 use std::time::{Duration, Instant};
 
 /// BDD construction guard: `Bdd::from_fn` enumerates `2^n` minterms and
@@ -90,59 +91,66 @@ pub struct ProofRecord {
     pub verdict: &'static str,
 }
 
-/// Shared, append-only log of proof statistics. The deep lints hold one
-/// handle and the caller (CLI, tests) holds another; drain it between
-/// artifact groups to attribute records.
-pub type ProofLog = Rc<RefCell<Vec<ProofRecord>>>;
-
-/// Registers the five deep passes on `registry`, returning the shared
-/// proof log their statistics accumulate into.
-pub fn register_deep(registry: &mut Registry, config: DeepConfig) -> ProofLog {
-    let log: ProofLog = Rc::new(RefCell::new(Vec::new()));
-    registry.register(Box::new(DeepCecLint {
-        config,
-        log: Rc::clone(&log),
-    }));
-    registry.register(Box::new(DeepEncodingLint {
-        config,
-        log: Rc::clone(&log),
-    }));
-    registry.register(Box::new(DeepCollapseLint {
-        config,
-        log: Rc::clone(&log),
-    }));
-    registry.register(Box::new(DeepRecoveryLint {
-        config,
-        log: Rc::clone(&log),
-    }));
-    registry.register(Box::new(DeepStuckLint {
-        config,
-        log: Rc::clone(&log),
-    }));
-    log
-}
-
-fn budget_diag(pass: &str, subject: &str) -> Diagnostic {
-    Diagnostic::new(
-        Code::DeepProofBudget,
-        format!("{pass} proof for {subject} exceeded its conflict/time budget (inconclusive)"),
-    )
-}
-
-/// `HY401`: proves every network output equivalent to its specification.
-pub struct DeepCecLint {
+/// The deep passes with their effort limits and the records of the proofs
+/// run since the last [`Deep::take_proofs`].
+#[derive(Debug)]
+pub struct Deep {
     config: DeepConfig,
-    log: ProofLog,
+    proofs: Vec<ProofRecord>,
 }
 
-impl DeepCecLint {
-    fn check_net(
-        &self,
-        net: &Network,
-        specs: &[TruthTable],
-        label: &str,
-        out: &mut Vec<Diagnostic>,
-    ) {
+impl Deep {
+    /// Deep passes under `config`, with no proof recorded yet.
+    pub fn new(config: DeepConfig) -> Self {
+        Deep {
+            config,
+            proofs: Vec::new(),
+        }
+    }
+
+    /// Runs the proofs that apply to `artifact`'s variant and returns
+    /// their findings in this order: `Network` gets `HY401` (when `spec`
+    /// is set), then `HY405`; `Decomposition` `HY402`; `Recovery`
+    /// `HY403`; `HyperFn` `HY404`; `Hyper` `HY401` against its own
+    /// hyper-function table. Every proof appends one [`ProofRecord`].
+    pub fn check(&mut self, artifact: &Artifact<'_>) -> Vec<Diagnostic> {
+        let mut out = Vec::new();
+        match *artifact {
+            Artifact::Network { net, spec, .. } => {
+                if let Some(spec) = spec {
+                    self.cec(net, spec, "", &mut out);
+                }
+                self.stuck(net, &mut out);
+            }
+            Artifact::Decomposition {
+                decomposition,
+                function,
+            } => self.injectivity(decomposition, function, &mut out),
+            Artifact::Recovery { hyper, implemented } => {
+                self.collapse(hyper, implemented, &mut out);
+            }
+            Artifact::HyperFn(h) => self.recovery(h, &mut out),
+            Artifact::Hyper(hn) => {
+                // Spec ≡ decomposed: the hyper network against the hyper
+                // table (pseudo inputs are table variables 0..).
+                let spec = std::slice::from_ref(hn.hyper().table());
+                self.cec(&hn.network, spec, "hyper ", &mut out);
+            }
+            Artifact::Encoding { .. }
+            | Artifact::DcAssign { .. }
+            | Artifact::Bdd(_)
+            | Artifact::Degradations(_) => {}
+        }
+        out
+    }
+
+    /// The records of the proofs run since the last call, in run order.
+    pub fn take_proofs(&mut self) -> Vec<ProofRecord> {
+        std::mem::take(&mut self.proofs)
+    }
+
+    /// `HY401`: proves every network output equivalent to its specification.
+    fn cec(&mut self, net: &Network, specs: &[TruthTable], label: &str, out: &mut Vec<Diagnostic>) {
         let n = specs.first().map_or(0, TruthTable::vars);
         if specs.is_empty()
             || n > MAX_SPEC_VARS
@@ -177,7 +185,7 @@ impl DeepCecLint {
                     "unknown"
                 }
             };
-            self.log.borrow_mut().push(ProofRecord {
+            self.proofs.push(ProofRecord {
                 pass: "cec",
                 subject: format!("{label}output {}", p.output),
                 vars: p.vars,
@@ -188,43 +196,11 @@ impl DeepCecLint {
             });
         }
     }
-}
 
-impl Lint for DeepCecLint {
-    fn name(&self) -> &'static str {
-        "deep-cec"
-    }
-    fn codes(&self) -> &'static [Code] {
-        &[Code::DeepCecMismatch, Code::DeepProofBudget]
-    }
-    fn check(&self, artifact: &Artifact<'_>, out: &mut Vec<Diagnostic>) {
-        match artifact {
-            Artifact::Network {
-                net,
-                spec: Some(spec),
-                ..
-            } => self.check_net(net, spec, "", out),
-            Artifact::Hyper(hn) => {
-                // Spec ≡ decomposed: the hyper network against the hyper
-                // table (pseudo inputs are table variables 0..).
-                let spec = std::slice::from_ref(hn.hyper().table());
-                self.check_net(&hn.network, spec, "hyper ", out);
-            }
-            _ => {}
-        }
-    }
-}
-
-/// `HY402`: SAT-proves the α encoding separates incompatible points:
-/// no two bound-set minterms with equal codes may disagree on `f` under
-/// any free-set assignment.
-pub struct DeepEncodingLint {
-    config: DeepConfig,
-    log: ProofLog,
-}
-
-impl DeepEncodingLint {
-    fn check_decomposition(&self, d: &Decomposition, f: &TruthTable, out: &mut Vec<Diagnostic>) {
+    /// `HY402`: SAT-proves the α encoding separates incompatible points:
+    /// no two bound-set minterms with equal codes may disagree on `f` under
+    /// any free-set assignment.
+    fn injectivity(&mut self, d: &Decomposition, f: &TruthTable, out: &mut Vec<Diagnostic>) {
         let nb = d.bound.len();
         let n = f.vars();
         if nb == 0 || n > MAX_SPEC_VARS || nb + d.free.len() != n {
@@ -289,7 +265,7 @@ impl DeepEncodingLint {
             }
         };
         let stats = enc.solver().stats();
-        self.log.borrow_mut().push(ProofRecord {
+        self.proofs.push(ProofRecord {
             pass: "inject",
             subject: format!("alpha separation (t={}, |bound|={nb})", d.alpha_count()),
             vars: stats.vars,
@@ -299,70 +275,11 @@ impl DeepEncodingLint {
             verdict,
         });
     }
-}
 
-impl Lint for DeepEncodingLint {
-    fn name(&self) -> &'static str {
-        "deep-encoding-injectivity"
-    }
-    fn codes(&self) -> &'static [Code] {
-        &[Code::DeepEncodingNotInjective, Code::DeepProofBudget]
-    }
-    fn check(&self, artifact: &Artifact<'_>, out: &mut Vec<Diagnostic>) {
-        if let Artifact::Decomposition {
-            decomposition,
-            function,
-        } = artifact
-        {
-            self.check_decomposition(decomposition, function, out);
-        }
-    }
-}
-
-/// Encodes a network's nodes, sharing primary-input literals across
-/// networks by PI *name* (how `structural_merge` matches them).
-fn encode_named(
-    enc: &mut Encoder,
-    net: &Network,
-    names: &mut HashMap<String, Lit>,
-) -> HashMap<NodeId, Lit> {
-    let pi_lits: Vec<Lit> = net
-        .inputs()
-        .iter()
-        .map(|&id| {
-            let name = net.node_name(id).to_owned();
-            if let Some(&l) = names.get(&name) {
-                l
-            } else {
-                let l = enc.fresh_lit();
-                names.insert(name, l);
-                l
-            }
-        })
-        .collect();
-    enc.encode_network(net, &pi_lits)
-}
-
-/// `HY403`: proves constant-collapse correctness of the duplication
-/// cone — with the pseudo inputs pinned to ingredient `i`'s code, the
-/// decomposed hyper network must equal implemented output `fᵢ`.
-pub struct DeepCollapseLint {
-    config: DeepConfig,
-    log: ProofLog,
-}
-
-impl Lint for DeepCollapseLint {
-    fn name(&self) -> &'static str {
-        "deep-collapse"
-    }
-    fn codes(&self) -> &'static [Code] {
-        &[Code::DeepCollapseMismatch, Code::DeepProofBudget]
-    }
-    fn check(&self, artifact: &Artifact<'_>, out: &mut Vec<Diagnostic>) {
-        let Artifact::Recovery { hyper, implemented } = artifact else {
-            return;
-        };
-        let hn: &HyperNetwork = hyper;
+    /// `HY403`: proves constant-collapse correctness of the duplication
+    /// cone — with the pseudo inputs pinned to ingredient `i`'s code, the
+    /// decomposed hyper network must equal implemented output `fᵢ`.
+    fn collapse(&mut self, hn: &HyperNetwork, implemented: &Network, out: &mut Vec<Diagnostic>) {
         let net = &hn.network;
         if net.topo_order().is_err()
             || implemented.topo_order().is_err()
@@ -450,7 +367,7 @@ impl Lint for DeepCollapseLint {
                 }
             };
             let after = enc.solver().stats();
-            self.log.borrow_mut().push(ProofRecord {
+            self.proofs.push(ProofRecord {
                 pass: "collapse",
                 subject,
                 vars: after.vars,
@@ -461,28 +378,11 @@ impl Lint for DeepCollapseLint {
             });
         }
     }
-}
 
-/// `HY404`: proves the hyper-function table cofactored at each
-/// ingredient's code equals the ingredient — an independent oracle for
-/// the structural `HY203` recovery check.
-pub struct DeepRecoveryLint {
-    config: DeepConfig,
-    log: ProofLog,
-}
-
-impl Lint for DeepRecoveryLint {
-    fn name(&self) -> &'static str {
-        "deep-recovery"
-    }
-    fn codes(&self) -> &'static [Code] {
-        &[Code::DeepRecoveryMismatch, Code::DeepProofBudget]
-    }
-    fn check(&self, artifact: &Artifact<'_>, out: &mut Vec<Diagnostic>) {
-        let Artifact::HyperFn(h) = artifact else {
-            return;
-        };
-        let h: &HyperFunction = h;
+    /// `HY404`: proves the hyper-function table cofactored at each
+    /// ingredient's code equals the ingredient — an independent oracle for
+    /// the structural `HY203` recovery check.
+    fn recovery(&mut self, h: &HyperFunction, out: &mut Vec<Diagnostic>) {
         let pb = h.pseudo_bits();
         let n = h.num_inputs();
         if pb + n > MAX_SPEC_VARS {
@@ -539,7 +439,7 @@ impl Lint for DeepRecoveryLint {
                 }
             };
             let after = enc.solver().stats();
-            self.log.borrow_mut().push(ProofRecord {
+            self.proofs.push(ProofRecord {
                 pass: "recover",
                 subject: format!("ingredient {i}"),
                 vars: after.vars,
@@ -550,29 +450,13 @@ impl Lint for DeepRecoveryLint {
             });
         }
     }
-}
 
-/// `HY405` (warn): SAT-based stuck-at sweep — internal nodes whose value
-/// is provably constant for every input assignment are dead logic.
-/// Nodes with a *locally* constant function are skipped (they are
-/// legitimate constant drivers and structurally obvious); the sweep only
-/// flags nodes that look alive but are semantically stuck.
-pub struct DeepStuckLint {
-    config: DeepConfig,
-    log: ProofLog,
-}
-
-impl Lint for DeepStuckLint {
-    fn name(&self) -> &'static str {
-        "deep-stuck"
-    }
-    fn codes(&self) -> &'static [Code] {
-        &[Code::DeepStuckNode, Code::DeepProofBudget]
-    }
-    fn check(&self, artifact: &Artifact<'_>, out: &mut Vec<Diagnostic>) {
-        let Artifact::Network { net, .. } = artifact else {
-            return;
-        };
+    /// `HY405` (warn): SAT-based stuck-at sweep — internal nodes whose value
+    /// is provably constant for every input assignment are dead logic.
+    /// Nodes with a *locally* constant function are skipped (they are
+    /// legitimate constant drivers and structurally obvious); the sweep only
+    /// flags nodes that look alive but are semantically stuck.
+    fn stuck(&mut self, net: &Network, out: &mut Vec<Diagnostic>) {
         if net.inputs().is_empty() || net.topo_order().is_err() {
             return;
         }
@@ -627,7 +511,7 @@ impl Lint for DeepStuckLint {
             }
         }
         let after = enc.solver().stats();
-        self.log.borrow_mut().push(ProofRecord {
+        self.proofs.push(ProofRecord {
             pass: "stuck",
             subject: format!("sweep ({} nodes)", net.internal_count()),
             vars: after.vars,
@@ -643,4 +527,35 @@ impl Lint for DeepStuckLint {
             },
         });
     }
+}
+
+fn budget_diag(pass: &str, subject: &str) -> Diagnostic {
+    Diagnostic::new(
+        Code::DeepProofBudget,
+        format!("{pass} proof for {subject} exceeded its conflict/time budget (inconclusive)"),
+    )
+}
+
+/// Encodes a network's nodes, sharing primary-input literals across
+/// networks by PI *name* (how `structural_merge` matches them).
+fn encode_named(
+    enc: &mut Encoder,
+    net: &Network,
+    names: &mut HashMap<String, Lit>,
+) -> HashMap<NodeId, Lit> {
+    let pi_lits: Vec<Lit> = net
+        .inputs()
+        .iter()
+        .map(|&id| {
+            let name = net.node_name(id).to_owned();
+            if let Some(&l) = names.get(&name) {
+                l
+            } else {
+                let l = enc.fresh_lit();
+                names.insert(name, l);
+                l
+            }
+        })
+        .collect();
+    enc.encode_network(net, &pi_lits)
 }

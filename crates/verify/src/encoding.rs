@@ -1,30 +1,17 @@
-//! Encoding lints (`HY1xx`): invariants of compatible-class code
+//! Encoding checks (`HY1xx`): invariants of compatible-class code
 //! assignments, don't-care assignments and decomposition recomposition.
+//!
+//! * `HY101`/`HY102`: non-injective class codes and pliable code widths,
+//!   [`hyde_core::encoding::code_diagnostics`];
+//! * `HY103`: a don't-care assignment that merged incompatible chart
+//!   columns (below);
+//! * `HY104` (plus `HY101`/`HY102` on the step's codes): a decomposition
+//!   step must recompose to the function it decomposed,
+//!   [`hyde_core::decompose::Decomposition::diagnostics`].
 
-use crate::registry::{Artifact, Lint};
-use hyde_core::encoding::code_diagnostics;
+use hyde_core::chart::IsfChart;
+use hyde_core::classes::CompatibleClasses;
 use hyde_logic::diag::{Code, Diagnostic, Location};
-
-/// `HY101`/`HY102`: non-injective class codes and pliable code widths on
-/// a bare code assignment.
-pub struct CodesLint;
-
-impl Lint for CodesLint {
-    fn name(&self) -> &'static str {
-        "encoding-codes"
-    }
-
-    fn codes(&self) -> &'static [Code] {
-        &[Code::EncodingNonInjective, Code::EncodingWidthMismatch]
-    }
-
-    fn check(&self, artifact: &Artifact<'_>, out: &mut Vec<Diagnostic>) {
-        let Artifact::Encoding { codes } = artifact else {
-            return;
-        };
-        code_diagnostics(codes, out);
-    }
-}
 
 /// `HY103`: a don't-care assignment that merged incompatible chart
 /// columns into one class.
@@ -33,88 +20,44 @@ impl Lint for CodesLint {
 /// specified (Section 3.1 of the paper); an assignment may only merge
 /// compatible columns, otherwise the completed function changes on the
 /// care set.
-pub struct DcAssignLint;
-
-impl Lint for DcAssignLint {
-    fn name(&self) -> &'static str {
-        "encoding-dc-assign"
+pub(crate) fn dc_assign(chart: &IsfChart, classes: &CompatibleClasses, out: &mut Vec<Diagnostic>) {
+    let columns = chart.columns().len();
+    if classes.class_map().len() != columns {
+        out.push(Diagnostic::new(
+            Code::EncodingDcMergesIncompatible,
+            format!(
+                "assignment maps {} columns but the chart has {columns}",
+                classes.class_map().len()
+            ),
+        ));
+        return;
     }
-
-    fn codes(&self) -> &'static [Code] {
-        &[Code::EncodingDcMergesIncompatible]
+    // Group columns by assigned class, then check pairwise
+    // compatibility inside every class.
+    let nclasses = classes
+        .class_map()
+        .iter()
+        .max()
+        .map_or(classes.len(), |&m| classes.len().max(m + 1));
+    let mut members: Vec<Vec<usize>> = vec![Vec::new(); nclasses];
+    for (col, &cls) in classes.class_map().iter().enumerate() {
+        members[cls].push(col);
     }
-
-    fn check(&self, artifact: &Artifact<'_>, out: &mut Vec<Diagnostic>) {
-        let Artifact::DcAssign { chart, classes } = artifact else {
-            return;
-        };
-        let columns = chart.columns().len();
-        if classes.class_map().len() != columns {
-            out.push(Diagnostic::new(
-                Code::EncodingDcMergesIncompatible,
-                format!(
-                    "assignment maps {} columns but the chart has {columns}",
-                    classes.class_map().len()
-                ),
-            ));
-            return;
-        }
-        // Group columns by assigned class, then check pairwise
-        // compatibility inside every class.
-        let nclasses = classes
-            .class_map()
-            .iter()
-            .max()
-            .map_or(classes.len(), |&m| classes.len().max(m + 1));
-        let mut members: Vec<Vec<usize>> = vec![Vec::new(); nclasses];
-        for (col, &cls) in classes.class_map().iter().enumerate() {
-            members[cls].push(col);
-        }
-        for (cls, cols) in members.iter().enumerate() {
-            for (i, &a) in cols.iter().enumerate() {
-                for &b in &cols[i + 1..] {
-                    if !chart.columns_compatible(a, b) {
-                        out.push(
-                            Diagnostic::new(
-                                Code::EncodingDcMergesIncompatible,
-                                format!(
-                                    "don't-care assignment merged incompatible columns {a} and {b}"
-                                ),
-                            )
-                            .at(Location::Class(cls)),
-                        );
-                    }
+    for (cls, cols) in members.iter().enumerate() {
+        for (i, &a) in cols.iter().enumerate() {
+            for &b in &cols[i + 1..] {
+                if !chart.columns_compatible(a, b) {
+                    out.push(
+                        Diagnostic::new(
+                            Code::EncodingDcMergesIncompatible,
+                            format!(
+                                "don't-care assignment merged incompatible columns {a} and {b}"
+                            ),
+                        )
+                        .at(Location::Class(cls)),
+                    );
                 }
             }
         }
-    }
-}
-
-/// `HY104` (plus `HY101`/`HY102` on the step's codes): one decomposition
-/// step must recompose to the function it decomposed.
-pub struct RecompositionLint;
-
-impl Lint for RecompositionLint {
-    fn name(&self) -> &'static str {
-        "encoding-recomposition"
-    }
-
-    fn codes(&self) -> &'static [Code] {
-        &[
-            Code::EncodingRecomposition,
-            Code::EncodingNonInjective,
-            Code::EncodingWidthMismatch,
-        ]
-    }
-
-    fn check(&self, artifact: &Artifact<'_>, out: &mut Vec<Diagnostic>) {
-        let Artifact::Decomposition {
-            decomposition,
-            function,
-        } = artifact
-        else {
-            return;
-        };
-        out.extend(decomposition.diagnostics(function));
     }
 }

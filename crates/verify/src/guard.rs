@@ -17,36 +17,8 @@
 //! `HY504` (deny) is emitted by the drivers themselves when a budget
 //! exhaustion escapes every rung and a circuit produces no output.
 
-use crate::registry::{Artifact, Lint};
 use hyde_guard::{DegradationEvent, Rung};
 use hyde_logic::diag::{Code, Diagnostic};
-
-/// Reports recorded degradation events as `HY501`–`HY503`/`HY505`.
-pub struct DegradationLint;
-
-impl Lint for DegradationLint {
-    fn name(&self) -> &'static str {
-        "guard-degradation"
-    }
-
-    fn codes(&self) -> &'static [Code] {
-        &[
-            Code::DegradedBddPath,
-            Code::DegradedShannon,
-            Code::DegradedDirectCover,
-            Code::ChaosInjected,
-        ]
-    }
-
-    fn check(&self, artifact: &Artifact<'_>, out: &mut Vec<Diagnostic>) {
-        let Artifact::Degradations(events) = artifact else {
-            return;
-        };
-        for e in *events {
-            out.push(event_diagnostic(e));
-        }
-    }
-}
 
 /// The diagnostic for one degradation event: the code names the rung the
 /// work landed on, the message carries the full transition.
@@ -68,7 +40,7 @@ pub fn event_diagnostic(e: &DegradationEvent) -> Diagnostic {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Registry;
+    use crate::Artifact;
     use hyde_guard::Resource;
 
     fn event(to: Rung, injected: bool) -> DegradationEvent {
@@ -90,9 +62,7 @@ mod tests {
             event(Rung::DirectCover, false),
             event(Rung::Shannon, true),
         ];
-        let mut r = Registry::empty();
-        r.register(Box::new(DegradationLint));
-        let diags = r.run(&Artifact::Degradations(&events));
+        let diags = Artifact::Degradations(&events).lint();
         let codes: Vec<Code> = diags.iter().map(|d| d.code).collect();
         assert_eq!(
             codes,

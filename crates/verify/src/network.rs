@@ -1,14 +1,11 @@
-//! Network lints (`HY0xx`): structural and behavioural invariants of LUT
-//! networks.
+//! Network checks (`HY0xx`): structural and behavioural invariants of LUT
+//! networks. The `HY002` fanin check and the `HY005` mismatch report are
+//! [`hyde_logic::sim::fanin_diagnostics`] and
+//! [`hyde_logic::sim::spec_diagnostic`], which the mapping flow runs too.
 
-use crate::registry::{Artifact, Lint};
 use hyde_logic::diag::{Code, Diagnostic, Location};
-use hyde_logic::{Network, NodeId, NodeRole};
+use hyde_logic::{Network, NodeId, NodeRole, TruthTable};
 use std::collections::{HashMap, HashSet};
-
-/// `HY001`: combinational cycle detection with the offending cycle
-/// reported node by node.
-pub struct CycleLint;
 
 /// Finds one cycle through live nodes, in traversal order, or `None` if
 /// the network is acyclic.
@@ -54,146 +51,68 @@ fn find_cycle(net: &Network) -> Option<Vec<NodeId>> {
     None
 }
 
-impl Lint for CycleLint {
-    fn name(&self) -> &'static str {
-        "network-cycle"
-    }
-
-    fn codes(&self) -> &'static [Code] {
-        &[Code::NetworkCycle]
-    }
-
-    fn check(&self, artifact: &Artifact<'_>, out: &mut Vec<Diagnostic>) {
-        let Artifact::Network { net, .. } = artifact else {
-            return;
-        };
-        if let Some(cycle) = find_cycle(net) {
-            let names: Vec<&str> = cycle.iter().map(|&id| net.node_name(id)).collect();
-            out.push(
-                Diagnostic::new(
-                    Code::NetworkCycle,
-                    format!("combinational cycle through {}", names.join(" -> ")),
-                )
-                .at(Location::Cycle(cycle.iter().map(|id| id.index()).collect())),
-            );
-        }
-    }
-}
-
-/// `HY002`: a LUT node with more than `k` fanins.
-pub struct FaninLint;
-
-impl Lint for FaninLint {
-    fn name(&self) -> &'static str {
-        "network-fanin"
-    }
-
-    fn codes(&self) -> &'static [Code] {
-        &[Code::NetworkFaninExceedsK]
-    }
-
-    fn check(&self, artifact: &Artifact<'_>, out: &mut Vec<Diagnostic>) {
-        let Artifact::Network {
-            net, k: Some(k), ..
-        } = artifact
-        else {
-            return;
-        };
-        for id in net.node_ids() {
-            if net.role(id) != NodeRole::Internal {
-                continue;
-            }
-            let fanin = net.fanins(id).len();
-            if fanin > *k {
-                out.push(
-                    Diagnostic::new(
-                        Code::NetworkFaninExceedsK,
-                        format!("LUT '{}' has {fanin} fanins but k = {k}", net.node_name(id)),
-                    )
-                    .at(Location::Node(id.index())),
-                );
-            }
-        }
+/// `HY001`: combinational cycle detection with the offending cycle
+/// reported node by node.
+pub(crate) fn cycle(net: &Network, out: &mut Vec<Diagnostic>) {
+    if let Some(cycle) = find_cycle(net) {
+        let names: Vec<&str> = cycle.iter().map(|&id| net.node_name(id)).collect();
+        out.push(
+            Diagnostic::new(
+                Code::NetworkCycle,
+                format!("combinational cycle through {}", names.join(" -> ")),
+            )
+            .at(Location::Cycle(cycle.iter().map(|id| id.index()).collect())),
+        );
     }
 }
 
 /// `HY003` (warn): internal nodes unreachable from every primary output.
-pub struct DanglingLint;
-
-impl Lint for DanglingLint {
-    fn name(&self) -> &'static str {
-        "network-dangling"
-    }
-
-    fn codes(&self) -> &'static [Code] {
-        &[Code::NetworkDangling]
-    }
-
-    fn check(&self, artifact: &Artifact<'_>, out: &mut Vec<Diagnostic>) {
-        let Artifact::Network { net, .. } = artifact else {
-            return;
-        };
-        // Reverse reachability from the outputs over fanin edges.
-        let mut reachable: HashSet<usize> = HashSet::new();
-        let mut work: Vec<NodeId> = net.outputs().iter().map(|&(_, id)| id).collect();
-        while let Some(id) = work.pop() {
-            if reachable.insert(id.index()) {
-                work.extend(net.fanins(id).iter().copied());
-            }
+pub(crate) fn dangling(net: &Network, out: &mut Vec<Diagnostic>) {
+    // Reverse reachability from the outputs over fanin edges.
+    let mut reachable: HashSet<usize> = HashSet::new();
+    let mut work: Vec<NodeId> = net.outputs().iter().map(|&(_, id)| id).collect();
+    while let Some(id) = work.pop() {
+        if reachable.insert(id.index()) {
+            work.extend(net.fanins(id).iter().copied());
         }
-        for id in net.node_ids() {
-            if net.role(id) == NodeRole::Internal && !reachable.contains(&id.index()) {
-                out.push(
-                    Diagnostic::new(
-                        Code::NetworkDangling,
-                        format!(
-                            "node '{}' is unreachable from every primary output",
-                            net.node_name(id)
-                        ),
-                    )
-                    .at(Location::Node(id.index())),
-                );
-            }
+    }
+    for id in net.node_ids() {
+        if net.role(id) == NodeRole::Internal && !reachable.contains(&id.index()) {
+            out.push(
+                Diagnostic::new(
+                    Code::NetworkDangling,
+                    format!(
+                        "node '{}' is unreachable from every primary output",
+                        net.node_name(id)
+                    ),
+                )
+                .at(Location::Node(id.index())),
+            );
         }
     }
 }
 
 /// `HY004` (warn): a declared fanin the node's truth table does not
 /// actually depend on.
-pub struct SupportLint;
-
-impl Lint for SupportLint {
-    fn name(&self) -> &'static str {
-        "network-support"
-    }
-
-    fn codes(&self) -> &'static [Code] {
-        &[Code::NetworkVacuousSupport]
-    }
-
-    fn check(&self, artifact: &Artifact<'_>, out: &mut Vec<Diagnostic>) {
-        let Artifact::Network { net, .. } = artifact else {
-            return;
-        };
-        for id in net.node_ids() {
-            if net.role(id) != NodeRole::Internal {
-                continue;
-            }
-            let f = net.function(id);
-            for (pos, &fanin) in net.fanins(id).iter().enumerate() {
-                if !f.depends_on(pos) {
-                    out.push(
-                        Diagnostic::new(
-                            Code::NetworkVacuousSupport,
-                            format!(
-                                "node '{}' declares fanin '{}' but its table does not depend on it",
-                                net.node_name(id),
-                                net.node_name(fanin)
-                            ),
-                        )
-                        .at(Location::Node(id.index())),
-                    );
-                }
+pub(crate) fn support(net: &Network, out: &mut Vec<Diagnostic>) {
+    for id in net.node_ids() {
+        if net.role(id) != NodeRole::Internal {
+            continue;
+        }
+        let f = net.function(id);
+        for (pos, &fanin) in net.fanins(id).iter().enumerate() {
+            if !f.depends_on(pos) {
+                out.push(
+                    Diagnostic::new(
+                        Code::NetworkVacuousSupport,
+                        format!(
+                            "node '{}' declares fanin '{}' but its table does not depend on it",
+                            net.node_name(id),
+                            net.node_name(fanin)
+                        ),
+                    )
+                    .at(Location::Node(id.index())),
+                );
             }
         }
     }
@@ -206,64 +125,36 @@ impl Lint for SupportLint {
 /// [`hyde_logic::sim::check_against_tables`]: exhaustive up to 12 inputs,
 /// a strided sample of [`hyde_logic::sim::SPEC_SAMPLES`] minterms beyond
 /// that.
-pub struct SpecLint;
-
-impl Lint for SpecLint {
-    fn name(&self) -> &'static str {
-        "network-spec"
+pub(crate) fn spec(net: &Network, spec: &[TruthTable], out: &mut Vec<Diagnostic>) {
+    if net.outputs().len() != spec.len() {
+        out.push(Diagnostic::new(
+            Code::NetworkSpecMismatch,
+            format!(
+                "network has {} outputs but the specification has {}",
+                net.outputs().len(),
+                spec.len()
+            ),
+        ));
+        return;
     }
-
-    fn codes(&self) -> &'static [Code] {
-        &[Code::NetworkSpecMismatch]
+    if spec.is_empty() {
+        return;
     }
-
-    fn check(&self, artifact: &Artifact<'_>, out: &mut Vec<Diagnostic>) {
-        let Artifact::Network {
-            net,
-            spec: Some(spec),
-            ..
-        } = artifact
-        else {
-            return;
-        };
-        if net.outputs().len() != spec.len() {
-            out.push(Diagnostic::new(
-                Code::NetworkSpecMismatch,
-                format!(
-                    "network has {} outputs but the specification has {}",
-                    net.outputs().len(),
-                    spec.len()
-                ),
-            ));
-            return;
-        }
-        if spec.is_empty() {
-            return;
-        }
-        if net.topo_order().is_err() {
-            // A cyclic network cannot be simulated; HY001 reports it.
-            return;
-        }
-        let n = spec[0].vars();
-        if net.inputs().len() != n {
-            out.push(Diagnostic::new(
-                Code::NetworkSpecMismatch,
-                format!(
-                    "network has {} inputs but the specification has {n} variables",
-                    net.inputs().len()
-                ),
-            ));
-            return;
-        }
-        let positions: Vec<usize> = (0..n).collect();
-        if let Some((m, o)) = hyde_logic::sim::check_against_tables(net, spec, &positions) {
-            out.push(
-                Diagnostic::new(
-                    Code::NetworkSpecMismatch,
-                    format!("output {o} differs from its specification at minterm {m}"),
-                )
-                .at(Location::Output(o)),
-            );
-        }
+    if net.topo_order().is_err() {
+        // A cyclic network cannot be simulated; HY001 reports it.
+        return;
     }
+    let n = spec[0].vars();
+    if net.inputs().len() != n {
+        out.push(Diagnostic::new(
+            Code::NetworkSpecMismatch,
+            format!(
+                "network has {} inputs but the specification has {n} variables",
+                net.inputs().len()
+            ),
+        ));
+        return;
+    }
+    let positions: Vec<usize> = (0..n).collect();
+    out.extend(hyde_logic::sim::spec_diagnostic(net, spec, &positions));
 }

@@ -1,5 +1,5 @@
 //! The bundled circuit suite must lint clean: mapping every circuit with
-//! the HYDE flow and running the full registry (including the explicit
+//! the HYDE flow and running every structural check (including the explicit
 //! decompose → encode → hyper-recover path) may produce hygiene warnings
 //! but never a deny-level diagnostic.
 
@@ -8,7 +8,7 @@ use hyde_core::encoding::EncoderKind;
 use hyde_core::hyper::HyperFunction;
 use hyde_logic::TruthTable;
 use hyde_map::{FlowKind, Job, Session};
-use hyde_verify::{Artifact, Diagnostic, Registry};
+use hyde_verify::{Artifact, Diagnostic};
 use std::collections::HashSet;
 
 fn denies(diags: &[Diagnostic]) -> Vec<String> {
@@ -21,18 +21,18 @@ fn denies(diags: &[Diagnostic]) -> Vec<String> {
 
 #[test]
 fn mapped_suite_has_no_deny_diagnostics() {
-    let registry = Registry::with_defaults();
     let session = Session::new(5, FlowKind::hyde(0xDA98));
     for circuit in hyde_circuits::suite_small() {
         let report = session
             .run(&Job::new(&circuit.name, circuit.outputs.clone()))
             .unwrap_or_else(|e| panic!("{}: mapping failed: {e}", circuit.name))
             .report;
-        let diags = registry.run(&Artifact::Network {
+        let diags = Artifact::Network {
             net: &report.network,
             k: Some(5),
             spec: Some(&circuit.outputs),
-        });
+        }
+        .lint();
         assert!(
             denies(&diags).is_empty(),
             "{}: {:?}",
@@ -44,7 +44,6 @@ fn mapped_suite_has_no_deny_diagnostics() {
 
 #[test]
 fn hyper_recovery_path_has_no_deny_diagnostics() {
-    let registry = Registry::with_defaults();
     for circuit in hyde_circuits::suite_small() {
         // Fold up to three distinct outputs into a hyper-function.
         let mut distinct: Vec<TruthTable> = Vec::new();
@@ -70,7 +69,7 @@ fn hyper_recovery_path_has_no_deny_diagnostics() {
             .unwrap_or_else(|e| panic!("{}: implementation failed: {e}", circuit.name));
         hn.verify_ingredients()
             .unwrap_or_else(|e| panic!("{}: ingredient check failed: {e}", circuit.name));
-        let diags = registry.run_all(&[
+        let diags: Vec<Diagnostic> = [
             Artifact::HyperFn(&h),
             Artifact::Hyper(&hn),
             Artifact::Recovery {
@@ -82,7 +81,10 @@ fn hyper_recovery_path_has_no_deny_diagnostics() {
                 k: Some(5),
                 spec: None,
             },
-        ]);
+        ]
+        .iter()
+        .flat_map(Artifact::lint)
+        .collect();
         assert!(
             denies(&diags).is_empty(),
             "{}: {:?}",

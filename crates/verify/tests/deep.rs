@@ -9,8 +9,8 @@ use hyde_core::encoding::{CodeAssignment, EncoderKind};
 use hyde_core::hyper::HyperFunction;
 use hyde_logic::{Network, NodeRole, TruthTable};
 use hyde_map::{FlowKind, Job, MappingReport, Session};
-use hyde_verify::deep::{register_deep, DeepConfig, ProofLog};
-use hyde_verify::{any_deny, Artifact, Code, Diagnostic, Registry};
+use hyde_verify::deep::{Deep, DeepConfig};
+use hyde_verify::{any_deny, Artifact, Code, Diagnostic};
 use std::time::Duration;
 
 /// Maps `circuit` with the HYDE flow at k = 5.
@@ -23,14 +23,6 @@ fn map(circuit: &hyde_circuits::Circuit) -> MappingReport {
 
 fn has(diags: &[Diagnostic], code: Code) -> bool {
     diags.iter().any(|d| d.code == code)
-}
-
-/// A registry holding *only* the deep lints, so tests observe the proof
-/// verdicts without structural-lint noise.
-fn deep_registry(config: DeepConfig) -> (Registry, ProofLog) {
-    let mut r = Registry::empty();
-    let log = register_deep(&mut r, config);
-    (r, log)
 }
 
 fn flip_one_lut_bit(net: &mut Network, minterm: u32) {
@@ -63,7 +55,7 @@ fn simulates(net: &Network, specs: &[TruthTable]) -> bool {
 
 #[test]
 fn sat_cec_agrees_with_exhaustive_simulation_on_small_suite() {
-    let (registry, _log) = deep_registry(DeepConfig::default());
+    let mut deep = Deep::new(DeepConfig::default());
     let mut checked = 0;
     for circuit in hyde_circuits::suite_small() {
         if circuit.outputs[0].vars() > 12 {
@@ -75,7 +67,7 @@ fn sat_cec_agrees_with_exhaustive_simulation_on_small_suite() {
             "{}: simulation oracle disagrees with the mapper",
             circuit.name
         );
-        let diags = registry.run(&Artifact::Network {
+        let diags = deep.check(&Artifact::Network {
             net: &report.network,
             k: Some(5),
             spec: Some(&circuit.outputs),
@@ -98,16 +90,16 @@ fn hy401_mutated_small_network_is_refuted_by_sat() {
     let mut report = map(circuit);
     flip_one_lut_bit(&mut report.network, 0);
     assert!(!simulates(&report.network, &circuit.outputs));
-    let (registry, log) = deep_registry(DeepConfig::default());
-    let diags = registry.run(&Artifact::Network {
+    let mut deep = Deep::new(DeepConfig::default());
+    let diags = deep.check(&Artifact::Network {
         net: &report.network,
         k: Some(5),
         spec: Some(&circuit.outputs),
     });
     assert!(has(&diags, Code::DeepCecMismatch), "{diags:?}");
     assert!(any_deny(&diags));
-    assert!(log
-        .borrow()
+    assert!(deep
+        .take_proofs()
         .iter()
         .any(|r| r.pass == "cec" && r.verdict == "refuted"));
 }
@@ -117,8 +109,8 @@ fn hy401_counterexample_minterm_is_real() {
     let circuit = &hyde_circuits::suite_small()[0];
     let mut report = map(circuit);
     flip_one_lut_bit(&mut report.network, 3);
-    let (registry, _log) = deep_registry(DeepConfig::default());
-    let diags = registry.run(&Artifact::Network {
+    let mut deep = Deep::new(DeepConfig::default());
+    let diags = deep.check(&Artifact::Network {
         net: &report.network,
         k: Some(5),
         spec: Some(&circuit.outputs),
@@ -156,28 +148,29 @@ fn hy402_non_separating_alpha_is_refuted() {
         image_dc: TruthTable::zero(2),
         codes: CodeAssignment::new(vec![0, 1], 1).unwrap(),
     };
-    let (registry, log) = deep_registry(DeepConfig::default());
-    let diags = registry.run(&Artifact::Decomposition {
+    let mut deep = Deep::new(DeepConfig::default());
+    let diags = deep.check(&Artifact::Decomposition {
         decomposition: &d,
         function: &f,
     });
     assert!(has(&diags, Code::DeepEncodingNotInjective), "{diags:?}");
     assert!(any_deny(&diags));
-    assert_eq!(log.borrow().len(), 1);
-    assert_eq!(log.borrow()[0].verdict, "refuted");
+    let proofs = deep.take_proofs();
+    assert_eq!(proofs.len(), 1);
+    assert_eq!(proofs[0].verdict, "refuted");
 }
 
 #[test]
 fn hy402_real_decomposition_is_proved_injective() {
     let f = TruthTable::from_fn(7, |m| m.count_ones() % 2 == 1);
     let d = decompose_step(&f, &[0, 1, 2, 3, 4], &EncoderKind::Hyde { seed: 7 }, 5).unwrap();
-    let (registry, log) = deep_registry(DeepConfig::default());
-    let diags = registry.run(&Artifact::Decomposition {
+    let mut deep = Deep::new(DeepConfig::default());
+    let diags = deep.check(&Artifact::Decomposition {
         decomposition: &d,
         function: &f,
     });
     assert!(!has(&diags, Code::DeepEncodingNotInjective), "{diags:?}");
-    assert!(log.borrow().iter().all(|r| r.verdict == "proved"));
+    assert!(deep.take_proofs().iter().all(|r| r.verdict == "proved"));
 }
 
 fn small_hyper() -> HyperFunction {
@@ -194,8 +187,8 @@ fn hy403_corrupted_implementation_is_refuted() {
         .unwrap();
     let mut merged = hn.implement_ingredients().unwrap();
     flip_one_lut_bit(&mut merged, 0);
-    let (registry, _log) = deep_registry(DeepConfig::default());
-    let diags = registry.run(&Artifact::Recovery {
+    let mut deep = Deep::new(DeepConfig::default());
+    let diags = deep.check(&Artifact::Recovery {
         hyper: &hn,
         implemented: &merged,
     });
@@ -207,8 +200,8 @@ fn hy403_corrupted_implementation_is_refuted() {
 fn hy404_corrupted_hyper_table_is_refuted() {
     let mut h = small_hyper();
     h.corrupt_table_bit(0);
-    let (registry, _log) = deep_registry(DeepConfig::default());
-    let diags = registry.run(&Artifact::HyperFn(&h));
+    let mut deep = Deep::new(DeepConfig::default());
+    let diags = deep.check(&Artifact::HyperFn(&h));
     assert!(has(&diags, Code::DeepRecoveryMismatch), "{diags:?}");
     assert!(any_deny(&diags));
 }
@@ -224,8 +217,8 @@ fn hy405_semantically_stuck_node_warns() {
     let and = TruthTable::var(2, 0) & TruthTable::var(2, 1);
     let g = net.add_node("g", vec![n1, n2], and).unwrap();
     net.mark_output("g", g);
-    let (registry, _log) = deep_registry(DeepConfig::default());
-    let diags = registry.run(&Artifact::network(&net));
+    let mut deep = Deep::new(DeepConfig::default());
+    let diags = deep.check(&Artifact::network(&net));
     let stuck = diags
         .iter()
         .find(|d| d.code == Code::DeepStuckNode)
@@ -239,17 +232,17 @@ fn hy406_exhausted_budget_is_reported() {
     // A zero budget cannot prove anything about a non-trivial miter.
     let f = TruthTable::from_fn(6, |m| m.count_ones() % 2 == 1);
     let d = decompose_step(&f, &[0, 1, 2], &EncoderKind::Lexicographic, 5).unwrap();
-    let (registry, log) = deep_registry(DeepConfig {
+    let mut deep = Deep::new(DeepConfig {
         max_conflicts: 0,
         max_time: Duration::ZERO,
     });
-    let diags = registry.run(&Artifact::Decomposition {
+    let diags = deep.check(&Artifact::Decomposition {
         decomposition: &d,
         function: &f,
     });
     assert!(has(&diags, Code::DeepProofBudget), "{diags:?}");
     assert!(any_deny(&diags), "an unproved property must fail the run");
-    assert!(log.borrow().iter().any(|r| r.verdict == "unknown"));
+    assert!(deep.take_proofs().iter().any(|r| r.verdict == "unknown"));
 }
 
 #[test]
@@ -259,22 +252,26 @@ fn clean_hyper_pipeline_proves_through() {
         .decompose(&Decomposer::new(5, EncoderKind::Lexicographic))
         .unwrap();
     let merged = hn.implement_ingredients().unwrap();
-    let (registry, log) = deep_registry(DeepConfig::default());
-    let diags = registry.run_all(&[
+    let mut deep = Deep::new(DeepConfig::default());
+    for artifact in [
         Artifact::HyperFn(&h),
         Artifact::Hyper(&hn),
         Artifact::Recovery {
             hyper: &hn,
             implemented: &merged,
         },
-    ]);
-    assert!(diags.is_empty(), "{diags:?}");
-    let log = log.borrow();
-    assert!(!log.is_empty());
-    assert!(log.iter().all(|r| r.verdict == "proved"), "{log:?}");
+    ] {
+        let diags = deep.check(&artifact);
+        assert!(diags.is_empty(), "{diags:?}");
+    }
+    let proofs = deep.take_proofs();
+    assert!(!proofs.is_empty());
+    assert!(proofs.iter().all(|r| r.verdict == "proved"), "{proofs:?}");
     // The CEC of the decomposed hyper network and the per-ingredient
     // collapse/recovery proofs must all have run.
     for pass in ["cec", "collapse", "recover"] {
-        assert!(log.iter().any(|r| r.pass == pass), "missing {pass}");
+        assert!(proofs.iter().any(|r| r.pass == pass), "missing {pass}");
     }
+    // Taking the proofs empties the record.
+    assert!(deep.take_proofs().is_empty());
 }

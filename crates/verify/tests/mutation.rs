@@ -10,14 +10,14 @@ use hyde_core::decompose::{decompose_step, Decomposer, Decomposition};
 use hyde_core::encoding::{CodeAssignment, EncoderKind};
 use hyde_core::hyper::HyperFunction;
 use hyde_logic::{Isf, Network, TruthTable};
-use hyde_verify::{any_deny, Artifact, Code, Diagnostic, Registry};
+use hyde_verify::{any_deny, Artifact, Code, Diagnostic};
 
 fn has(diags: &[Diagnostic], code: Code) -> bool {
     diags.iter().any(|d| d.code == code)
 }
 
 fn run(artifact: &Artifact<'_>) -> Vec<Diagnostic> {
-    Registry::with_defaults().run(artifact)
+    artifact.lint()
 }
 
 /// A two-input AND network: x0, x1 -> g (output).
@@ -304,15 +304,16 @@ fn clean_artifacts_lint_clean() {
         .decompose(&Decomposer::new(5, EncoderKind::Lexicographic))
         .unwrap();
     let merged = hn.implement_ingredients().unwrap();
-    let r = Registry::with_defaults();
-    assert!(!any_deny(&r.run_all(&[
+    for artifact in [
         Artifact::HyperFn(&h),
         Artifact::Hyper(&hn),
         Artifact::Recovery {
             hyper: &hn,
             implemented: &merged,
         },
-    ])));
+    ] {
+        assert!(!any_deny(&run(&artifact)));
+    }
 
     // BDD built through the public API.
     let mut bdd = Bdd::new(6);
@@ -322,14 +323,4 @@ fn clean_artifacts_lint_clean() {
         acc = bdd.xor(acc, x);
     }
     assert!(run(&Artifact::Bdd(&bdd)).is_empty());
-}
-
-#[test]
-fn registry_reports_names_and_codes() {
-    let r = Registry::with_defaults();
-    let names = r.lint_names();
-    assert!(names.contains(&"network-cycle") && names.contains(&"bdd-audit"));
-    // Every shipped code is claimed by some registered lint.
-    let empty = Registry::empty();
-    assert!(empty.lint_names().is_empty());
 }
