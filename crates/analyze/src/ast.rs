@@ -75,7 +75,8 @@ pub struct FnDecl {
     pub name: String,
     /// 1-based line of the `fn` keyword.
     pub line: u32,
-    /// Any `pub` qualifier (including `pub(crate)`).
+    /// A bare `pub` qualifier (`pub(crate)` and other restricted
+    /// visibilities do not count).
     pub is_pub: bool,
     /// Inclusive token span of the signature (`fn` keyword through the
     /// token before the body `{` or the terminating `;`).

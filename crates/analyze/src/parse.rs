@@ -171,13 +171,15 @@ impl<'a> Parser<'a> {
             }
             break;
         }
-        // Visibility.
+        // Visibility: only a bare `pub` is public; `pub(crate)`,
+        // `pub(super)` and `pub(in …)` stay inside the crate.
         let mut is_pub = false;
         if self.ident(i) == Some("pub") {
-            is_pub = true;
             i += 1;
             if self.is_punct(i, '(') {
                 i = self.skip_group(i, end);
+            } else {
+                is_pub = true;
             }
         }
         // Modifiers before the item keyword.

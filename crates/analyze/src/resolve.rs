@@ -36,7 +36,7 @@ pub struct FnNode {
     pub name: String,
     /// 1-based line of the `fn` keyword.
     pub line: u32,
-    /// Any `pub` qualifier.
+    /// A bare `pub` qualifier (see [`crate::ast::FnDecl::is_pub`]).
     pub is_pub: bool,
     /// True when the fn lives in test code (test file or `#[cfg(test)]`
     /// region).

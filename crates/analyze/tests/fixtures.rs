@@ -206,6 +206,35 @@ fn sa009_flags_unratcheted_panic_reach_with_call_path() {
 }
 
 #[test]
+fn sa009_lists_bare_pub_fns_only() {
+    // `helper` unwraps but is visible only inside its crate; `entry`, the
+    // public fn that reaches it, is the one the ratchet lists.
+    let src = "pub fn entry(v: &[u32]) -> u32 { helper(v) }\n\
+         pub(crate) fn helper(v: &[u32]) -> u32 { v.first().copied().unwrap() }\n\
+         pub(super) fn sibling(v: &[u32]) -> u32 { v.first().copied().unwrap() }\n";
+    let unlisted = Workspace::from_sources(&[("crates/core/src/x.rs", src), SA009_EMPTY]);
+    let r = run_pass(Box::new(passes::panic_reach::PanicReachPass), &unlisted);
+    let named: Vec<&str> = r
+        .findings
+        .iter()
+        .filter(|f| f.code == "SA009" && f.file == "crates/core/src/x.rs")
+        .map(|f| f.message.as_str())
+        .collect();
+    assert_eq!(named.len(), 1, "{named:?}");
+    assert!(named[0].contains("`entry`"), "{}", named[0]);
+
+    let ratcheted = Workspace::from_sources(&[
+        ("crates/core/src/x.rs", src),
+        (
+            "crates/analyze/ratchets/SA009-panic-reach.txt",
+            "crates/core/src/x.rs::entry\n",
+        ),
+    ]);
+    let r = run_pass(Box::new(passes::panic_reach::PanicReachPass), &ratcheted);
+    assert!(r.clean(), "{:?}", r.findings);
+}
+
+#[test]
 fn sa009_missing_ratchet_and_stale_entries_are_findings() {
     let missing = Workspace::from_sources(&[("crates/core/src/x.rs", "pub fn f() {}\n")]);
     let r = run_pass(Box::new(passes::panic_reach::PanicReachPass), &missing);

@@ -133,6 +133,12 @@ fn bench_chart_and_varpart() {
     bench("decomp/varpart_10v_k5", 5, || {
         vp.best_bound_set(&f10, 5).expect("valid")
     });
+    // The suite's widest searches run at 16-18 variables, where the
+    // sampled candidate stream and whole-word columns dominate.
+    let f16 = TruthTable::random(16, &mut StdRng::seed_from_u64(16));
+    bench("decomp/varpart_16v_k5", 5, || {
+        vp.best_bound_set(&f16, 5).expect("valid")
+    });
     let f8 = TruthTable::random(8, &mut rng);
     bench("decomp/isop_8v", 50, || SopCover::isop(&f8).cube_count());
 }

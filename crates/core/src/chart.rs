@@ -8,7 +8,7 @@
 
 use crate::classes::CompatibleClasses;
 use crate::CoreError;
-use hyde_logic::truthtable::promote_to_top;
+use hyde_logic::truthtable::{promote_to_top, split_word_pair};
 use hyde_logic::{Isf, TruthTable};
 
 /// A materialized decomposition chart for a completely specified function.
@@ -237,16 +237,21 @@ pub fn class_count(f: &TruthTable, bound: &[usize]) -> Result<usize, CoreError> 
 /// intermediate tables, one per promoted prefix variable (ascending
 /// order, each variable's position adjusted for the prefix already
 /// above it), and on the next candidate only redoes the passes past the
-/// longest shared sorted-prefix — amortized ~1 pass per candidate on a
-/// lexicographic stream instead of `k`. Candidates are variable masks,
-/// so scoring one allocates nothing once the buffers have grown.
+/// longest shared sorted-prefix. With whole-word columns the last (highest)
+/// bound variable is never promoted: each block of the table under the
+/// first `k - 1` variables holds the two columns that differ only in it,
+/// and both are digested straight from that block. On a lexicographic
+/// stream, where the last variable changes on almost every candidate, a
+/// candidate then costs one read of the table and no copy. Candidates
+/// are variable masks, so scoring one allocates nothing once the buffers
+/// have grown.
 ///
 /// Column dedup is a linear scan over the at most `2^k` distinct keys
 /// seen so far, and [`Self::score`] returns its `limit` as soon as that
 /// many distinct columns are seen. Whole-word columns are folded into
-/// two independent 64-bit hash streams in one sequential pass and
-/// compared as 128-bit digests: equal columns always digest equal, and
-/// two *distinct* columns collide only if both streams collide
+/// two independent 64-bit hash streams, word by word in column order,
+/// and compared as 128-bit digests: equal columns always digest equal,
+/// and two *distinct* columns collide only if both streams collide
 /// (~`2^-128` per pair), so the count can understate [`class_count`]
 /// only with negligible probability — and deterministically, since the
 /// digests are a fixed function of the table. Ranking loops that need a
@@ -292,16 +297,53 @@ impl<'f> PrefixScorer<'f> {
             return class_count_small(self.f, bound, limit, &mut self.keys);
         }
         let k = bound.count_ones() as usize;
+        let row_bits = n - k;
+        // Whole-word columns leave the last (highest) bound variable
+        // unpromoted; sub-word columns promote all `k`.
+        let promoted = if row_bits >= 6 {
+            bound & !(1 << (31 - bound.leading_zeros()))
+        } else {
+            bound
+        };
+        self.promote_prefix(promoted);
+        let src = match promoted.count_ones() as usize {
+            0 => self.f.as_words(),
+            depth => &self.bufs[depth - 1],
+        };
+        if row_bits >= 6 {
+            // The other `k - 1` bound variables all start below the last
+            // one, so promoting them moved it `k - 1` positions down.
+            let pos = (bound ^ promoted).trailing_zeros() as usize - (k - 1);
+            let cw = 1usize << (row_bits - 6);
+            return count_split_columns(src, pos, cw, &mut self.digests, limit);
+        }
+        // Sub-word columns: extract each run into a key directly.
+        let mask = (1u64 << (1usize << row_bits)) - 1;
+        self.keys.clear();
+        for c in 0..1usize << k {
+            let bitpos = c << row_bits;
+            let key = (src[bitpos >> 6] >> (bitpos & 63)) & mask;
+            if insert_capped(&mut self.keys, key, limit) {
+                return limit;
+            }
+        }
+        self.keys.len()
+    }
+
+    /// Brings the promotion stack to the variables of `vars`, redoing only
+    /// the passes past the prefix shared with the previous candidate.
+    /// Afterwards `bufs[j]` holds `f` with the lowest `j + 1` of them
+    /// promoted to the top.
+    fn promote_prefix(&mut self, vars: u32) {
         let words = self.f.as_words();
-        // Reuse the promotion stack up to the longest shared prefix.
-        let mut rest = bound;
+        let mut rest = vars;
         let mut shared = 0;
         while shared < self.prefix.len() && self.prefix[shared] == rest.trailing_zeros() as usize {
             rest &= rest - 1;
             shared += 1;
         }
         self.prefix.truncate(shared);
-        while self.bufs.len() < k {
+        while self.bufs.len() < vars.count_ones() as usize {
             self.bufs.push(vec![0; words.len()]);
         }
         while rest != 0 {
@@ -319,42 +361,69 @@ impl<'f> PrefixScorer<'f> {
             }
             self.prefix.push(v);
         }
-        let src = &self.bufs[k - 1];
-        let row_bits = n - k;
-        if row_bits < 6 {
-            // Sub-word columns: extract each run into a key directly.
-            let mask = (1u64 << (1usize << row_bits)) - 1;
-            self.keys.clear();
-            for c in 0..1usize << k {
-                let bitpos = c << row_bits;
-                let key = (src[bitpos >> 6] >> (bitpos & 63)) & mask;
-                if insert_capped(&mut self.keys, key, limit) {
-                    return limit;
+    }
+}
+
+/// Counts the distinct whole-word columns of a bound set, capped at
+/// `limit`, from `src`: the table with every bound variable but the last
+/// promoted to the top, and the last one at `pos`. Block `b` of `2 * cw`
+/// words holds columns `b` (last variable 0) and `b + 2^(k-1)` (last
+/// variable 1), `cw` words each: alternating runs of `2^(pos-6)` words
+/// when `pos >= 6`, else the [`split_word_pair`] halves of consecutive
+/// word pairs. Both columns are digested in one read of the block, in the
+/// word order [`promote_to_top`] would have written them.
+fn count_split_columns(
+    src: &[u64],
+    pos: usize,
+    cw: usize,
+    digests: &mut Vec<u128>,
+    limit: usize,
+) -> usize {
+    digests.clear();
+    for block in src.chunks_exact(2 * cw) {
+        let (mut d0, mut d1) = (ColumnDigest::SEED, ColumnDigest::SEED);
+        if pos >= 6 {
+            let stride = 1usize << (pos - 6);
+            for runs in block.chunks_exact(2 * stride) {
+                let (r0, r1) = runs.split_at(stride);
+                for (&w0, &w1) in r0.iter().zip(r1) {
+                    d0.push(w0);
+                    d1.push(w1);
                 }
             }
-            return self.keys.len();
-        }
-        // Whole-word columns: fold each column's word run into two
-        // independent 64-bit streams (FNV-1a and a Murmur-constant
-        // variant) and count distinct 128-bit digests.
-        let cw = 1usize << (row_bits - 6);
-        self.digests.clear();
-        for col in src.chunks_exact(cw) {
-            let mut h1 = 0xcbf2_9ce4_8422_2325u64;
-            let mut h2 = 0x9e37_79b9_7f4a_7c15u64;
-            for &w in col {
-                h1 = (h1 ^ w).wrapping_mul(0x0000_0100_0000_01b3);
-                h2 = (h2 ^ w).wrapping_mul(0xff51_afd7_ed55_8ccd);
-            }
-            if insert_capped(
-                &mut self.digests,
-                u128::from(h1) << 64 | u128::from(h2),
-                limit,
-            ) {
-                return limit;
+        } else {
+            for pair in block.chunks_exact(2) {
+                if let &[w0, w1] = pair {
+                    let (lo, hi) = split_word_pair(w0, w1, pos);
+                    d0.push(lo);
+                    d1.push(hi);
+                }
             }
         }
-        self.digests.len()
+        if insert_capped(digests, d0.value(), limit) || insert_capped(digests, d1.value(), limit) {
+            return limit;
+        }
+    }
+    digests.len()
+}
+
+/// The running 128-bit digest of one whole-word column: its words folded
+/// in order into two independent 64-bit streams, FNV-1a and a
+/// Murmur-constant variant.
+#[derive(Clone, Copy)]
+struct ColumnDigest(u64, u64);
+
+impl ColumnDigest {
+    const SEED: Self = ColumnDigest(0xcbf2_9ce4_8422_2325, 0x9e37_79b9_7f4a_7c15);
+
+    #[inline]
+    fn push(&mut self, w: u64) {
+        self.0 = (self.0 ^ w).wrapping_mul(0x0000_0100_0000_01b3);
+        self.1 = (self.1 ^ w).wrapping_mul(0xff51_afd7_ed55_8ccd);
+    }
+
+    fn value(self) -> u128 {
+        u128::from(self.0) << 64 | u128::from(self.1)
     }
 }
 
@@ -608,29 +677,59 @@ mod tests {
         bound.iter().map(|&v| 1u32 << v).sum()
     }
 
+    /// Sorted `k`-subsets of `0..n` that put the last bound variable at
+    /// every kind of position the whole-word scorer splits on: inside a
+    /// word (`pos < 6`), at one-word runs (`pos = 6`) and at longer runs
+    /// (`pos > 6`), where `pos = last - (k - 1)`; then `extra` random ones.
+    fn bound_sets(
+        n: usize,
+        k: usize,
+        extra: usize,
+        rng: &mut rand::rngs::StdRng,
+    ) -> Vec<Vec<usize>> {
+        use rand::seq::SliceRandom;
+        let mut sets = Vec::new();
+        for last in [k - 1, k + 4, k + 5, k + 6, n - 1] {
+            if last >= n {
+                continue;
+            }
+            let mut below: Vec<usize> = (0..last).collect();
+            below.shuffle(rng);
+            let mut b = below[..k - 1].to_vec();
+            b.push(last);
+            b.sort_unstable();
+            sets.push(b);
+        }
+        let vars: Vec<usize> = (0..n).collect();
+        for _ in 0..extra {
+            let mut v = vars.clone();
+            v.shuffle(rng);
+            let mut b = v[..k].to_vec();
+            b.sort_unstable();
+            sets.push(b);
+        }
+        sets
+    }
+
     #[test]
     fn prefix_scorer_matches_class_count_in_any_order() {
         use rand::seq::SliceRandom;
         use rand::SeedableRng;
         let mut rng = rand::rngs::StdRng::seed_from_u64(0xBEEF);
-        for n in [5usize, 7, 9, 11] {
+        // n <= 11 reaches the sub-word path; n >= 13 is whole-word only,
+        // at the widths the suite's searches reach.
+        for n in [5usize, 7, 9, 11, 13, 16, 18] {
             let f = TruthTable::random(n, &mut rng);
             let mut scorer = PrefixScorer::new(&f);
             // Lexicographic stream (maximal prefix reuse), then a shuffled
             // stream (stack constantly invalidated) — both must agree.
-            for k in [2usize, 3, 4] {
+            for k in 2..=6usize {
                 if k >= n {
                     continue;
                 }
-                let vars: Vec<usize> = (0..n).collect();
-                let mut cands: Vec<Vec<usize>> = Vec::new();
-                for _ in 0..20 {
-                    let mut v = vars.clone();
-                    v.shuffle(&mut rng);
-                    let mut b = v[..k].to_vec();
-                    b.sort_unstable();
-                    cands.push(b);
-                }
+                let extra = if n >= 16 { 4 } else { 12 };
+                let mut cands = bound_sets(n, k, extra, &mut rng);
+                cands.shuffle(&mut rng);
                 let mut lex = cands.clone();
                 lex.sort();
                 for c in lex.iter().chain(cands.iter()) {
@@ -667,12 +766,18 @@ mod tests {
         use rand::{Rng, SeedableRng};
         let mut rng = rand::rngs::StdRng::seed_from_u64(0x1D17);
         // n = 6 is the single-word path; n = 9 at k = 5 has sub-word
-        // columns and n = 12 at k = 5 whole-word ones.
-        for (n, k) in [(6usize, 3usize), (6, 5), (9, 5), (12, 5), (12, 3)] {
+        // columns and n = 12 at k = 5 whole-word ones; n >= 13 sweeps
+        // k = 2..=6 at the suite's widths.
+        let mut cases = vec![(6usize, 3usize), (6, 5), (9, 5), (12, 5), (12, 3)];
+        for n in [13, 16, 18] {
+            cases.extend((2..=6).map(|k| (n, k)));
+        }
+        for (n, k) in cases {
             // Random tables (near 2^k classes) and structured ones: each
             // column drawn from a few patterns, so counts span 1..=2^k.
             let mut tables = vec![TruthTable::random(n, &mut rng)];
-            for patterns in [1usize, 2, 5, 13] {
+            let pattern_counts: &[usize] = if n >= 13 { &[2, 5] } else { &[1, 2, 5, 13] };
+            for &patterns in pattern_counts {
                 let pool: Vec<TruthTable> = (0..patterns)
                     .map(|_| TruthTable::random(n, &mut rng))
                     .collect();
@@ -683,23 +788,88 @@ mod tests {
             }
             for f in &tables {
                 let mut scorer = PrefixScorer::new(f);
-                let vars: Vec<usize> = (0..n).collect();
-                for _ in 0..6 {
-                    let mut v = vars.clone();
-                    v.shuffle(&mut rng);
-                    let mut bound = v[..k].to_vec();
-                    bound.sort_unstable();
-                    // The low k variables select the planted pattern.
-                    for bound in [bound, (0..k).collect()] {
-                        let exact = class_count(f, &bound).unwrap();
-                        for limit in 1..=33 {
-                            assert_eq!(
-                                scorer.score(mask_of(&bound), limit),
-                                exact.min(limit),
-                                "n {n} bound {bound:?} limit {limit}"
-                            );
-                        }
+                let mut bounds = if n >= 13 {
+                    bound_sets(n, k, 1, &mut rng)
+                } else {
+                    let vars: Vec<usize> = (0..n).collect();
+                    (0..6)
+                        .map(|_| {
+                            let mut v = vars.clone();
+                            v.shuffle(&mut rng);
+                            let mut bound = v[..k].to_vec();
+                            bound.sort_unstable();
+                            bound
+                        })
+                        .collect()
+                };
+                // The low k variables select the planted pattern.
+                bounds.push((0..k).collect());
+                for bound in bounds {
+                    let exact = class_count(f, &bound).unwrap();
+                    // Every limit up to 33 on the narrow tables; around the
+                    // count and the 2^k ceiling on the wide ones.
+                    let limits: Vec<usize> = if n >= 13 {
+                        let top = 1 << k;
+                        vec![1, 2, exact - 1, exact, exact + 1, top, top + 1]
+                    } else {
+                        (1..=33).collect()
+                    };
+                    for limit in limits.into_iter().filter(|&l| l > 0) {
+                        assert_eq!(
+                            scorer.score(mask_of(&bound), limit),
+                            exact.min(limit),
+                            "n {n} bound {bound:?} limit {limit}"
+                        );
                     }
+                }
+            }
+        }
+    }
+
+    /// The contiguous-run digests the whole-word scorer replaces: every
+    /// bound variable promoted to the top, then each column's `cw`-word
+    /// run digested in order, distinct digests sorted.
+    fn contiguous_digests(f: &TruthTable, bound: &[usize]) -> Vec<u128> {
+        let promoted = f.promote(bound);
+        let cw = 1usize << (f.vars() - bound.len() - 6);
+        let mut digests: Vec<u128> = promoted
+            .as_words()
+            .chunks_exact(cw)
+            .map(|col| {
+                let mut d = ColumnDigest::SEED;
+                for &w in col {
+                    d.push(w);
+                }
+                d.value()
+            })
+            .collect();
+        digests.sort_unstable();
+        digests.dedup();
+        digests
+    }
+
+    #[test]
+    fn split_digests_equal_the_contiguous_run_digests() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0xD16E);
+        for n in [7usize, 13, 16] {
+            // A random table, and one whose low half repeats, so some
+            // columns are equal and their digests must be too.
+            let f = TruthTable::random(n, &mut rng);
+            let low = rng.gen_range(1..n - 1);
+            let g = TruthTable::from_fn(n, |m| f.eval(m & !(1 << low)));
+            for t in [&f, &g] {
+                let mut scorer = PrefixScorer::new(t);
+                let mut stream: Vec<Vec<usize>> = (1..=6.min(n - 6))
+                    .flat_map(|k| bound_sets(n, k, 6, &mut rng))
+                    .collect();
+                stream.sort();
+                for bound in &stream {
+                    let count = scorer.score(mask_of(bound), usize::MAX);
+                    let mut fused = scorer.digests.clone();
+                    fused.sort_unstable();
+                    assert_eq!(fused, contiguous_digests(t, bound), "n {n} bound {bound:?}");
+                    assert_eq!(count, fused.len());
                 }
             }
         }

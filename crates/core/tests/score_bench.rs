@@ -38,7 +38,7 @@ fn search_us_per_candidate() {
     let mut rng = rand::rngs::StdRng::seed_from_u64(7);
     let vp = VariablePartitioner::default();
     println!("n  candidates  random us/cand  planted us/cand");
-    for n in 7usize..=16 {
+    for n in 7usize..=18 {
         let candidates = binomial(n, K).min(1200);
         let functions = [TruthTable::random(n, &mut rng), planted(n, &mut rng)];
         let us: Vec<f64> = functions
@@ -63,7 +63,7 @@ fn search_us_per_candidate() {
 #[ignore]
 fn score_bench() {
     let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-    for n in [10usize, 12, 14, 16] {
+    for n in [10usize, 12, 14, 16, 18] {
         let f = TruthTable::random(n, &mut rng);
         let mut cands: Vec<Vec<usize>> = Vec::new();
         for _ in 0..500 {

@@ -551,13 +551,21 @@ pub fn promote_to_top(src: &[u64], dst: &mut [u64], pos: usize) {
     } else {
         for (pair, (l, h)) in src.chunks_exact(2).zip(lo.iter_mut().zip(hi.iter_mut())) {
             if let &[w0, w1] = pair {
-                let (l0, h0) = unshuffle64(w0, pos);
-                let (l1, h1) = unshuffle64(w1, pos);
-                *l = l0 | l1 << 32;
-                *h = h0 | h1 << 32;
+                (*l, *h) = split_word_pair(w0, w1, pos);
             }
         }
     }
+}
+
+/// Splits two consecutive table words on the variable at `pos` (in
+/// `0..6`): returns `(lo, hi)`, the 64 minterms of the pair with that
+/// variable at 0 and at 1, each in order and packed into one word. These
+/// are the words [`promote_to_top`] writes to the low and high half.
+#[inline]
+pub fn split_word_pair(w0: u64, w1: u64, pos: usize) -> (u64, u64) {
+    let (l0, h0) = unshuffle64(w0, pos);
+    let (l1, h1) = unshuffle64(w1, pos);
+    (l0 | l1 << 32, h0 | h1 << 32)
 }
 
 /// Delta-swap mask for the perfect-unshuffle step with shift `s`: bits
